@@ -15,6 +15,9 @@ count as "strictly less".
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
+
+condition_flags evaluates the same inequalities for a batch of table
+maps at once, as boolean arrays, for callers that need only verdicts.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .metric_core import Circle, MetricSpace, SelfMap, _resolve_eps
@@ -406,3 +411,83 @@ def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
             raise DomainError("CARISTI needs a phi or a circle for the canonical one")
         phi = phi_canonical(space, circle.center)
     return check_caristi(space, tmap, phi, eps)
+
+
+def member_mask(space: MetricSpace, circle: Circle) -> np.ndarray:
+    """The circle's members as an (n,) bool mask over space.points()."""
+    mask = np.zeros(len(space.points()), dtype=bool)
+    mask[[space.index_of(p) for p in circle.members]] = True
+    return mask
+
+
+def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
+                    radius: float, eps: float, member: np.ndarray):
+    """Lazy atom -> (m,) bool lookup over a batch of table maps.
+
+    ``maps`` is an (m, n) array of image indices into the rows of the
+    distance matrix ``D``. The atoms are every id in CONDITION_IDS, with
+    CARISTI on the canonical weight, plus FIXED_CIRCLE; each holds
+    exactly where the scalar checker (or is_fixed_circle) says it holds,
+    on any finite matrix, valid metric or not. Every atom copies its
+    checker's expression with the same operands in the same order:
+    phi(x) is D[x, c], the members are the mask ``member`` (member_mask
+    of the circle), and the C3 exterior is the column test
+    |D[y, c] - r| > eps of _circle_split.
+    Vacuous cases come out True. An atom is computed on first lookup.
+    """
+    n = maps.shape[1]
+    disp = D[np.arange(n), maps]          # d(x, Tx)
+    phi = D[:, center_idx]                # d(x, c)
+    phiT = phi[maps]                      # d(Tx, c)
+    M = np.flatnonzero(member)
+    E = np.flatnonzero(np.abs(phi - radius) > eps)
+    dispM, phiM, phiTM = disp[:, M], phi[M], phiT[:, M]
+
+    def contraction(xs, ys):
+        dxy, dtt = D[xs, ys], D[maps[:, xs], maps[:, ys]]
+        return np.where(dxy > eps, dtt < dxy, dtt <= eps).all(1)
+
+    def strict_five(xs, ys):
+        tx, ty = maps[:, xs], maps[:, ys]
+        five = np.maximum(disp[:, xs], disp[:, ys])
+        np.maximum(five, D[xs, ty], out=five)
+        np.maximum(five, D[ys, tx], out=five)
+        np.maximum(five, D[xs, ys], out=five)
+        return (five - D[tx, ty] > eps).all(1)
+
+    upper = np.triu_indices(n, 1)
+    across = (np.repeat(M, E.size), np.tile(E, M.size))
+
+    def c1():
+        return ((phiM - phiTM) - dispM >= -eps).all(1)
+
+    atoms = {
+        "C1": c1,
+        "C2": lambda: (phiTM - radius >= -eps).all(1),
+        "C1_STAR": lambda: (((phiM + phiTM) - 2 * radius) - dispM
+                            >= -eps).all(1),
+        "C2_STAR": lambda: (radius - phiTM >= -eps).all(1),
+        "C1_DSTAR": c1,
+        "C2_DSTAR": lambda: np.where(dispM <= eps, phiTM - radius >= -eps,
+                                     radius - phiTM < dispM).all(1),
+        "ID_COND": lambda: ((disp <= eps)
+                            | ((phi - phiT) - disp > eps)).all(1),
+        "C3": lambda: contraction(*across),
+        "C3_DSTAR": lambda: strict_five(*across),
+        "BANACH": lambda: contraction(*upper),
+        "CARISTI": lambda: ((phi - phiT) - disp >= -eps).all(1),
+        "RHOADES": lambda: strict_five(*upper),
+        "FIXED_CIRCLE": lambda: (dispM <= eps).all(1),
+    }
+    # Keyed by rule, so C1 and C1_DSTAR share one array. Nothing here may
+    # refer back to look: a reference cycle would hold every array of
+    # the batch until the cyclic collector happens to run.
+    cache = {}
+
+    def look(name: str) -> np.ndarray:
+        rule = atoms[name]
+        if rule not in cache:
+            cache[rule] = rule()
+        return cache[rule]
+
+    return look

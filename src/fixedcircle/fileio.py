@@ -26,6 +26,7 @@ survives the float round trip.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -120,6 +121,23 @@ def _expect(doc, key, where):
     return doc[key]
 
 
+def _malformed_as(where: str):
+    """Report the ValueError/TypeError that a wrongly typed field raises
+    while a document is read (a non-numeric distance or sample, labels
+    that are not a list, images that are not an object) as
+    MalformedInputError, the input error every caller expects."""
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(*args):
+            try:
+                return read(*args)
+            except (ValueError, TypeError) as err:
+                raise MalformedInputError(f"{where}: {err}") from None
+        return reader
+    return wrap
+
+
+@_malformed_as("space document")
 def space_from_doc(doc: dict) -> MetricSpace:
     carrier = _expect(doc, "carrier", "space document")
     metric = _expect(doc, "metric", "space document")
@@ -172,6 +190,7 @@ def map_to_doc(tmap: SelfMap) -> dict:
                      "default": _image_to_str(tmap.default)}}
 
 
+@_malformed_as("map document")
 def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
     rule = _expect(doc, "rule", "map document")
     rtype = _expect(rule, "type", "rule")

@@ -17,16 +17,14 @@ chosen by maximizing the minimum slack, ties broken by carrier order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import check_condition
+from .conditions import CONDITION_IDS, condition_flags, member_mask
 from .errors import (AnchorSearchError, ConstraintViolationError, DomainError,
                      MalformedInputError)
-from .metric_core import (Branch, Circle, MetricSpace, SelfMap, _resolve_eps,
-                          is_fixed_circle)
+from .metric_core import Branch, Circle, MetricSpace, SelfMap, _resolve_eps
 
 _LATTICE_BITS = 20
 _LATTICE_MIN = 1049
@@ -218,9 +216,10 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
 # ---------------------------------------------------------------------------
 # Counterexample search
 
-_SEARCH_ATOMS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR",
-                 "ID_COND", "C3", "C3_DSTAR", "BANACH", "CARISTI", "RHOADES",
-                 "FIXED_CIRCLE")
+_SEARCH_ATOMS = CONDITION_IDS + ("FIXED_CIRCLE",)
+# Largest pair block (candidates x point pairs) evaluated at once; the
+# chunk size follows from it, so memory stays flat as |X| grows.
+_PAIR_BLOCK = 2 ** 17
 
 
 class _Tokens:
@@ -254,36 +253,49 @@ class _Tokens:
         return tok
 
 
-def _parse_target(text: str):
-    """Parse !,&,| over condition-id atoms into a lazy evaluator tree.
+def _both(left, right):
+    def node(look):
+        v = left(look)
+        return v & right(look) if v.any() else v
+    return node
 
-    Returns (eval_fn, atoms_used). eval_fn takes an atom->bool lookup
-    and short-circuits, so expensive atoms are only computed on demand.
+
+def _either(left, right):
+    def node(look):
+        v = left(look)
+        return v if v.all() else v | right(look)
+    return node
+
+
+def _parse_target(text: str):
+    """Parse !,&,| over condition-id atoms into an evaluator tree.
+
+    The tree takes an atom -> (m,) bool lookup and returns the (m,) bool
+    verdicts. A conjunction that is false everywhere (or a disjunction
+    true everywhere) skips its right operand, so atoms are only
+    computed on demand.
     """
     toks = _Tokens(text)
-    atoms: set[str] = set()
 
     def parse_or():
         node = parse_and()
         while toks.peek() == "|":
             toks.take()
-            left, right = node, parse_and()
-            node = (lambda l, r: (lambda look: l(look) or r(look)))(left, right)
+            node = _either(node, parse_and())
         return node
 
     def parse_and():
         node = parse_not()
         while toks.peek() == "&":
             toks.take()
-            left, right = node, parse_not()
-            node = (lambda l, r: (lambda look: l(look) and r(look)))(left, right)
+            node = _both(node, parse_not())
         return node
 
     def parse_not():
         if toks.peek() == "!":
             toks.take()
             inner = parse_not()
-            return lambda look: not inner(look)
+            return lambda look: ~inner(look)
         if toks.peek() == "(":
             toks.take()
             node = parse_or()
@@ -296,14 +308,13 @@ def _parse_target(text: str):
         name = tok.upper()
         if name not in _SEARCH_ATOMS:
             raise MalformedInputError(f"unknown condition atom {tok!r}")
-        atoms.add(name)
         return lambda look: look(name)
 
     tree = parse_or()
     if toks.peek() is not None:
         raise MalformedInputError(
             f"trailing tokens in target {text!r}: {toks.items[toks.pos:]}")
-    return tree, frozenset(atoms)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -318,19 +329,30 @@ class SearchResult:
         return self.status == "exhausted"
 
 
-def _atom_lookup(space, tmap, circle, eps):
-    cache: dict[str, bool] = {}
+def _exhaustive_chunks(n: int, chunk: int):
+    """Every table map in itertools.product(range(n), repeat=n) order, as
+    (<= chunk, n) image arrays. Candidate k is k written in base n, most
+    significant digit first; the chunk start stays a Python int and only
+    the in-chunk offsets ride in int64, so a huge n**n cannot overflow."""
+    total = n ** n
+    for start in range(0, total, chunk):
+        carry = np.arange(min(chunk, total - start), dtype=np.int64)
+        maps = np.empty((carry.size, n), dtype=np.int64)
+        rest = start
+        for j in range(n - 1, -1, -1):
+            rest, digit = divmod(rest, n)
+            carry = carry + digit
+            maps[:, j] = carry % n
+            carry //= n
+        yield maps
 
-    def look(name: str) -> bool:
-        if name not in cache:
-            if name == "FIXED_CIRCLE":
-                cache[name] = is_fixed_circle(tmap, circle, eps).holds
-            else:
-                cache[name] = check_condition(name, space, tmap,
-                                              circle=circle, eps=eps).holds
-        return cache[name]
 
-    return look
+def _sampled_chunks(n: int, budget: int, chunk: int, seed: int):
+    """``budget`` seeded random table maps, (<= chunk, n) at a time. Drawing
+    a (k, n) block takes the same stream as k draws of size n."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, budget, chunk):
+        yield rng.integers(0, n, size=(min(chunk, budget - start), n))
 
 
 def search_counterexample(space: MetricSpace, circle: Circle, target: str,
@@ -343,29 +365,37 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     maps are exhausted in index order when |X|**|X| fits the budget,
     otherwise drawn seeded-random up to the budget. Either way the
     first hit in evaluation order wins, so results are reproducible.
+
+    Candidates are drawn and evaluated in chunks, through
+    conditions.condition_flags, with the target evaluated over boolean
+    arrays; the chunk size keeps the largest pair block under a fixed
+    number of entries. The first true index of a chunk is the hit, so
+    the found map and the evaluated count are those of a one-by-one
+    scan, and the seeded stream is the one a one-by-one draw takes.
     """
     eps = _resolve_eps(eps)
     if not space.is_finite:
         raise DomainError("counterexample search needs a finite carrier")
-    tree, _ = _parse_target(target)
-    pts = space.points()
-    n = len(pts)
-
-    def candidates():
-        if n ** n <= budget:
-            for images in itertools.product(range(n), repeat=n):
-                yield images
-        else:
-            rng = np.random.default_rng(seed)
-            for _ in range(budget):
-                yield tuple(int(v) for v in rng.integers(0, n, size=n))
+    tree = _parse_target(target)
+    n = len(space.points())
+    D = space.as_array
+    center = space.index_of(circle.center)
+    member = member_mask(space, circle)
+    chunk = max(1, _PAIR_BLOCK // max(1, n * (n - 1) // 2))
+    if n ** n <= budget:
+        chunks = _exhaustive_chunks(n, chunk)
+    else:
+        chunks = _sampled_chunks(n, budget, chunk, seed)
 
     evaluated = 0
-    for images in candidates():
-        tmap = SelfMap.from_indices(space, images)
-        evaluated += 1
-        if tree(_atom_lookup(space, tmap, circle, eps)):
-            return SearchResult(status="found", target=target, found=tmap,
-                                evaluated=evaluated)
+    for maps in chunks:
+        look = condition_flags(D, maps, center, circle.radius, eps, member)
+        hits = np.flatnonzero(tree(look))
+        if hits.size:
+            images = [int(v) for v in maps[hits[0]]]
+            return SearchResult(status="found", target=target,
+                                found=SelfMap.from_indices(space, images),
+                                evaluated=evaluated + int(hits[0]) + 1)
+        evaluated += maps.shape[0]
     return SearchResult(status="exhausted", target=target, found=None,
                         evaluated=evaluated)

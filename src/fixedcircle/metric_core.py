@@ -168,6 +168,11 @@ class MetricSpace:
             return np.asarray(self.matrix, dtype=float)
         return _sample_matrix(self.carrier.kind, self.carrier.samples)
 
+    @cached_property
+    def _validations(self) -> dict:
+        """validate_metric's reports, keyed by the resolved tolerance."""
+        return {}
+
     def contains(self, point) -> bool:
         """Membership in the carrier (not the sample set)."""
         if self.is_finite:
@@ -257,9 +262,12 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
     Returns an empty violation list iff zero-self-distance, identity of
     indiscernibles, symmetry, and the triangle inequality all hold
     within the tolerance. Raises MalformedInputError for structurally
-    bad input (non-square or negative matrix).
+    bad input (non-square or negative matrix). A space is checked once
+    per tolerance; later calls return the same report.
     """
     eps = _resolve_eps(eps)
+    if eps in space._validations:
+        return space._validations[eps]
     if space.is_finite and space.matrix is not None:
         n = len(space.carrier.labels)
         if len(space.matrix) != n or any(len(r) != n for r in space.matrix):
@@ -269,7 +277,8 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
                 if v < 0 or not math.isfinite(v):
                     raise MalformedInputError(
                         f"distance entries must be finite and >= 0, got {v}")
-    return _validate(space, eps)
+    report = space._validations[eps] = _validate(space, eps)
+    return report
 
 
 def _validate(space: MetricSpace, eps: float) -> ValidationReport:

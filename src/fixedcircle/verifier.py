@@ -262,17 +262,18 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
 
     ``maps`` is an (m, n) array of image indices. Returns
     {theorem_id: (hypotheses_hold, conclusion_holds)} as boolean (m,)
-    arrays. This is the sweep's fast path; it must agree with the
-    per-instance checkers (a dedicated test holds the two routes
-    together).
+    arrays. As in the checkers, phi(x) is d(x, c), the column, and
+    circle membership reads d(c, x), the row. This is the sweep's fast
+    path; it must agree with the per-instance checkers (a dedicated test
+    holds the two routes together).
     """
     n = D.shape[0]
     ar = np.arange(n)
     disp = D[ar[None, :], maps]
     fixed = disp <= eps
-    phi = D[center_idx]
+    phi = D[:, center_idx]
     phiT = phi[maps]
-    member = np.abs(phi - radius) <= eps
+    member = np.abs(D[center_idx] - radius) <= eps
     M = np.flatnonzero(member)
     E = np.flatnonzero(~member)
 

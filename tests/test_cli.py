@@ -198,6 +198,36 @@ def test_cli_validate(files, capsys):
     assert main(["validate", "/nonexistent/nope.json"]) == 2
 
 
+_ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
+        "metric": {"type": "matrix",
+                   "values": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}
+
+
+@pytest.mark.parametrize("space,tmap", [
+    ({"carrier": {"type": "finite", "labels": ["a", "b"]},
+      "metric": {"type": "matrix", "values": [[0, "x"], ["x", 0]]}}, None),
+    ({"carrier": {"type": "finite", "labels": 3},
+      "metric": {"type": "matrix",
+                 "values": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}, None),
+    ({"carrier": {"type": "analytic", "kind": "real_usual",
+                  "samples": [0.0, "x"]},
+      "metric": {"type": "named"}}, None),
+    (_ABC, {"rule": {"type": "table", "images": ["a", "b", "c"]}}),
+], ids=["non_numeric_entry", "labels_not_a_list", "non_numeric_sample",
+        "images_not_an_object"])
+def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps(space), encoding="utf-8")
+    argv = ["validate", str(sp)]
+    if tmap is not None:
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(tmap), encoding="utf-8")
+        argv = ["enumerate", str(sp), str(mp)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_check_exit_codes(files, capsys):
     sp, mp = files["EX_2_6"]
     code, out = _run(capsys, "check", sp, mp, "--center", "0",

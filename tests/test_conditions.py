@@ -6,23 +6,28 @@ inequality, written here from the definitions rather than shared with
 the engine.
 """
 
+import gc
 import itertools
 import math
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedcircle.conditions import (check_banach, check_c1, check_c1_dstar,
+from fixedcircle.conditions import (CONDITION_IDS, check_banach, check_c1, check_c1_dstar,
                                     check_c1_star, check_c2, check_c2_dstar,
                                     check_c2_star, check_c3, check_c3_dstar,
                                     check_caristi, check_condition,
                                     check_identity_condition, check_rhoades,
+                                    condition_flags, member_mask,
                                     phi_canonical)
 from fixedcircle.errors import DomainError
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
-                                     enumerate_circles)
+                                     enumerate_circles, is_fixed_circle,
+                                     validate_metric)
 
 EPS = 1e-9
 
@@ -303,3 +308,104 @@ def test_identity_map_satisfies_weak_conditions(seed):
     assert check_c2_dstar(space, ident, circle).holds
     phi = phi_canonical(space, circle.center)
     assert check_caristi(space, ident, phi).holds
+
+
+# ---------------------------------------------------------------------------
+# Batch atoms against the scalar checkers
+
+
+ATOM_IDS = CONDITION_IDS + ("FIXED_CIRCLE",)
+
+# A dyadic tolerance: with dyadic distances, a slack can land exactly on
+# +-TIE_EPS, so every strict/weak comparison is exercised at its edge.
+TIE_EPS = 2.0 ** -30
+
+
+# Hand-made edges: the row and the column at the center straddle the
+# circle's band; ID_COND's gain exceeds a displacement by exactly eps.
+_HAND_MATRICES = {
+    "row_col": [[0.0, 1.0, 1.0 - TIE_EPS / 2], [1.0, 0.0, 0.5],
+                [1.0 - 1.5 * TIE_EPS, 0.5, 0.0]],
+    "id_tie": [[0.0, 1.0, 0.0], [1.0 + TIE_EPS, 0.0, 1.0], [0.0, 1.0, 0.0]],
+}
+
+
+def _probe_matrix(kind, seed, n):
+    """A distance matrix that puts the checkers' comparisons on edge.
+
+    random:   a generated valid space.
+    near_tie: distances 1, 1.5, 2 (tight triangles, ties at every
+              strict comparison), each entry moved by 0 or +-TIE_EPS/2
+              on its own, so the matrix is asymmetric within TIE_EPS.
+    invalid:  values validate_metric rejects: zero or TIE_EPS off the
+              diagonal, weight on it, asymmetry and broken triangles.
+    """
+    if kind in _HAND_MATRICES:
+        return np.array(_HAND_MATRICES[kind])
+    if kind == "random":
+        return _space_from_seed(seed, n).as_array
+    rng = np.random.default_rng(seed)
+    if kind == "near_tie":
+        base = rng.choice([1.0, 1.5, 2.0], size=(n, n))
+        D = np.minimum(base, base.T) + rng.choice(
+            [-0.5, 0.0, 0.5], size=(n, n)) * TIE_EPS
+        np.fill_diagonal(D, 0.0)
+        return D
+    return rng.choice([0.0, TIE_EPS, 0.25, 1.0, 1.0 + TIE_EPS, 3.0],
+                      size=(n, n))
+
+
+def _probe_radii(D, ci):
+    """Radii read off the row (circle_of's side) and the column (phi's
+    side), each also moved by fractions of the tolerance, plus an empty
+    circle."""
+    seen = np.concatenate([D[ci], D[:, ci]])
+    moved = np.concatenate([seen + f * TIE_EPS for f in (-1, -0.5, 0.5, 1)])
+    return sorted({float(r) for r in np.concatenate([seen, moved, [7.0]])
+                   if r >= 0})
+
+
+@pytest.mark.parametrize("kind,seed,n", [
+    (kind, seed, n) for kind in ("random", "near_tie", "invalid")
+    for seed, n in ((1, 2), (2, 3), (3, 3), (4, 4))
+] + [("row_col", 0, 3), ("id_tie", 0, 3)])
+def test_condition_flags_match_scalar_checkers(kind, seed, n):
+    eps = TIE_EPS
+    D = _probe_matrix(kind, seed, n)
+    space = MetricSpace.finite([f"p{i}" for i in range(n)], D.tolist())
+    if kind in ("invalid", "id_tie"):
+        assert not validate_metric(space, eps).valid
+    maps = np.array(list(itertools.product(range(n), repeat=n)))
+    if n == 4:
+        maps = maps[::5]
+    tmaps = [SelfMap.from_indices(space, row) for row in maps]
+    pts = space.points()
+    for ci in range(n):
+        for radius in _probe_radii(space.as_array, ci):
+            circle = circle_of(space, pts[ci], radius, eps)
+            look = condition_flags(space.as_array, maps, ci, radius, eps,
+                                   member_mask(space, circle))
+            for k, tmap in enumerate(tmaps):
+                for cid in CONDITION_IDS:
+                    want = check_condition(cid, space, tmap, circle=circle,
+                                           eps=eps).holds
+                    assert bool(look(cid)[k]) == want, (cid, ci, radius, k)
+                want = is_fixed_circle(tmap, circle, eps).holds
+                assert bool(look("FIXED_CIRCLE")[k]) == want, (ci, radius, k)
+
+
+def test_condition_flags_frees_its_arrays_without_the_collector():
+    # a reference cycle through the lookup would keep every batch array
+    # alive until the cyclic collector runs: memory then grows with use
+    space = _space_from_seed(3, 4)
+    maps = np.array(list(itertools.product(range(4), repeat=4)))
+    gc.disable()
+    try:
+        circle = circle_of(space, space.points()[0], 0.5, EPS)
+        look = condition_flags(space.as_array, maps, 0, 0.5, EPS,
+                               member_mask(space, circle))
+        refs = [weakref.ref(look(cid)) for cid in ATOM_IDS]
+        del look
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()

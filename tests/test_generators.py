@@ -1,10 +1,17 @@
 """Generator and search tests: seeded space construction, anchor
 selection, the circle-fixing recipes, and the counterexample search."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixedcircle.conditions import check_c1, check_c1_star, check_c2, check_c2_star
+from fixedcircle import generators
+from fixedcircle.conditions import (CONDITION_IDS, check_c1, check_c1_star,
+                                    check_c2, check_c2_star, check_condition)
 from fixedcircle.errors import (AnchorSearchError, ConstraintViolationError,
                                 DomainError, MalformedInputError)
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
@@ -257,3 +264,170 @@ def test_search_operator_semantics(little):
     # contradiction exhausts
     res2 = search_counterexample(little, circle, "C1 & !C1")
     assert res2.exhausted
+
+
+# ---------------------------------------------------------------------------
+# Chunked search against a one-candidate-at-a-time loop
+#
+# A target is a tree: an atom name, ("!", t), ("&", a, b) or ("|", a, b).
+
+ATOMS = CONDITION_IDS + ("FIXED_CIRCLE",)
+
+
+def _render(tree):
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "!":
+        return "!" + _render(tree[1])
+    return f"({_render(tree[1])} {tree[0]} {_render(tree[2])})"
+
+
+def _holds(tree, atom):
+    if isinstance(tree, str):
+        return atom(tree)
+    if tree[0] == "!":
+        return not _holds(tree[1], atom)
+    if tree[0] == "&":
+        return _holds(tree[1], atom) and _holds(tree[2], atom)
+    return _holds(tree[1], atom) or _holds(tree[2], atom)
+
+
+def _brute_search(space, circle, tree, budget, seed):
+    """(status, evaluated, table) of a scan that builds each candidate
+    and asks the scalar checkers: exhaustive in itertools.product order
+    when |X|**|X| fits the budget, else one seeded draw per candidate."""
+    n = len(space.points())
+    if n ** n <= budget:
+        candidates = itertools.product(range(n), repeat=n)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = (rng.integers(0, n, size=n) for _ in range(budget))
+    evaluated = 0
+    for images in candidates:
+        tmap = SelfMap.from_indices(space, [int(v) for v in images])
+        evaluated += 1
+
+        def atom(name):
+            if name == "FIXED_CIRCLE":
+                return is_fixed_circle(tmap, circle).holds
+            return check_condition(name, space, tmap, circle=circle).holds
+        if _holds(tree, atom):
+            return "found", evaluated, tmap.table
+    return "exhausted", evaluated, None
+
+
+def _chunked_search(space, circle, tree, budget, seed):
+    res = search_counterexample(space, circle, _render(tree), budget=budget,
+                                seed=seed)
+    return (res.status, res.evaluated,
+            None if res.found is None else res.found.table)
+
+
+def _pair_block_for(chunk, n):
+    """The _PAIR_BLOCK that makes the search use this chunk size at n."""
+    return chunk * max(1, n * (n - 1) // 2)
+
+
+SEARCH_CASES = [
+    # (space seed, n, target, budget, search seed, chunk)
+    (5, 3, ("&", "C1", ("!", "C2")), 10 ** 6, 0, 4),         # exhaustive
+    (5, 3, ("&", ("&", "C1", "C2"), ("!", "FIXED_CIRCLE")), 10 ** 6, 0, 4),
+    (8, 4, ("&", "C3", ("!", "C3_DSTAR")), 10 ** 6, 0, 7),    # exhaustive
+    (8, 4, ("|", "RHOADES", ("&", "ID_COND", "CARISTI")), 10 ** 6, 0, 7),
+    (2, 5, ("&", "C2_DSTAR", ("!", "C1_DSTAR")), 301, 9, 7),  # sampled
+    (2, 5, ("&", "BANACH", "C2_STAR"), 300, 3, 7),
+    (6, 4, ("&", "C1", "C2"), 0, 0, 7),                       # budget 0
+    (6, 4, ("&", "C1_STAR", ("!", "C2")), 100, 4, 7),         # 100 = 14*7+2
+]
+
+
+@pytest.mark.parametrize("space_seed,n,tree,budget,seed,chunk", SEARCH_CASES)
+def test_chunked_search_matches_one_by_one(space_seed, n, tree, budget, seed,
+                                           chunk):
+    space = random_metric_space(GenConfig(seed=space_seed, size=n))
+    for circle in (_mid_circle(space),
+                   circle_of(space, space.points()[-1], 0.5)):
+        want = _brute_search(space, circle, tree, budget, seed)
+        with mock.patch.object(generators, "_PAIR_BLOCK",
+                               _pair_block_for(chunk, n)):
+            assert _chunked_search(space, circle, tree, budget, seed) == want
+        assert _chunked_search(space, circle, tree, budget, seed) == want
+
+
+@pytest.mark.parametrize("space_seed,n,budget,seed", [
+    (8, 4, 10 ** 6, 0),      # exhaustive: first hit is candidate 81
+    (2, 5, 3000, 1),         # sampled: first hit is draw 320
+])
+def test_chunked_search_hit_in_a_later_chunk(space_seed, n, budget, seed):
+    space = random_metric_space(GenConfig(seed=space_seed, size=n))
+    circle = _mid_circle(space)
+    tree = ("&", "BANACH", "C2")
+    want = _brute_search(space, circle, tree, budget, seed)
+    assert want[0] == "found" and want[1] > 10 * 7
+    with mock.patch.object(generators, "_PAIR_BLOCK", _pair_block_for(7, n)):
+        assert _chunked_search(space, circle, tree, budget, seed) == want
+
+
+def test_chunked_search_on_asymmetric_and_invalid_spaces():
+    eps = 1e-9
+    asym = MetricSpace.finite(("c", "x", "y"), [
+        [0, 1, 1 - 0.5 * eps], [1, 0, 0.5], [1 - 1.4 * eps, 0.5, 0]])
+    broken = MetricSpace.finite(("c", "x", "y", "z"), [
+        [0, 1, 0, 3], [1, 0.25, 1, 1], [2, 1, 0, 0], [1, 3, 1, 0]])
+    assert validate_metric(asym).valid and not validate_metric(broken).valid
+    for space in (asym, broken):
+        circle = circle_of(space, "c", 1.0)
+        for tree in (("&", "C1", ("!", "C2")), ("&", "C2", ("!", "C1")),
+                     ("|", "C3_DSTAR", "BANACH"), ("!", "ID_COND")):
+            for budget in (10 ** 6, 50):
+                want = _brute_search(space, circle, tree, budget, 1)
+                assert _chunked_search(space, circle, tree, budget, 1) == want
+
+
+_TREES = st.recursive(
+    st.sampled_from(ATOMS),
+    lambda sub: st.one_of(st.tuples(st.just("!"), sub),
+                          st.tuples(st.sampled_from("&|"), sub, sub)),
+    max_leaves=4)
+
+
+@given(n=st.integers(1, 4), data=st.data(), tree=_TREES,
+       budget=st.sampled_from([0, 1, 5, 26, 27, 64, 80]),
+       seed=st.integers(0, 2 ** 16), chunk=st.sampled_from([1, 3, 10, 10 ** 4]))
+@settings(max_examples=60, deadline=None)
+def test_chunked_search_property(n, data, tree, budget, seed, chunk):
+    values = st.sampled_from([0.0, 0.5, 1.0, 1.0 + 4e-10, 1.5, 2.0])
+    D = data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    space = MetricSpace.finite([f"p{i}" for i in range(n)], D)
+    center = data.draw(st.integers(0, n - 1))
+    radius = data.draw(st.sampled_from(sorted(set(D[center] + [1.0]))))
+    circle = circle_of(space, space.points()[center], radius)
+    want = _brute_search(space, circle, tree, budget, seed)
+    with mock.patch.object(generators, "_PAIR_BLOCK",
+                           _pair_block_for(chunk, n)):
+        assert _chunked_search(space, circle, tree, budget, seed) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("chunk", [1, 5, 7, 10 ** 4])
+def test_exhaustive_chunks_follow_product_order(n, chunk):
+    got = np.vstack(list(generators._exhaustive_chunks(n, chunk)))
+    assert got.tolist() == [list(t) for t in
+                            itertools.product(range(n), repeat=n)]
+
+
+def test_exhaustive_chunks_past_int64():
+    # 20**20 candidates do not fit in an int64; decoding must not wrap
+    first = next(generators._exhaustive_chunks(20, 6))
+    product = itertools.product(range(20), repeat=20)
+    assert first.tolist() == [list(t) for t in itertools.islice(product, 6)]
+
+
+@pytest.mark.parametrize("n", [5, 7, 8, 9, 12])
+@pytest.mark.parametrize("chunk", [1000, 2001])
+def test_sampled_chunks_keep_the_one_by_one_stream(n, chunk):
+    rng = np.random.default_rng(31)
+    want = [rng.integers(0, n, size=n).tolist() for _ in range(4500)]
+    got = np.vstack(list(generators._sampled_chunks(n, 4500, chunk, 31)))
+    assert got.tolist() == want

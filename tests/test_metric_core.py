@@ -81,6 +81,26 @@ def test_validate_accepts_valid_matrix(path_space):
     assert rep.point_count == 3
 
 
+def test_validate_runs_once_per_space_and_tolerance(monkeypatch):
+    from fixedcircle import metric_core
+    runs = []
+    real = metric_core._validate
+    monkeypatch.setattr(metric_core, "_validate",
+                        lambda space, eps: runs.append(eps) or real(space, eps))
+    space = _square(("p", "q", "s"), [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    first = validate_metric(space)
+    assert validate_metric(space) is first
+    assert validate_metric(space, EPS) is first     # same resolved tolerance
+    assert runs == [EPS]
+    # an equal space built apart keeps its own record
+    twin = _square(("p", "q", "s"), [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    assert validate_metric(twin) == first and runs == [EPS, EPS]
+    loose = validate_metric(space, 0.5)
+    assert loose is not first and runs == [EPS, EPS, 0.5]
+    monkeypatch.setenv("FIXEDCIRCLE_EPSILON", "0.5")
+    assert validate_metric(space) is loose and len(runs) == 3
+
+
 def test_validate_counts_beyond_detail_cap():
     # every off-diagonal pair violates symmetry; the report keeps a
     # bounded sample but the count stays honest

@@ -51,6 +51,28 @@ def test_kernel_agrees_with_rich_api(seed, size):
                 assert verdict.consistent
 
 
+# Valid within eps, but asymmetric: the row of c puts y on the circle
+# (d(c, y) = 1 - 0.5 eps) while the column, phi(y) = d(y, c), sits 1.4 eps
+# inside it. The kernel must read phi from the column, as the checkers do.
+ROW_COLUMN_SPACE = MetricSpace.finite(("c", "x", "y"), [
+    [0, 1, 1 - 0.5e-9], [1, 0, 0.5], [1 - 1.4e-9, 0.5, 0]])
+
+
+@pytest.mark.parametrize("tid", ["T_EXIST_C1C2", "T_EXIST_STAR",
+                                 "T_EXIST_DSTAR"])
+def test_kernel_agrees_with_rich_api_on_asymmetric_space(tid):
+    space = ROW_COLUMN_SPACE
+    maps = np.array(list(itertools.product(range(3), repeat=3)),
+                    dtype=np.intp)
+    hyp, concl = theorem_flags(space.as_array, maps, 0, 1.0, EPS)[tid]
+    circle = circle_of(space, "c", 1.0)
+    for mi in range(maps.shape[0]):
+        tmap = SelfMap.from_indices(space, maps[mi])
+        verdict = _rich_verdict(tid, space, tmap, circle, EPS)
+        assert bool(hyp[mi]) == verdict.hypotheses_hold, mi
+        assert bool(concl[mi]) == verdict.conclusion_holds, mi
+
+
 # ---------------------------------------------------------------------------
 # Existence and identity verdicts
 
