@@ -30,7 +30,7 @@ from .verifier import (THEOREM_IDS, Falsification, SweepReport,
                        TheoremVerdict, enumerate_fixed_circles,
                        soundness_sweep, verify_banach, verify_caristi,
                        verify_existence, verify_identity_theorem,
-                       verify_uniqueness)
+                       verify_theorem, verify_uniqueness)
 
 __version__ = "0.1.0"
 
@@ -52,5 +52,5 @@ __all__ = [
     "phi_canonical", "random_metric_space", "replay_all", "replay_entry",
     "search_counterexample", "soundness_sweep", "validate_metric",
     "verify_banach", "verify_caristi", "verify_existence",
-    "verify_identity_theorem", "verify_uniqueness",
+    "verify_identity_theorem", "verify_theorem", "verify_uniqueness",
 ]

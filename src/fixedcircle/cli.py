@@ -22,26 +22,20 @@ import sys
 import time
 
 from . import fileio
-from .conditions import CONDITION_IDS, check_condition, phi_canonical
+from .conditions import CONDITION_IDS, check_condition
 from .errors import FixedCircleError, MalformedInputError
 from .gallery import list_entries, load_entry, replay_all
 from .generators import search_counterexample
 from .metric_core import (DEFAULT_CIRCLE_SAMPLES, DEFAULT_EPSILON,
                           MetricSpace, _resolve_eps, circle_of,
                           validate_metric)
-from .verifier import (THEOREM_IDS, enumerate_fixed_circles, verify_banach,
-                       verify_caristi, verify_existence,
-                       verify_identity_theorem, verify_uniqueness)
+from .verifier import (THEOREM_IDS, _circle_caveats, enumerate_fixed_circles,
+                       verify_theorem)
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
 _EXIT_INPUT = 2
 _EXIT_FALSIFIED = 3
-
-_EXISTENCE = {"T_EXIST_C1C2": "C1C2", "T_EXIST_STAR": "STAR",
-              "T_EXIST_DSTAR": "DSTAR"}
-_UNIQUENESS = {"T_UNIQUE_C3": "C3", "T_UNIQUE_C3_STARVARIANT": "C3_ON_STAR",
-               "T_UNIQUE_C3_DSTAR": "C3_DSTAR"}
 
 _EPILOG = f"""environment:
   FIXEDCIRCLE_EPSILON         default comparison tolerance
@@ -94,15 +88,7 @@ def _parse_point(text: str, space: MetricSpace):
             f"bad point {text!r} for a real carrier") from None
 
 
-def _circle_flag_caveats(circle) -> list[str]:
-    out = []
-    if circle.resolution == "sampled":
-        out.append("sampled-resolution verdict")
-    if circle.empty:
-        out.append("empty circle: member-quantified conditions are vacuous")
-    if circle.degenerate:
-        out.append("degenerate circle (radius ~ 0)")
-    return out
+_MEMBER_VACUITY = "member-quantified conditions are vacuous"
 
 
 # ---------------------------------------------------------------------------
@@ -136,36 +122,22 @@ def _cmd_check(args) -> tuple[int, fileio.RunReport]:
         inputs={"space": space_digest, "map": map_digest,
                 "circle": fileio.circle_row(circle)},
         epsilon=fileio.round12(_resolve_eps(args.epsilon)),
-        conditions=rows, caveats=_circle_flag_caveats(circle))
+        conditions=rows, caveats=_circle_caveats(circle, _MEMBER_VACUITY))
     all_hold = all(r["holds"] for r in rows)
     return (_EXIT_OK if all_hold else _EXIT_NEGATIVE), run
-
-
-def _run_theorem(args, space, tmap):
-    eps = args.epsilon
-    if args.theorem == "T_BANACH":
-        return verify_banach(space, tmap, eps)
-    if args.center is None or args.radius is None:
-        raise MalformedInputError(
-            f"theorem {args.theorem} needs --center and --radius")
-    center = _parse_point(args.center, space)
-    circle = circle_of(space, center, args.radius, eps)
-    if args.theorem in _EXISTENCE:
-        return verify_existence(space, tmap, circle,
-                                _EXISTENCE[args.theorem], eps)
-    if args.theorem in _UNIQUENESS:
-        return verify_uniqueness(space, tmap, circle,
-                                 _UNIQUENESS[args.theorem], eps)
-    if args.theorem == "T_IDENTITY":
-        return verify_identity_theorem(space, tmap, circle, eps)
-    # T_CARISTI: canonical weight at the requested center
-    return verify_caristi(space, tmap, phi_canonical(space, center), eps)
 
 
 def _cmd_verify(args) -> tuple[int, fileio.RunReport]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
-    verdict = _run_theorem(args, space, tmap)
+    circle = None
+    if args.theorem != "T_BANACH":
+        if args.center is None or args.radius is None:
+            raise MalformedInputError(
+                f"theorem {args.theorem} needs --center and --radius")
+        circle = circle_of(space, _parse_point(args.center, space),
+                           args.radius, args.epsilon)
+    verdict = verify_theorem(args.theorem, space, tmap, circle, args.epsilon)
     inputs = {"space": space_digest, "map": map_digest}
     if args.center is not None and args.radius is not None:
         inputs["circle"] = {"center": fileio.point_to_json(
@@ -206,7 +178,7 @@ def _cmd_search(args) -> tuple[int, fileio.RunReport]:
                 "circle": fileio.circle_row(circle)},
         epsilon=fileio.round12(_resolve_eps(args.epsilon)),
         payload={"search": fileio.search_row(result)},
-        caveats=_circle_flag_caveats(circle))
+        caveats=_circle_caveats(circle, _MEMBER_VACUITY))
     return (_EXIT_OK if result.status == "found" else _EXIT_NEGATIVE), run
 
 

@@ -17,7 +17,9 @@ The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
 
 condition_flags evaluates the same inequalities for a batch of table
-maps at once, as boolean arrays, for callers that need only verdicts.
+maps at once, as boolean arrays, for callers that need only verdicts:
+the counterexample search and, through verifier.theorem_flags, the
+soundness sweep. It is the package's one batch layer.
 """
 
 from __future__ import annotations
@@ -61,21 +63,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class PhiMap:
-    """A nonnegative weight on carrier points, as a rule or a table."""
+    """A nonnegative weight on carrier points."""
 
     name: str
     fn: Callable = field(compare=False)
-
-    @classmethod
-    def from_table(cls, values: dict, name: str = "table") -> "PhiMap":
-        table = dict(values)
-
-        def look(x):
-            try:
-                return table[x]
-            except KeyError:
-                raise DomainError(f"phi has no value at {x!r}") from None
-        return cls(name=name, fn=look)
 
     def at(self, x) -> float:
         v = float(self.fn(x))
@@ -251,31 +242,40 @@ def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> Con
     eps = _resolve_eps(eps)
     caveat = circle.resolution == "sampled" or not space.is_finite
     exterior = _circle_split(space, circle, eps)
-    if not circle.members or not exterior:
-        return _vacuous("C3", caveat, "no (member, off-circle) pair to check")
+    pairs = ((x, y) for x in circle.members for y in exterior)
+    return _contraction_scan("C3", space, tmap, pairs, eps, caveat,
+                             "no (member, off-circle) pair to check")
+
+
+def _contraction_scan(condition_id, space, tmap, pairs, eps, caveat, empty_note):
     holds = True
     margin, witness = math.inf, None
     ratio = 0.0
     count = 0
-    for x in circle.members:
-        tx = tmap.apply(x, eps=eps)
-        for y in exterior:
-            ty = tmap.apply(y, eps=eps)
-            dxy = space.distance(x, y)
-            dtt = space.distance(tx, ty)
-            count += 1
-            if dxy <= eps:
-                if dtt > eps:
-                    holds = False
-            else:
-                if not (dtt < dxy):
-                    holds = False
-                ratio = max(ratio, dtt / dxy)
-            slack = dxy - dtt
-            if slack < margin:
-                margin, witness = slack, (x, y)
-    return ConditionReport(condition_id="C3", holds=holds, margin=margin,
-                           witness=witness, derived_param=ratio,
+    images = {}
+
+    def image(p):
+        if p not in images:
+            images[p] = tmap.apply(p, eps=eps)
+        return images[p]
+    for x, y in pairs:
+        dxy = space.distance(x, y)
+        dtt = space.distance(image(x), image(y))
+        count += 1
+        if dxy <= eps:
+            if dtt > eps:
+                holds = False
+        else:
+            if not (dtt < dxy):
+                holds = False
+            ratio = max(ratio, dtt / dxy)
+        slack = dxy - dtt
+        if slack < margin:
+            margin, witness = slack, (x, y)
+    if count == 0:
+        return _vacuous(condition_id, caveat, empty_note)
+    return ConditionReport(condition_id=condition_id, holds=holds,
+                           margin=margin, witness=witness, derived_param=ratio,
                            checked_count=count, resolution_caveat=caveat)
 
 
@@ -314,7 +314,9 @@ def check_c3_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) 
 
 
 def check_rhoades(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
-    """The globally quantified strict five-term condition, all pairs x != y."""
+    """The globally quantified strict five-term condition, all pairs x != y
+    (Rhoades 1977, "A comparison of various definitions of contractive
+    mappings", Trans. AMS 226)."""
     eps = _resolve_eps(eps)
     pts = space.points()
     pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
@@ -330,38 +332,14 @@ def check_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport
     """
     eps = _resolve_eps(eps)
     pts = space.points()
-    if len(pts) < 2:
-        return _vacuous("BANACH", not space.is_finite, "fewer than two points")
-    holds = True
-    margin, witness = math.inf, None
-    ratio = 0.0
-    count = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            tx = tmap.apply(x, eps=eps)
-            ty = tmap.apply(y, eps=eps)
-            dxy = space.distance(x, y)
-            dtt = space.distance(tx, ty)
-            count += 1
-            if dxy <= eps:
-                if dtt > eps:
-                    holds = False
-            else:
-                if not (dtt < dxy):
-                    holds = False
-                ratio = max(ratio, dtt / dxy)
-            slack = dxy - dtt
-            if slack < margin:
-                margin, witness = slack, (x, y)
-    return ConditionReport(condition_id="BANACH", holds=holds, margin=margin,
-                           witness=witness, derived_param=ratio,
-                           checked_count=count,
-                           resolution_caveat=not space.is_finite)
+    pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
+    return _contraction_scan("BANACH", space, tmap, pairs, eps,
+                             not space.is_finite, "fewer than two points")
 
 
 def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> ConditionReport:
-    """d(x, Tx) <= phi(x) - phi(Tx) over all carrier points, user phi.
+    """d(x, Tx) <= phi(x) - phi(Tx) over all carrier points, user phi
+    (Caristi 1976, Trans. AMS 215).
 
     Lower semicontinuity of phi is an assumption recorded in the notes;
     it is not checkable on finite data.
@@ -420,43 +398,94 @@ def member_mask(space: MetricSpace, circle: Circle) -> np.ndarray:
     return mask
 
 
+# Largest block (maps x points x points) one condition_flags call builds;
+# batch callers size their chunks by batch_rows, so memory stays flat as
+# |X| grows.
+_PAIR_BLOCK = 2 ** 18
+
+
+def batch_rows(n: int) -> int:
+    """Maps per condition_flags call at n points."""
+    return max(1, _PAIR_BLOCK // max(1, n * n))
+
+
 def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
                     radius: float, eps: float, member: np.ndarray):
     """Lazy atom -> (m,) bool lookup over a batch of table maps.
 
     ``maps`` is an (m, n) array of image indices into the rows of the
     distance matrix ``D``. The atoms are every id in CONDITION_IDS, with
-    CARISTI on the canonical weight, plus FIXED_CIRCLE; each holds
-    exactly where the scalar checker (or is_fixed_circle) says it holds,
-    on any finite matrix, valid metric or not. Every atom copies its
-    checker's expression with the same operands in the same order:
-    phi(x) is D[x, c], the members are the mask ``member`` (member_mask
-    of the circle), and the C3 exterior is the column test
+    CARISTI on the canonical weight, and the fixed-set atoms the theorem
+    conclusions read: FIXED_CIRCLE (is_fixed_circle), NO_FIXED_OFF_CIRCLE
+    (the verifier's _fixed_set_matches), and IDENTITY, ONE_FIXED_POINT
+    and SOME_FIXED_POINT (on fixed_points). Each holds exactly where its
+    scalar counterpart says it holds, on any finite matrix, valid metric
+    or not, and reads the same operands: d(x, Tx) is D[x, Tx], phi(x) is
+    D[x, c], the members are the mask ``member`` (member_mask of the
+    circle), and the off-circle points are the column test
     |D[y, c] - r| > eps of _circle_split.
     Vacuous cases come out True. An atom is computed on first lookup.
+
+    The pair atoms read three sets of pairs, each gathered once. C3 and
+    C3_DSTAR share the (m, |M|, |E|) block of members x off-circle
+    points. BANACH reads the (m, n, n) block of all points, with the
+    pairs other than x < y skipped: one gather without index arrays.
+    RHOADES reads the list of x < y pairs, because its three gathers
+    over the full block would do twice the work.
     """
     n = maps.shape[1]
     disp = D[np.arange(n), maps]          # d(x, Tx)
+    fixed = disp <= eps
     phi = D[:, center_idx]                # d(x, c)
     phiT = phi[maps]                      # d(Tx, c)
     M = np.flatnonzero(member)
     E = np.flatnonzero(np.abs(phi - radius) > eps)
-    dispM, phiM, phiTM = disp[:, M], phi[M], phiT[:, M]
+    # take(..., 1) keeps a gathered block C-ordered; a[:, idx] would not
+    # be, and every op on the (m, x, y) blocks would then stride badly.
+    dispM, phiM, phiTM = disp.take(M, 1), phi[M], phiT.take(M, 1)
+    shared = {}
 
-    def contraction(xs, ys):
-        dxy, dtt = D[xs, ys], D[maps[:, xs], maps[:, ys]]
-        return np.where(dxy > eps, dtt < dxy, dtt <= eps).all(1)
+    def pairs(key):
+        """(x, y, Tx, Ty, d(x, y), d(Tx, Ty), skipped pairs) over one set
+        of pairs, gathered on first use; x and y broadcast against Tx and
+        Ty. "across" and "all" are (m, x, y) blocks, "upper" an (m, pair)
+        list."""
+        if key not in shared:
+            if key == "across":
+                x, y = M[:, None], E[None, :]
+            elif key == "all":
+                x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+            else:
+                x, y = np.triu_indices(n, 1)
+            tx, ty = maps.take(x, 1), maps.take(y, 1)
+            skip = x >= y if key == "all" else None
+            shared[key] = (x, y, tx, ty, D[x, y], D[tx, ty], skip)
+        return shared[key]
 
-    def strict_five(xs, ys):
-        tx, ty = maps[:, xs], maps[:, ys]
-        five = np.maximum(disp[:, xs], disp[:, ys])
-        np.maximum(five, D[xs, ty], out=five)
-        np.maximum(five, D[ys, tx], out=five)
-        np.maximum(five, D[xs, ys], out=five)
-        return (five - D[tx, ty] > eps).all(1)
+    def fixed_count():
+        if "fixed" not in shared:
+            shared["fixed"] = fixed.sum(1)
+        return shared["fixed"]
 
-    upper = np.triu_indices(n, 1)
-    across = (np.repeat(M, E.size), np.tile(E, M.size))
+    def every_pair(ok, skip):
+        if skip is not None:
+            ok |= skip
+        return ok.all(tuple(range(1, ok.ndim)))
+
+    def contraction(key):
+        *_, dxy, dtt, skip = pairs(key)
+        # dtt < dxy where dxy > eps, else dtt <= eps: one comparison, with
+        # the least float above eps standing in for "<= eps".
+        bound = np.where(dxy > eps, dxy, math.nextafter(eps, math.inf))
+        return every_pair(dtt < bound, skip)
+
+    def strict_five(key):
+        x, y, tx, ty, dxy, dtt, skip = pairs(key)
+        five = np.maximum(disp.take(x, 1), disp.take(y, 1))
+        np.maximum(five, D[x, ty], out=five)
+        np.maximum(five, D[y, tx], out=five)
+        np.maximum(five, dxy, out=five)
+        return every_pair(five - dtt > eps, skip)
 
     def c1():
         return ((phiM - phiTM) - dispM >= -eps).all(1)
@@ -470,14 +499,17 @@ def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
         "C1_DSTAR": c1,
         "C2_DSTAR": lambda: np.where(dispM <= eps, phiTM - radius >= -eps,
                                      radius - phiTM < dispM).all(1),
-        "ID_COND": lambda: ((disp <= eps)
-                            | ((phi - phiT) - disp > eps)).all(1),
-        "C3": lambda: contraction(*across),
-        "C3_DSTAR": lambda: strict_five(*across),
-        "BANACH": lambda: contraction(*upper),
+        "ID_COND": lambda: (fixed | ((phi - phiT) - disp > eps)).all(1),
+        "C3": lambda: contraction("across"),
+        "C3_DSTAR": lambda: strict_five("across"),
+        "BANACH": lambda: contraction("all"),
         "CARISTI": lambda: ((phi - phiT) - disp >= -eps).all(1),
-        "RHOADES": lambda: strict_five(*upper),
-        "FIXED_CIRCLE": lambda: (dispM <= eps).all(1),
+        "RHOADES": lambda: strict_five("upper"),
+        "FIXED_CIRCLE": lambda: fixed.take(M, 1).all(1),
+        "NO_FIXED_OFF_CIRCLE": lambda: ~fixed.take(E, 1).any(1),
+        "IDENTITY": lambda: fixed_count() == n,
+        "ONE_FIXED_POINT": lambda: fixed_count() == 1,
+        "SOME_FIXED_POINT": lambda: fixed_count() >= 1,
     }
     # Keyed by rule, so C1 and C1_DSTAR share one array. Nothing here may
     # refer back to look: a reference cycle would hold every array of

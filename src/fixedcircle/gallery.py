@@ -33,9 +33,7 @@ from .generators import build_circle_fixing_map, build_multi_circle_map
 from .metric_core import (Branch, Circle, MetricSpace, SelfMap, _resolve_eps,
                           circle_of, circle_samples, classify_images,
                           is_fixed_circle)
-from .verifier import (TheoremVerdict, enumerate_fixed_circles,
-                       verify_existence, verify_identity_theorem,
-                       verify_uniqueness)
+from .verifier import enumerate_fixed_circles, verify_theorem
 
 _VALUE_TOL = 1e-9
 
@@ -150,13 +148,6 @@ def _grid(lo: float, hi: float) -> tuple:
 
 def _real(kind: str, mentioned, lo, hi) -> MetricSpace:
     return MetricSpace.analytic(kind, tuple(mentioned) + _grid(lo, hi))
-
-
-_EXISTENCE_BY_THEOREM = {"T_EXIST_C1C2": "C1C2", "T_EXIST_STAR": "STAR",
-                         "T_EXIST_DSTAR": "DSTAR"}
-_UNIQUENESS_BY_THEOREM = {"T_UNIQUE_C3": "C3",
-                          "T_UNIQUE_C3_STARVARIANT": "C3_ON_STAR",
-                          "T_UNIQUE_C3_DSTAR": "C3_DSTAR"}
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +524,6 @@ def _match_point_sets(space, got, want) -> bool:
     return True
 
 
-def _run_verdict(entry: GalleryEntry, exp: VerdictExpectation) -> TheoremVerdict:
-    circle = entry.circles[exp.circle_idx]
-    if exp.theorem_id in _EXISTENCE_BY_THEOREM:
-        return verify_existence(entry.space, entry.tmap, circle,
-                                _EXISTENCE_BY_THEOREM[exp.theorem_id])
-    if exp.theorem_id in _UNIQUENESS_BY_THEOREM:
-        return verify_uniqueness(entry.space, entry.tmap, circle,
-                                 _UNIQUENESS_BY_THEOREM[exp.theorem_id])
-    if exp.theorem_id == "T_IDENTITY":
-        return verify_identity_theorem(entry.space, entry.tmap, circle)
-    raise DomainError(f"no verdict runner for {exp.theorem_id!r}")
-
-
 def _evaluate(entry: GalleryEntry, exp) -> tuple[bool, str]:
     space, tmap = entry.space, entry.tmap
     if isinstance(exp, ConditionExpectation):
@@ -582,7 +560,8 @@ def _evaluate(entry: GalleryEntry, exp) -> tuple[bool, str]:
             ok = ok and len(got) == len(exp.pairs)
         return ok, f"fixed circles={got!r}"
     if isinstance(exp, VerdictExpectation):
-        verdict = _run_verdict(entry, exp)
+        verdict = verify_theorem(exp.theorem_id, space, tmap,
+                                 entry.circles[exp.circle_idx])
         ok = (verdict.hypotheses_hold == exp.hypotheses_hold
               and verdict.conclusion_holds == exp.conclusion_holds
               and verdict.consistent)

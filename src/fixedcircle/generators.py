@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import CONDITION_IDS, condition_flags, member_mask
+from .conditions import (CONDITION_IDS, batch_rows, condition_flags,
+                         member_mask)
 from .errors import (AnchorSearchError, ConstraintViolationError, DomainError,
                      MalformedInputError)
 from .metric_core import Branch, Circle, MetricSpace, SelfMap, _resolve_eps
@@ -36,7 +37,6 @@ class GenConfig:
     seed: int
     size: int
     distance_scale: float = 1.0
-    repair: str = "shortest_path"
 
     def __post_init__(self):
         if self.size < 1:
@@ -44,8 +44,6 @@ class GenConfig:
         if not self.distance_scale > 0:
             raise MalformedInputError(
                 f"distance_scale must be positive, got {self.distance_scale}")
-        if self.repair != "shortest_path":
-            raise MalformedInputError(f"unknown repair mode {self.repair!r}")
 
 
 def random_metric_space(config: GenConfig) -> MetricSpace:
@@ -217,9 +215,6 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
 # Counterexample search
 
 _SEARCH_ATOMS = CONDITION_IDS + ("FIXED_CIRCLE",)
-# Largest pair block (candidates x point pairs) evaluated at once; the
-# chunk size follows from it, so memory stays flat as |X| grows.
-_PAIR_BLOCK = 2 ** 17
 
 
 class _Tokens:
@@ -368,10 +363,11 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
 
     Candidates are drawn and evaluated in chunks, through
     conditions.condition_flags, with the target evaluated over boolean
-    arrays; the chunk size keeps the largest pair block under a fixed
-    number of entries. The first true index of a chunk is the hit, so
-    the found map and the evaluated count are those of a one-by-one
-    scan, and the seeded stream is the one a one-by-one draw takes.
+    arrays; conditions.batch_rows sizes the chunks, so the largest pair
+    block stays under a fixed number of entries. The first true index of
+    a chunk is the hit, so the found map and the evaluated count are
+    those of a one-by-one scan, and the seeded stream is the one a
+    one-by-one draw takes.
     """
     eps = _resolve_eps(eps)
     if not space.is_finite:
@@ -381,7 +377,7 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     D = space.as_array
     center = space.index_of(circle.center)
     member = member_mask(space, circle)
-    chunk = max(1, _PAIR_BLOCK // max(1, n * (n - 1) // 2))
+    chunk = batch_rows(n)
     if n ** n <= budget:
         chunks = _exhaustive_chunks(n, chunk)
     else:

@@ -15,24 +15,29 @@ subset of the fixed-point set (every one-point circle around a fixed
 point, for instance) do not contradict the theorems and do not count
 against consistency.
 
-The soundness sweep drives the same verdicts over seeded random spaces
-and bulk table maps through a vectorized kernel, and re-checks any hit
-through the rich per-instance path before reporting it.
+Each theorem is written once, in the registry EXISTENCE_VARIANTS /
+UNIQUENESS_VARIANTS (hypothesis condition ids) or in its own verify_*
+function; verify_theorem dispatches by theorem id. The soundness sweep
+drives the same verdicts over seeded random spaces and bulk table maps
+through theorem_flags, which ANDs the batch atoms of
+conditions.condition_flags, and re-checks any hit through
+verify_theorem before reporting it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionReport, PhiMap, check_banach, check_c1,
-                         check_c1_dstar, check_c1_star, check_c2,
-                         check_c2_dstar, check_c2_star, check_c3,
-                         check_c3_dstar, check_caristi,
-                         check_identity_condition, phi_canonical)
+from .conditions import (ConditionReport, PhiMap, batch_rows, check_banach,
+                         check_caristi, check_condition,
+                         check_identity_condition, condition_flags,
+                         phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, _resolve_eps,
@@ -43,18 +48,20 @@ THEOREM_IDS = ("T_EXIST_C1C2", "T_EXIST_STAR", "T_EXIST_DSTAR", "T_IDENTITY",
                "T_UNIQUE_C3", "T_UNIQUE_C3_STARVARIANT", "T_UNIQUE_C3_DSTAR",
                "T_BANACH", "T_CARISTI")
 
+# The theorem registry: variant -> (theorem id, hypothesis condition ids).
+# verify_existence/verify_uniqueness check these ids one by one and
+# theorem_flags ANDs the same ids over a batch. T_IDENTITY, T_BANACH and
+# T_CARISTI rest on the single condition ID_COND, BANACH and CARISTI.
 EXISTENCE_VARIANTS = {
-    "C1C2": ("T_EXIST_C1C2", (check_c1, check_c2)),
-    "STAR": ("T_EXIST_STAR", (check_c1_star, check_c2_star)),
-    "DSTAR": ("T_EXIST_DSTAR", (check_c1_dstar, check_c2_dstar)),
+    "C1C2": ("T_EXIST_C1C2", ("C1", "C2")),
+    "STAR": ("T_EXIST_STAR", ("C1_STAR", "C2_STAR")),
+    "DSTAR": ("T_EXIST_DSTAR", ("C1_DSTAR", "C2_DSTAR")),
 }
 
 UNIQUENESS_VARIANTS = {
-    "C3": ("T_UNIQUE_C3", (check_c1, check_c2, check_c3)),
-    "C3_ON_STAR": ("T_UNIQUE_C3_STARVARIANT",
-                   (check_c1_star, check_c2_star, check_c3)),
-    "C3_DSTAR": ("T_UNIQUE_C3_DSTAR",
-                 (check_c1_dstar, check_c2_dstar, check_c3_dstar)),
+    "C3": ("T_UNIQUE_C3", ("C1", "C2", "C3")),
+    "C3_ON_STAR": ("T_UNIQUE_C3_STARVARIANT", ("C1_STAR", "C2_STAR", "C3")),
+    "C3_DSTAR": ("T_UNIQUE_C3_DSTAR", ("C1_DSTAR", "C2_DSTAR", "C3_DSTAR")),
 }
 
 
@@ -85,12 +92,14 @@ def _require_valid(space: MetricSpace, eps: float):
             "first: " + repr(report.violations[0]), report=report)
 
 
-def _circle_caveats(circle: Circle, fc_report) -> list[str]:
+def _circle_caveats(circle: Circle, empty_note: str) -> list[str]:
+    """Caveats a circle puts on any report about it; ``empty_note`` says
+    what an empty circle makes vacuous."""
     out = []
     if circle.resolution == "sampled":
         out.append("sampled-resolution verdict")
-    if fc_report.vacuous:
-        out.append("empty circle: conclusion is vacuous")
+    if circle.empty:
+        out.append("empty circle: " + empty_note)
     if circle.degenerate:
         out.append("degenerate circle (radius ~ 0)")
     return out
@@ -101,14 +110,15 @@ def verify_existence(space: MetricSpace, tmap: SelfMap, circle: Circle,
     """Hypotheses C1+C2 / C1*+C2* / C1**+C2**; conclusion: fixed circle."""
     eps = _resolve_eps(eps)
     try:
-        theorem_id, checkers = EXISTENCE_VARIANTS[variant]
+        theorem_id, hypotheses = EXISTENCE_VARIANTS[variant]
     except KeyError:
         raise DomainError(f"unknown existence variant {variant!r}") from None
     _require_valid(space, eps)
-    reports = [c(space, tmap, circle, eps) for c in checkers]
+    reports = [check_condition(cid, space, tmap, circle=circle, eps=eps)
+               for cid in hypotheses]
     fc = is_fixed_circle(tmap, circle, eps)
     return _verdict(theorem_id, reports, all(r.holds for r in reports),
-                    fc.holds, _circle_caveats(circle, fc))
+                    fc.holds, _circle_caveats(circle, "conclusion is vacuous"))
 
 
 def verify_identity_theorem(space: MetricSpace, tmap: SelfMap, circle: Circle,
@@ -122,7 +132,8 @@ def verify_identity_theorem(space: MetricSpace, tmap: SelfMap, circle: Circle,
     pts = space.points()
     is_identity = len(fixed_points(tmap, eps)) == len(pts)
     return _verdict("T_IDENTITY", [report], report.holds,
-                    is_identity and fc.holds, _circle_caveats(circle, fc))
+                    is_identity and fc.holds,
+                    _circle_caveats(circle, "conclusion is vacuous"))
 
 
 def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
@@ -169,14 +180,15 @@ def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
     """
     eps = _resolve_eps(eps)
     try:
-        theorem_id, checkers = UNIQUENESS_VARIANTS[variant]
+        theorem_id, hypotheses = UNIQUENESS_VARIANTS[variant]
     except KeyError:
         raise DomainError(f"unknown uniqueness variant {variant!r}") from None
     _require_valid(space, eps)
-    reports = [c(space, tmap, circle, eps) for c in checkers]
+    reports = [check_condition(cid, space, tmap, circle=circle, eps=eps)
+               for cid in hypotheses]
     fc = is_fixed_circle(tmap, circle, eps)
     hyp = all(r.holds for r in reports)
-    caveats = _circle_caveats(circle, fc)
+    caveats = _circle_caveats(circle, "conclusion is vacuous")
     if circle.empty:
         hyp = False
         caveats.append("empty circle: hypotheses are vacuous, not asserted")
@@ -227,6 +239,31 @@ def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
     return _verdict("T_CARISTI", [report], report.holds, True, caveats)
 
 
+def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
+                   circle: Circle | None = None, eps=None) -> TheoremVerdict:
+    """The verdict of any theorem in THEOREM_IDS, by id.
+
+    Every theorem but T_BANACH needs a circle; T_CARISTI takes the
+    canonical weight at the circle's center.
+    """
+    if theorem_id not in THEOREM_IDS:
+        raise DomainError(f"unknown theorem id {theorem_id!r}")
+    if theorem_id == "T_BANACH":
+        return verify_banach(space, tmap, eps)
+    if circle is None:
+        raise DomainError(f"{theorem_id} needs a circle")
+    if theorem_id == "T_IDENTITY":
+        return verify_identity_theorem(space, tmap, circle, eps)
+    if theorem_id == "T_CARISTI":
+        return verify_caristi(space, tmap, phi_canonical(space, circle.center),
+                              eps)
+    for table, verify in ((EXISTENCE_VARIANTS, verify_existence),
+                          (UNIQUENESS_VARIANTS, verify_uniqueness)):
+        for variant, (tid, _) in table.items():
+            if tid == theorem_id:
+                return verify(space, tmap, circle, variant, eps)
+
+
 # ---------------------------------------------------------------------------
 # Soundness sweep
 
@@ -258,88 +295,46 @@ class SweepReport:
 
 def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
                   radius: float, eps: float) -> dict:
-    """Vectorized hypothesis/conclusion booleans for a batch of table maps.
+    """Hypothesis/conclusion booleans of every theorem for a batch of
+    table maps.
 
     ``maps`` is an (m, n) array of image indices. Returns
     {theorem_id: (hypotheses_hold, conclusion_holds)} as boolean (m,)
-    arrays. As in the checkers, phi(x) is d(x, c), the column, and
-    circle membership reads d(c, x), the row. This is the sweep's fast
-    path; it must agree with the per-instance checkers (a dedicated test
-    holds the two routes together).
+    arrays, equal to the verify_* verdicts. The circle's members are
+    read from the row d(c, x), as circle_of reads them; every hypothesis
+    and conclusion is an atom of conditions.condition_flags, evaluated
+    batch_rows maps at a time. An empty circle anchors no uniqueness
+    argument, so there the uniqueness hypotheses and conclusions are
+    false.
     """
-    n = D.shape[0]
-    ar = np.arange(n)
-    disp = D[ar[None, :], maps]
-    fixed = disp <= eps
-    phi = D[:, center_idx]
-    phiT = phi[maps]
+    m, n = maps.shape
     member = np.abs(D[center_idx] - radius) <= eps
-    M = np.flatnonzero(member)
-    E = np.flatnonzero(~member)
-
-    dispM = disp[:, M]
-    phiM = phi[M][None, :]
-    phiTM = phiT[:, M]
-    c1 = (phiM - phiTM - dispM).min(1) >= -eps
-    c2 = (phiTM - radius).min(1) >= -eps
-    c1s = (phiM + phiTM - 2 * radius - dispM).min(1) >= -eps
-    c2s = (radius - phiTM).min(1) >= -eps
-    movingM = dispM > eps
-    c2d = np.where(movingM, (radius - phiTM) < dispM,
-                   phiTM >= radius - eps).all(1)
-    id_holds = fixed.all(1)
-
-    TM = maps[:, M]
-    TE = maps[:, E]
-    dtt = D[TM[:, :, None], TE[:, None, :]]
-    dxy = D[np.ix_(M, E)][None, :, :]
-    c3 = np.where(dxy > eps, dtt < dxy, dtt <= eps).all((1, 2))
-    five = np.maximum(np.maximum(dxy, dispM[:, :, None]),
-                      np.maximum(disp[:, E][:, None, :],
-                                 np.maximum(D[M[None, :, None], TE[:, None, :]],
-                                            D[E[None, None, :], TM[:, :, None]])))
-    c3d = (five - dtt > eps).all((1, 2))
-
-    dT = D[maps[:, :, None], maps[:, None, :]]
-    banach = np.where(D[None, :, :] > eps, dT < D[None, :, :], dT <= eps).all((1, 2))
-    caristi = (phi[None, :] - phiT - disp).min(1) >= -eps
-
-    fc = fixed[:, M].all(1)
-    eqset = (fixed == member[None, :]).all(1)
-    nfix = fixed.sum(1)
-
-    return {
-        "T_EXIST_C1C2": (c1 & c2, fc),
-        "T_EXIST_STAR": (c1s & c2s, fc),
-        "T_EXIST_DSTAR": (c1 & c2d, fc),
-        "T_IDENTITY": (id_holds, id_holds & fc),
-        "T_UNIQUE_C3": (c1 & c2 & c3, fc & eqset),
-        "T_UNIQUE_C3_STARVARIANT": (c1s & c2s & c3, fc & eqset),
-        "T_UNIQUE_C3_DSTAR": (c1 & c2d & c3d, fc & eqset),
-        "T_BANACH": (banach, nfix == 1),
-        "T_CARISTI": (caristi, nfix >= 1),
-    }
+    nonempty = bool(member.any())
+    rows = batch_rows(n)
+    chunks = [_theorem_chunk(condition_flags(D, maps[start:start + rows],
+                                             center_idx, radius, eps, member),
+                             nonempty)
+              for start in range(0, max(m, 1), rows)]
+    if len(chunks) == 1:
+        return chunks[0]
+    return {tid: tuple(np.concatenate([c[tid][k] for c in chunks])
+                       for k in (0, 1))
+            for tid in THEOREM_IDS}
 
 
-def _rich_verdict(theorem_id, space, tmap, circle, eps) -> TheoremVerdict:
-    if theorem_id == "T_EXIST_C1C2":
-        return verify_existence(space, tmap, circle, "C1C2", eps)
-    if theorem_id == "T_EXIST_STAR":
-        return verify_existence(space, tmap, circle, "STAR", eps)
-    if theorem_id == "T_EXIST_DSTAR":
-        return verify_existence(space, tmap, circle, "DSTAR", eps)
-    if theorem_id == "T_IDENTITY":
-        return verify_identity_theorem(space, tmap, circle, eps)
-    if theorem_id == "T_UNIQUE_C3":
-        return verify_uniqueness(space, tmap, circle, "C3", eps)
-    if theorem_id == "T_UNIQUE_C3_STARVARIANT":
-        return verify_uniqueness(space, tmap, circle, "C3_ON_STAR", eps)
-    if theorem_id == "T_UNIQUE_C3_DSTAR":
-        return verify_uniqueness(space, tmap, circle, "C3_DSTAR", eps)
-    if theorem_id == "T_BANACH":
-        return verify_banach(space, tmap, eps)
-    phi = phi_canonical(space, circle.center)
-    return verify_caristi(space, tmap, phi, eps)
+def _theorem_chunk(look, nonempty: bool) -> dict:
+    """theorem_flags' result over one chunk, from its atom lookup."""
+    def holds(ids):
+        return functools.reduce(operator.and_, map(look, ids))
+    fc = look("FIXED_CIRCLE")
+    unique = fc & look("NO_FIXED_OFF_CIRCLE") & nonempty
+    out = {tid: (holds(ids), fc) for tid, ids in EXISTENCE_VARIANTS.values()}
+    out.update((tid, (holds(ids) & nonempty, unique))
+               for tid, ids in UNIQUENESS_VARIANTS.values())
+    out["T_IDENTITY"] = (look("ID_COND"), look("IDENTITY") & fc)
+    out["T_BANACH"] = (look("BANACH"), look("ONE_FIXED_POINT"))
+    out["T_CARISTI"] = (look("CARISTI"), look("SOME_FIXED_POINT"))
+    return out
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
@@ -400,11 +395,12 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
             maps_checked += maps.shape[0]
             for theorem_id, (hyp, concl) in flags.items():
                 verdicts += maps.shape[0]
-                bad = np.flatnonzero(hyp & ~concl)
+                bad, = (hyp & ~concl).nonzero()
                 for b in bad:
                     tmap = SelfMap.from_indices(space, maps[b])
                     circle = circle_of(space, center, radius, eps)
-                    verdict = _rich_verdict(theorem_id, space, tmap, circle, eps)
+                    verdict = verify_theorem(theorem_id, space, tmap, circle,
+                                             eps)
                     falsifications.append(Falsification(
                         theorem_id=theorem_id, space=space,
                         images=tuple(int(v) for v in maps[b]),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedcircle import generators
+from fixedcircle import conditions, generators
 from fixedcircle.conditions import (CONDITION_IDS, check_c1, check_c1_star,
                                     check_c2, check_c2_star, check_condition)
 from fixedcircle.errors import (AnchorSearchError, ConstraintViolationError,
@@ -62,8 +62,6 @@ def test_config_guards():
         GenConfig(seed=0, size=0)
     with pytest.raises(MalformedInputError):
         GenConfig(seed=0, size=3, distance_scale=0.0)
-    with pytest.raises(MalformedInputError):
-        GenConfig(seed=0, size=3, repair="clip")
 
 
 def test_size_one_space():
@@ -325,7 +323,7 @@ def _chunked_search(space, circle, tree, budget, seed):
 
 def _pair_block_for(chunk, n):
     """The _PAIR_BLOCK that makes the search use this chunk size at n."""
-    return chunk * max(1, n * (n - 1) // 2)
+    return chunk * n * n
 
 
 SEARCH_CASES = [
@@ -348,7 +346,7 @@ def test_chunked_search_matches_one_by_one(space_seed, n, tree, budget, seed,
     for circle in (_mid_circle(space),
                    circle_of(space, space.points()[-1], 0.5)):
         want = _brute_search(space, circle, tree, budget, seed)
-        with mock.patch.object(generators, "_PAIR_BLOCK",
+        with mock.patch.object(conditions, "_PAIR_BLOCK",
                                _pair_block_for(chunk, n)):
             assert _chunked_search(space, circle, tree, budget, seed) == want
         assert _chunked_search(space, circle, tree, budget, seed) == want
@@ -364,7 +362,7 @@ def test_chunked_search_hit_in_a_later_chunk(space_seed, n, budget, seed):
     tree = ("&", "BANACH", "C2")
     want = _brute_search(space, circle, tree, budget, seed)
     assert want[0] == "found" and want[1] > 10 * 7
-    with mock.patch.object(generators, "_PAIR_BLOCK", _pair_block_for(7, n)):
+    with mock.patch.object(conditions, "_PAIR_BLOCK", _pair_block_for(7, n)):
         assert _chunked_search(space, circle, tree, budget, seed) == want
 
 
@@ -404,7 +402,7 @@ def test_chunked_search_property(n, data, tree, budget, seed, chunk):
     radius = data.draw(st.sampled_from(sorted(set(D[center] + [1.0]))))
     circle = circle_of(space, space.points()[center], radius)
     want = _brute_search(space, circle, tree, budget, seed)
-    with mock.patch.object(generators, "_PAIR_BLOCK",
+    with mock.patch.object(conditions, "_PAIR_BLOCK",
                            _pair_block_for(chunk, n)):
         assert _chunked_search(space, circle, tree, budget, seed) == want
 

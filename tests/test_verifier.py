@@ -8,19 +8,21 @@ checkers it summarizes.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fixedcircle import conditions
 from fixedcircle.errors import DomainError, InvalidMetricError
 from fixedcircle.conditions import phi_canonical
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import MetricSpace, SelfMap, circle_of, enumerate_circles
-from fixedcircle.verifier import (THEOREM_IDS, _rich_verdict,
-                                  enumerate_fixed_circles, soundness_sweep,
-                                  theorem_flags, verify_banach,
-                                  verify_caristi, verify_existence,
-                                  verify_identity_theorem, verify_uniqueness)
+from fixedcircle.verifier import (THEOREM_IDS, enumerate_fixed_circles,
+                                  soundness_sweep, theorem_flags,
+                                  verify_banach, verify_caristi,
+                                  verify_existence, verify_identity_theorem,
+                                  verify_theorem, verify_uniqueness)
 
 EPS = 1e-9
 
@@ -45,7 +47,7 @@ def test_kernel_agrees_with_rich_api(seed, size):
             tmap = SelfMap.from_indices(space, maps[mi])
             for tid in THEOREM_IDS:
                 hyp, concl = flags[tid]
-                verdict = _rich_verdict(tid, space, tmap, circle, EPS)
+                verdict = verify_theorem(tid, space, tmap, circle, EPS)
                 assert bool(hyp[mi]) == verdict.hypotheses_hold, (tid, mi)
                 assert bool(concl[mi]) == verdict.conclusion_holds, (tid, mi)
                 assert verdict.consistent
@@ -53,24 +55,55 @@ def test_kernel_agrees_with_rich_api(seed, size):
 
 # Valid within eps, but asymmetric: the row of c puts y on the circle
 # (d(c, y) = 1 - 0.5 eps) while the column, phi(y) = d(y, c), sits 1.4 eps
-# inside it. The kernel must read phi from the column, as the checkers do.
+# inside it. The kernel must read phi, the off-circle points and the fixed
+# set from the column and take pairs with x < y, as the checkers do.
 ROW_COLUMN_SPACE = MetricSpace.finite(("c", "x", "y"), [
     [0, 1, 1 - 0.5e-9], [1, 0, 0.5], [1 - 1.4e-9, 0.5, 0]])
 
 
-@pytest.mark.parametrize("tid", ["T_EXIST_C1C2", "T_EXIST_STAR",
-                                 "T_EXIST_DSTAR"])
-def test_kernel_agrees_with_rich_api_on_asymmetric_space(tid):
-    space = ROW_COLUMN_SPACE
-    maps = np.array(list(itertools.product(range(3), repeat=3)),
-                    dtype=np.intp)
-    hyp, concl = theorem_flags(space.as_array, maps, 0, 1.0, EPS)[tid]
-    circle = circle_of(space, "c", 1.0)
+def _assert_kernel_matches(space, maps, ci, radius, tid):
+    hyp, concl = theorem_flags(space.as_array, maps, ci, radius, EPS)[tid]
+    circle = circle_of(space, space.points()[ci], radius)
     for mi in range(maps.shape[0]):
         tmap = SelfMap.from_indices(space, maps[mi])
-        verdict = _rich_verdict(tid, space, tmap, circle, EPS)
+        verdict = verify_theorem(tid, space, tmap, circle, EPS)
         assert bool(hyp[mi]) == verdict.hypotheses_hold, mi
         assert bool(concl[mi]) == verdict.conclusion_holds, mi
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_kernel_agrees_with_rich_api_on_asymmetric_space(tid):
+    maps = np.array(list(itertools.product(range(3), repeat=3)),
+                    dtype=np.intp)
+    _assert_kernel_matches(ROW_COLUMN_SPACE, maps, 0, 1.0, tid)
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_kernel_agrees_with_rich_api_on_empty_circle(tid):
+    space = random_metric_space(GenConfig(seed=1, size=3))
+    assert circle_of(space, "p0", 5.0).empty
+    maps = np.array(list(itertools.product(range(3), repeat=3)),
+                    dtype=np.intp)
+    _assert_kernel_matches(space, maps, 0, 5.0, tid)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_kernel_chunks_agree_with_one_chunk(n):
+    space = random_metric_space(GenConfig(seed=n, size=n))
+    D = space.as_array
+    rng = np.random.default_rng(n)
+    maps = np.vstack([rng.integers(0, n, size=(39, n)), np.arange(n),
+                      np.zeros(n, dtype=np.intp)]).astype(np.intp)
+    for ci, radius in ((0, float(D[0, 1])), (n - 1, float(D[n - 1, 0]))):
+        whole = theorem_flags(D, maps, ci, radius, EPS)
+        assert conditions.batch_rows(n) >= maps.shape[0]
+        # 7 maps per chunk: 6 chunks, the last one short
+        with mock.patch.object(conditions, "_PAIR_BLOCK", 7 * n * n):
+            assert conditions.batch_rows(n) == 7
+            split = theorem_flags(D, maps, ci, radius, EPS)
+        for tid in THEOREM_IDS:
+            assert np.array_equal(split[tid][0], whole[tid][0]), tid
+            assert np.array_equal(split[tid][1], whole[tid][1]), tid
 
 
 # ---------------------------------------------------------------------------
