@@ -1,31 +1,33 @@
 """Pointwise and pairwise inequality conditions on (space, map, circle).
 
-Every checker returns a ConditionReport with the same anatomy: a
-boolean verdict, the worst slack seen (margin), the tuple achieving it,
-and for the conditions quantified over an auxiliary parameter h, the
-extremal feasible value of h (derived_param). Existential parameters
-are eliminated analytically, never grid-searched: feasibility reduces
-to comparing the extremal value against the open bound, and the
-comparisons themselves are done division-free so a zero denominator or
-a floating tie cannot flip a verdict.
+Each condition is defined once, as a rule in _RULES over the operands
+of a batch of table maps. A rule yields the verdict of each tuple it
+quantifies over (members, (member, off-circle) pairs, pairs of points,
+or every point) and, on request, each tuple's slack and, for C2_DSTAR,
+C3 and BANACH, its h or ratio. Existential parameters are eliminated
+analytically, never grid-searched, and the verdicts are division-free,
+so a zero denominator or a floating tie cannot flip one. Strict
+inequalities must clear the tolerance (slack > eps); a floating-point
+tie does not count as "strictly less".
 
-Strict inequalities are required to clear the tolerance (margin > eps)
-rather than merely not undershoot it; a floating-point tie must not
-count as "strictly less".
+condition_flags reduces a batch's verdicts with .all, for the callers
+that need only verdicts: the counterexample search and, through
+verifier.theorem_flags, the soundness sweep. Every check_* is a batch
+of one over the same rules and reads its ConditionReport off the
+arrays: the margin is the slack at the first smallest tuple, that tuple
+the witness, derived_param the extremal feasible h. Analytic carriers
+read each distance through space.distance, their own scalar metric: a
+numpy form of it differs in the last bit, which would move margins.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
-
-condition_flags evaluates the same inequalities for a batch of table
-maps at once, as boolean arrays, for callers that need only verdicts:
-the counterexample search and, through verifier.theorem_flags, the
-soundness sweep. It is the package's one batch layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,39 +84,269 @@ def phi_canonical(space: MetricSpace, center) -> PhiMap:
     return PhiMap(name=f"dist_to({center!r})", fn=lambda x: space.distance(x, center))
 
 
-def _vacuous(condition_id, caveat, note) -> ConditionReport:
-    return ConditionReport(condition_id=condition_id, holds=True,
-                           margin=math.inf, witness=None, derived_param=None,
-                           checked_count=0, resolution_caveat=caveat,
-                           vacuous=True, notes=(note,))
+# ---------------------------------------------------------------------------
+# The rules: each condition written once
 
 
-def _member_scan(condition_id, circle, slack_of, eps, notes=()):
-    """Shared driver for the member-quantified margin conditions."""
-    caveat = circle.resolution == "sampled"
-    if not circle.members:
-        return _vacuous(condition_id, caveat, "empty circle: holds vacuously")
+def _pointwise(fn, points, nin):
+    """fn over the points at nin index arrays, elementwise, as floats;
+    only the values asked for are computed."""
+    each, points = np.frompyfunc(fn, nin, 1), np.array(points, dtype=object)
+    return lambda *idx: each(*(points[i] for i in idx)).astype(float)
+
+
+class _Operands:
+    """The operands of an (m, N) batch of table maps, each gathered on
+    first use: ``maps[k, i]`` is the image of point i under map k, and
+    ``d(a, b)`` and ``phi(a)`` give the distances and the weights at
+    index arrays. The first ``n`` points (all, by default) are the
+    carrier's, X; ``M`` holds the circle's members in circle order.
+    take(..., 1) keeps a gathered block C-ordered; a[:, idx] would not
+    be, and every op on the (m, x, y) blocks would then stride badly.
+    """
+
+    def __init__(self, d, maps, phi, radius, eps, M, n=None):
+        self.d, self.maps, self.phi, self.M = d, maps, phi, M
+        self.radius, self.eps = radius, eps
+        self.X = np.arange(maps.shape[1] if n is None else n)
+        self._pairs = {}
+
+    @cached_property
+    def members(self):
+        """(d(x, Tx), phi(x), phi(Tx)) over the members."""
+        tx = self.maps.take(self.M, 1)
+        return self.d(self.M, tx), self.phi(self.M), self.phi(tx)
+
+    @cached_property
+    def points(self):
+        """(d(x, Tx), phi(x), phi(Tx)) over the carrier's points; without
+        a phi, d(x, Tx) alone."""
+        tx = self.maps[:, :len(self.X)]
+        disp = self.d(self.X, tx)
+        if self.phi is None:
+            return disp, None, None
+        return disp, self.phi(self.X), self.phi(tx)
+
+    @cached_property
+    def E(self):
+        """The off-circle points: |phi(y) - radius| > eps."""
+        off = np.abs(self.phi(self.X) - self.radius) > self.eps
+        return np.flatnonzero(off)
+
+    @cached_property
+    def fixed(self):
+        """Whether each point is fixed, and how many are, per map."""
+        fixed = self.points[0] <= self.eps
+        return fixed, fixed.sum(1)
+
+    def pairs(self, key):
+        """(x, y, Tx, Ty, d(x, y), d(Tx, Ty), pairs of the block outside
+        the set or None) over members x off-circle points ("across") or
+        pairs of the carrier. For a batch BANACH's "all" is the (m, n, n)
+        block of every pair, those other than x < y skipped: one gather
+        without index arrays. For one map, and for RHOADES, whose three
+        gathers over the block would do twice the work, it is the list
+        of x < y pairs."""
+        if key not in self._pairs:
+            skip = None
+            if key == "across":
+                x, y = self.M[:, None], self.E[None, :]
+            elif key == "all" and len(self.maps) > 1:
+                x, y = self.X[:, None], self.X[None, :]
+                skip = x >= y
+            else:
+                x, y = np.triu_indices(len(self.X), 1)
+            tx, ty = self.maps.take(x, 1), self.maps.take(y, 1)
+            self._pairs[key] = (x, y, tx, ty, self.d(x, y), self.d(tx, ty),
+                                skip)
+        return self._pairs[key]
+
+
+# A rule maps a batch's operands to (per-tuple verdicts, map axis first;
+# the block's tuples outside the condition's set, or None; the point
+# index arrays naming each tuple; a function giving the per-tuple slack
+# and h or ratio, or None). A fixed-set atom's rule gives (m,) bools.
+
+
+def _margin(over, slack_of):
+    """slack >= -eps over the members or every point, the slack a
+    function of the radius and (d(x, Tx), phi(x), phi(Tx))."""
+    def rule(src):
+        slack = slack_of(src.radius, *getattr(src, over))
+        where = (src.M if over == "members" else src.X,)
+        return (slack >= -src.eps, None, where, lambda: (slack, None))
+    return rule
+
+
+def _gain(radius, disp, phi, phiT):
+    """d(x, Tx) <= phi(x) - phi(Tx): C1, and CARISTI over every point."""
+    return (phi - phiT) - disp
+
+
+def _c2_dstar(src):
+    # Per member without division: a moved member needs radius - d(Tx, c)
+    # strictly below d(x, Tx), an unmoved one d(Tx, c) >= radius - eps.
+    # The slack is taken at h -> 1; h is the least that would work.
+    radius, eps = src.radius, src.eps
+    disp, _, phiT = src.members
+    moved = disp > eps
+    ok = np.where(moved, radius - phiT < disp, phiT - radius >= -eps)
+
+    def detail():
+        return (np.where(moved, (disp + phiT) - radius, phiT - radius),
+                np.divide(radius - phiT, disp, out=np.zeros_like(disp),
+                          where=moved))
+    return (ok, None, (src.M,), detail)
+
+
+def _id_cond(src):
+    # The triangle inequality caps phi(x) - phi(Tx) at d(x, Tx) + eps on a
+    # metric valid within eps, so a moved point never leaves strict room
+    # for h > 1: its gain must clear the tolerance. The slack is the h a
+    # point leaves, +inf where it does not move.
+    disp, phi, phiT = src.points
+    gain = phi - phiT
+    fixed = src.fixed[0]
+
+    def detail():
+        return (np.divide(gain, disp, out=np.full_like(disp, math.inf),
+                          where=~fixed), None)
+    return (fixed | (gain - disp > src.eps), None, (src.X,), detail)
+
+
+def _contraction(key):
+    """d(Tx, Ty) < d(x, y), or d(Tx, Ty) <= eps where d(x, y) <= eps: one
+    comparison, the least float above eps standing in for "<= eps". The
+    ratio is the attained h, over pairs apart."""
+    def rule(src):
+        x, y, _, _, dxy, dtt, skip = src.pairs(key)
+        eps = src.eps
+        bound = np.where(dxy > eps, dxy, math.nextafter(eps, math.inf))
+
+        def detail():
+            slack = dxy - dtt
+            return slack, np.divide(dtt, dxy, out=np.zeros_like(slack),
+                                    where=dxy > eps)
+        return (dtt < bound, skip, (x, y), detail)
+    return rule
+
+
+def _strict_five(key):
+    """d(Tx, Ty) below the largest of d(x, y), d(x, Tx), d(y, Ty), d(x, Ty)
+    and d(y, Tx) by more than the tolerance."""
+    def rule(src):
+        x, y, tx, ty, dxy, dtt, skip = src.pairs(key)
+        disp = src.points[0]
+        dx = src.members[0][..., None] if key == "across" else disp.take(x, 1)
+        five = np.maximum(dxy, dx)
+        np.maximum(five, disp.take(y, 1), out=five)
+        np.maximum(five, src.d(x, ty), out=five)
+        np.maximum(five, src.d(y, tx), out=five)
+        slack = five - dtt
+        return (slack > src.eps, skip, (x, y), lambda: (slack, None))
+    return rule
+
+
+_C1 = _margin("members", _gain)
+
+# Atom -> rule. C1 and C1_DSTAR are one rule; C3 and C3_DSTAR share the
+# (m, |M|, |E|) block of members x off-circle points.
+_RULES = {
+    "C1": _C1,
+    "C2": _margin("members", lambda radius, disp, phi, phiT: phiT - radius),
+    "C1_STAR": _margin("members", lambda radius, disp, phi, phiT:
+                       ((phi + phiT) - 2 * radius) - disp),
+    "C2_STAR": _margin("members", lambda radius, disp, phi, phiT:
+                       radius - phiT),
+    "C1_DSTAR": _C1,
+    "C2_DSTAR": _c2_dstar,
+    "ID_COND": _id_cond,
+    "C3": _contraction("across"),
+    "C3_DSTAR": _strict_five("across"),
+    "BANACH": _contraction("all"),
+    "CARISTI": _margin("points", _gain),
+    "RHOADES": _strict_five("upper"),
+    "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps).all(1),
+    "NO_FIXED_OFF_CIRCLE": lambda src: ~src.fixed[0].take(src.E, 1).any(1),
+    "IDENTITY": lambda src: src.fixed[1] == len(src.X),
+    "ONE_FIXED_POINT": lambda src: src.fixed[1] == 1,
+    "SOME_FIXED_POINT": lambda src: src.fixed[1] >= 1,
+}
+
+
+# ---------------------------------------------------------------------------
+# Single-map reports: a batch of one over the rules
+
+_MEMBER_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR")
+
+# What an empty tuple set means (ID_COND and CARISTI are never vacuous).
+_EMPTY_NOTES = {
+    **dict.fromkeys(_MEMBER_IDS, "empty circle: holds vacuously"),
+    **dict.fromkeys(("C3", "C3_DSTAR"), "no (member, off-circle) pair to check"),
+    **dict.fromkeys(("BANACH", "RHOADES"), "fewer than two points"),
+}
+
+
+def _check(condition_id, space, tmap, circle=None, eps=None, center=None,
+           phi=None) -> ConditionReport:
+    """One map's report on one condition, read off the rule's arrays:
+    the margin is the slack of the first smallest tuple, which is the
+    witness; for ID_COND, whose slack is the h a point leaves,
+    derived_param is that h and the margin its excess over 1."""
+    eps = _resolve_eps(eps)
+    if circle is not None:
+        center, radius, members = circle.center, circle.radius, circle.members
+    else:
+        radius, members = None, ()
+    if phi is None and center is not None:
+        phi = phi_canonical(space, center)    # rejects an off-carrier center
+    pts = space.points()
+    if space.is_finite:
+        maps = np.array([[space.index_of(p) for p in tmap.table]])
+        M = [space.index_of(p) for p in members]
+        d = lambda a, b: space.as_array[a, b]
+    else:
+        pts = list(pts) + list(members)
+        M = range(len(space.points()), len(pts))
+        maps = np.arange(len(pts), 2 * len(pts))[None]
+        pts += [tmap.apply(p, eps=eps) for p in pts]
+        d = _pointwise(space.distance, pts, 2)
+    ok, _, where, detail = _RULES[condition_id](_Operands(
+        d, maps, phi and _pointwise(phi.at, pts, 1), radius, eps,
+        np.array(M, dtype=np.intp), len(space.points())))
+    caveat = bool(circle and circle.resolution == "sampled") or (
+        condition_id not in _MEMBER_IDS and not space.is_finite)
+    # One map's pair sets are lists (skip is None): the tuples are the
+    # block's entries in order.
+    block = ok.shape[1:]
+    slack, param = detail()
+    ok, slack = ok[0].ravel(), slack[0].ravel()
+    if slack.size == 0 and condition_id in _EMPTY_NOTES:
+        return ConditionReport(condition_id, True, math.inf, None, None, 0,
+                               caveat, True, (_EMPTY_NOTES[condition_id],))
     margin, witness = math.inf, None
-    for x in circle.members:
-        s = slack_of(x)
-        if s < margin:
-            margin, witness = s, (x,)
-    return ConditionReport(condition_id=condition_id, holds=margin >= -eps,
-                           margin=margin, witness=witness, derived_param=None,
-                           checked_count=len(circle.members),
-                           resolution_caveat=caveat, notes=tuple(notes))
+    if slack.size:
+        i = int(slack.argmin())
+        margin = float(slack[i])
+        if margin != math.inf:
+            witness = tuple(pts[np.broadcast_to(w, block).flat[i]]
+                            for w in where)
+    derived = None
+    if param is not None:
+        derived = max(0.0, float(param.max(initial=0.0)))
+    if condition_id == "ID_COND":
+        derived = margin
+        margin = margin - 1 if math.isfinite(margin) else math.inf
+    notes = (("phi assumed lower semicontinuous",)
+             if condition_id == "CARISTI" else ())
+    return ConditionReport(condition_id, bool(ok.all()), margin, witness,
+                           derived, int(slack.size), caveat, False, notes)
 
 
 def check_c1(space: MetricSpace, tmap: SelfMap, circle: Circle,
              eps=None, _cid="C1") -> ConditionReport:
     """d(x, Tx) <= phi(x) - phi(Tx) for members x, canonical phi."""
-    eps = _resolve_eps(eps)
-    phi = phi_canonical(space, circle.center)
-
-    def slack(x):
-        tx = tmap.apply(x, eps=eps)
-        return phi.at(x) - phi.at(tx) - space.distance(x, tx)
-    return _member_scan(_cid, circle, slack, eps)
+    return _check(_cid, space, tmap, circle, eps)
 
 
 def check_c1_dstar(space, tmap, circle, eps=None) -> ConditionReport:
@@ -125,216 +357,68 @@ def check_c1_dstar(space, tmap, circle, eps=None) -> ConditionReport:
 
 def check_c2(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) >= radius for members x."""
-    eps = _resolve_eps(eps)
-
-    def slack(x):
-        tx = tmap.apply(x, eps=eps)
-        return space.distance(tx, circle.center) - circle.radius
-    return _member_scan("C2", circle, slack, eps)
+    return _check("C2", space, tmap, circle, eps)
 
 
 def check_c1_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(x, Tx) <= phi(x) + phi(Tx) - 2 radius for members x."""
-    eps = _resolve_eps(eps)
-    phi = phi_canonical(space, circle.center)
-
-    def slack(x):
-        tx = tmap.apply(x, eps=eps)
-        return phi.at(x) + phi.at(tx) - 2 * circle.radius - space.distance(x, tx)
-    return _member_scan("C1_STAR", circle, slack, eps)
+    return _check("C1_STAR", space, tmap, circle, eps)
 
 
 def check_c2_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) <= radius for members x."""
-    eps = _resolve_eps(eps)
-
-    def slack(x):
-        tx = tmap.apply(x, eps=eps)
-        return circle.radius - space.distance(tx, circle.center)
-    return _member_scan("C2_STAR", circle, slack, eps)
+    return _check("C2_STAR", space, tmap, circle, eps)
 
 
 def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """h d(x, Tx) + d(Tx, center) >= radius for members x, some h in [0, 1).
 
-    Feasibility is decided per member without division: a moved member
-    needs radius - d(Tx, center) strictly below d(x, Tx); an unmoved
-    member needs d(Tx, center) >= radius - eps outright. derived_param
-    is the smallest h that would work (0 when every member passes with
-    room); margin is the slack of the defining inequality at h -> 1.
+    derived_param is the smallest h that would work (0 when every member
+    passes with room); margin is the slack of the defining inequality
+    at h -> 1.
     """
-    eps = _resolve_eps(eps)
-    caveat = circle.resolution == "sampled"
-    if not circle.members:
-        return _vacuous("C2_DSTAR", caveat, "empty circle: holds vacuously")
-    holds = True
-    margin, witness = math.inf, None
-    h_req = 0.0
-    for x in circle.members:
-        tx = tmap.apply(x, eps=eps)
-        disp = space.distance(x, tx)
-        dtc = space.distance(tx, circle.center)
-        if disp <= eps:
-            slack = dtc - circle.radius
-            ok = slack >= -eps
-        else:
-            slack = disp + dtc - circle.radius
-            ok = circle.radius - dtc < disp
-            h_req = max(h_req, (circle.radius - dtc) / disp)
-        holds = holds and ok
-        if slack < margin:
-            margin, witness = slack, (x,)
-    return ConditionReport(condition_id="C2_DSTAR", holds=holds, margin=margin,
-                           witness=witness, derived_param=max(0.0, h_req),
-                           checked_count=len(circle.members),
-                           resolution_caveat=caveat)
+    return _check("C2_DSTAR", space, tmap, circle, eps)
 
 
 def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
                              eps=None) -> ConditionReport:
     """d(x, Tx) <= (phi(x) - phi(Tx)) / h over ALL carrier points, some h > 1.
 
-    The triangle inequality caps phi(x) - phi(Tx) at d(x, Tx) + eps on
-    any metric valid within eps, so a moved point can never leave
-    strict room for h > 1; the condition holds exactly when the map
-    moves nothing. A moved point is accepted only if its slack clears
-    the tolerance, which on valid input is impossible. derived_param
-    reports the best available h: the minimum ratio over moved points,
-    +inf for the identity map; margin is derived_param - 1.
+    On a metric valid within eps this holds exactly when the map moves
+    nothing. derived_param reports the best available h: the minimum
+    ratio over moved points, +inf for the identity map; margin is
+    derived_param - 1.
     """
-    eps = _resolve_eps(eps)
-    phi = phi_canonical(space, center)
-    holds = True
-    best_h, witness = math.inf, None
-    for x in space.points():
-        tx = tmap.apply(x, eps=eps)
-        disp = space.distance(x, tx)
-        if disp <= eps:
-            continue
-        gain = phi.at(x) - phi.at(tx)
-        if not (gain - disp > eps):
-            holds = False
-        h = gain / disp
-        if h < best_h:
-            best_h, witness = h, (x,)
-    return ConditionReport(condition_id="ID_COND", holds=holds,
-                           margin=best_h - 1 if math.isfinite(best_h) else math.inf,
-                           witness=witness,
-                           derived_param=best_h,
-                           checked_count=len(space.points()),
-                           resolution_caveat=not space.is_finite)
-
-
-def _circle_split(space, circle, eps):
-    """Carrier/sample points off the circle (membership by distance)."""
-    return tuple(y for y in space.points()
-                 if abs(space.distance(y, circle.center) - circle.radius) > eps)
+    return _check("ID_COND", space, tmap, eps=eps, center=center)
 
 
 def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, Ty) <= h d(x, y), members x against off-circle y, some h in [0, 1).
 
-    Feasibility per pair is the division-free strict test
-    d(Tx, Ty) < d(x, y); a pair at zero distance must have images at
-    zero distance. derived_param is the contraction ratio actually
-    attained (max over pairs), margin the slack at h -> 1.
+    A pair at zero distance must have images at zero distance.
+    derived_param is the contraction ratio actually attained (max over
+    pairs), margin the slack at h -> 1.
     """
-    eps = _resolve_eps(eps)
-    caveat = circle.resolution == "sampled" or not space.is_finite
-    exterior = _circle_split(space, circle, eps)
-    pairs = ((x, y) for x in circle.members for y in exterior)
-    return _contraction_scan("C3", space, tmap, pairs, eps, caveat,
-                             "no (member, off-circle) pair to check")
-
-
-def _contraction_scan(condition_id, space, tmap, pairs, eps, caveat, empty_note):
-    holds = True
-    margin, witness = math.inf, None
-    ratio = 0.0
-    count = 0
-    images = {}
-
-    def image(p):
-        if p not in images:
-            images[p] = tmap.apply(p, eps=eps)
-        return images[p]
-    for x, y in pairs:
-        dxy = space.distance(x, y)
-        dtt = space.distance(image(x), image(y))
-        count += 1
-        if dxy <= eps:
-            if dtt > eps:
-                holds = False
-        else:
-            if not (dtt < dxy):
-                holds = False
-            ratio = max(ratio, dtt / dxy)
-        slack = dxy - dtt
-        if slack < margin:
-            margin, witness = slack, (x, y)
-    if count == 0:
-        return _vacuous(condition_id, caveat, empty_note)
-    return ConditionReport(condition_id=condition_id, holds=holds,
-                           margin=margin, witness=witness, derived_param=ratio,
-                           checked_count=count, resolution_caveat=caveat)
-
-
-def _max5(space, tmap, x, y, eps):
-    tx = tmap.apply(x, eps=eps)
-    ty = tmap.apply(y, eps=eps)
-    big = max(space.distance(x, y), space.distance(x, tx), space.distance(y, ty),
-              space.distance(x, ty), space.distance(y, tx))
-    return big - space.distance(tx, ty)
-
-
-def _strict_pair_scan(condition_id, space, tmap, pairs, eps, caveat, empty_note):
-    margin, witness = math.inf, None
-    count = 0
-    for x, y in pairs:
-        count += 1
-        slack = _max5(space, tmap, x, y, eps)
-        if slack < margin:
-            margin, witness = slack, (x, y)
-    if count == 0:
-        return _vacuous(condition_id, caveat, empty_note)
-    return ConditionReport(condition_id=condition_id, holds=margin > eps,
-                           margin=margin, witness=witness, derived_param=None,
-                           checked_count=count, resolution_caveat=caveat)
+    return _check("C3", space, tmap, circle, eps)
 
 
 def check_c3_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, Ty) < max of the five point-image distances, members x
     against off-circle y; strict, so margin must clear the tolerance."""
-    eps = _resolve_eps(eps)
-    caveat = circle.resolution == "sampled" or not space.is_finite
-    exterior = _circle_split(space, circle, eps)
-    pairs = ((x, y) for x in circle.members for y in exterior)
-    return _strict_pair_scan("C3_DSTAR", space, tmap, pairs, eps, caveat,
-                             "no (member, off-circle) pair to check")
+    return _check("C3_DSTAR", space, tmap, circle, eps)
 
 
 def check_rhoades(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
     """The globally quantified strict five-term condition, all pairs x != y
     (Rhoades 1977, "A comparison of various definitions of contractive
     mappings", Trans. AMS 226)."""
-    eps = _resolve_eps(eps)
-    pts = space.points()
-    pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    return _strict_pair_scan("RHOADES", space, tmap, pairs, eps,
-                             not space.is_finite, "fewer than two points")
+    return _check("RHOADES", space, tmap, eps=eps)
 
 
 def check_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
-    """d(Tx, Ty) <= h d(x, y) over all pairs, some h in [0, 1).
-
-    derived_param is the attained Lipschitz ratio; the verdict is the
-    division-free strict comparison per pair.
-    """
-    eps = _resolve_eps(eps)
-    pts = space.points()
-    pairs = ((pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts)))
-    return _contraction_scan("BANACH", space, tmap, pairs, eps,
-                             not space.is_finite, "fewer than two points")
+    """d(Tx, Ty) <= h d(x, y) over all pairs, some h in [0, 1);
+    derived_param is the attained Lipschitz ratio."""
+    return _check("BANACH", space, tmap, eps=eps)
 
 
 def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> ConditionReport:
@@ -344,19 +428,7 @@ def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> C
     Lower semicontinuity of phi is an assumption recorded in the notes;
     it is not checkable on finite data.
     """
-    eps = _resolve_eps(eps)
-    margin, witness = math.inf, None
-    for x in space.points():
-        tx = tmap.apply(x, eps=eps)
-        s = phi.at(x) - phi.at(tx) - space.distance(x, tx)
-        if s < margin:
-            margin, witness = s, (x,)
-    pts = space.points()
-    return ConditionReport(condition_id="CARISTI", holds=margin >= -eps,
-                           margin=margin, witness=witness, derived_param=None,
-                           checked_count=len(pts),
-                           resolution_caveat=not space.is_finite,
-                           notes=("phi assumed lower semicontinuous",))
+    return _check("CARISTI", space, tmap, eps=eps, phi=phi)
 
 
 def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
@@ -391,6 +463,10 @@ def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
     return check_caristi(space, tmap, phi, eps)
 
 
+# ---------------------------------------------------------------------------
+# Batch verdicts
+
+
 def member_mask(space: MetricSpace, circle: Circle) -> np.ndarray:
     """The circle's members as an (n,) bool mask over space.points()."""
     mask = np.zeros(len(space.points()), dtype=bool)
@@ -415,111 +491,31 @@ def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
 
     ``maps`` is an (m, n) array of image indices into the rows of the
     distance matrix ``D``. The atoms are every id in CONDITION_IDS, with
-    CARISTI on the canonical weight, and the fixed-set atoms the theorem
-    conclusions read: FIXED_CIRCLE (is_fixed_circle), NO_FIXED_OFF_CIRCLE
-    (the verifier's _fixed_set_matches), and IDENTITY, ONE_FIXED_POINT
-    and SOME_FIXED_POINT (on fixed_points). Each holds exactly where its
-    scalar counterpart says it holds, on any finite matrix, valid metric
-    or not, and reads the same operands: d(x, Tx) is D[x, Tx], phi(x) is
-    D[x, c], the members are the mask ``member`` (member_mask of the
-    circle), and the off-circle points are the column test
-    |D[y, c] - r| > eps of _circle_split.
-    Vacuous cases come out True. An atom is computed on first lookup.
-
-    The pair atoms read three sets of pairs, each gathered once. C3 and
-    C3_DSTAR share the (m, |M|, |E|) block of members x off-circle
-    points. BANACH reads the (m, n, n) block of all points, with the
-    pairs other than x < y skipped: one gather without index arrays.
-    RHOADES reads the list of x < y pairs, because its three gathers
-    over the full block would do twice the work.
+    CARISTI on the canonical weight, each the .all of its rule's
+    verdicts, and the fixed-set atoms the theorem conclusions read:
+    FIXED_CIRCLE (is_fixed_circle), NO_FIXED_OFF_CIRCLE (the verifier's
+    _fixed_set_matches), and IDENTITY, ONE_FIXED_POINT and
+    SOME_FIXED_POINT (on fixed_points). The members are the mask
+    ``member`` (member_mask of the circle). Vacuous cases come out True.
+    An atom is computed on first lookup.
     """
-    n = maps.shape[1]
-    disp = D[np.arange(n), maps]          # d(x, Tx)
-    fixed = disp <= eps
-    phi = D[:, center_idx]                # d(x, c)
-    phiT = phi[maps]                      # d(Tx, c)
-    M = np.flatnonzero(member)
-    E = np.flatnonzero(np.abs(phi - radius) > eps)
-    # take(..., 1) keeps a gathered block C-ordered; a[:, idx] would not
-    # be, and every op on the (m, x, y) blocks would then stride badly.
-    dispM, phiM, phiTM = disp.take(M, 1), phi[M], phiT.take(M, 1)
-    shared = {}
-
-    def pairs(key):
-        """(x, y, Tx, Ty, d(x, y), d(Tx, Ty), skipped pairs) over one set
-        of pairs, gathered on first use; x and y broadcast against Tx and
-        Ty. "across" and "all" are (m, x, y) blocks, "upper" an (m, pair)
-        list."""
-        if key not in shared:
-            if key == "across":
-                x, y = M[:, None], E[None, :]
-            elif key == "all":
-                x, y = np.arange(n)[:, None], np.arange(n)[None, :]
-            else:
-                x, y = np.triu_indices(n, 1)
-            tx, ty = maps.take(x, 1), maps.take(y, 1)
-            skip = x >= y if key == "all" else None
-            shared[key] = (x, y, tx, ty, D[x, y], D[tx, ty], skip)
-        return shared[key]
-
-    def fixed_count():
-        if "fixed" not in shared:
-            shared["fixed"] = fixed.sum(1)
-        return shared["fixed"]
-
-    def every_pair(ok, skip):
-        if skip is not None:
-            ok |= skip
-        return ok.all(tuple(range(1, ok.ndim)))
-
-    def contraction(key):
-        *_, dxy, dtt, skip = pairs(key)
-        # dtt < dxy where dxy > eps, else dtt <= eps: one comparison, with
-        # the least float above eps standing in for "<= eps".
-        bound = np.where(dxy > eps, dxy, math.nextafter(eps, math.inf))
-        return every_pair(dtt < bound, skip)
-
-    def strict_five(key):
-        x, y, tx, ty, dxy, dtt, skip = pairs(key)
-        five = np.maximum(disp.take(x, 1), disp.take(y, 1))
-        np.maximum(five, D[x, ty], out=five)
-        np.maximum(five, D[y, tx], out=five)
-        np.maximum(five, dxy, out=five)
-        return every_pair(five - dtt > eps, skip)
-
-    def c1():
-        return ((phiM - phiTM) - dispM >= -eps).all(1)
-
-    atoms = {
-        "C1": c1,
-        "C2": lambda: (phiTM - radius >= -eps).all(1),
-        "C1_STAR": lambda: (((phiM + phiTM) - 2 * radius) - dispM
-                            >= -eps).all(1),
-        "C2_STAR": lambda: (radius - phiTM >= -eps).all(1),
-        "C1_DSTAR": c1,
-        "C2_DSTAR": lambda: np.where(dispM <= eps, phiTM - radius >= -eps,
-                                     radius - phiTM < dispM).all(1),
-        "ID_COND": lambda: (fixed | ((phi - phiT) - disp > eps)).all(1),
-        "C3": lambda: contraction("across"),
-        "C3_DSTAR": lambda: strict_five("across"),
-        "BANACH": lambda: contraction("all"),
-        "CARISTI": lambda: ((phi - phiT) - disp >= -eps).all(1),
-        "RHOADES": lambda: strict_five("upper"),
-        "FIXED_CIRCLE": lambda: fixed.take(M, 1).all(1),
-        "NO_FIXED_OFF_CIRCLE": lambda: ~fixed.take(E, 1).any(1),
-        "IDENTITY": lambda: fixed_count() == n,
-        "ONE_FIXED_POINT": lambda: fixed_count() == 1,
-        "SOME_FIXED_POINT": lambda: fixed_count() >= 1,
-    }
+    src = _Operands(lambda a, b: D[a, b], maps, D[:, center_idx].__getitem__,
+                    radius, eps, np.flatnonzero(member))
     # Keyed by rule, so C1 and C1_DSTAR share one array. Nothing here may
     # refer back to look: a reference cycle would hold every array of
     # the batch until the cyclic collector happens to run.
     cache = {}
 
     def look(name: str) -> np.ndarray:
-        rule = atoms[name]
+        rule = _RULES[name]
         if rule not in cache:
-            cache[rule] = rule()
+            flags = rule(src)
+            if isinstance(flags, tuple):
+                ok, skip, _, _ = flags
+                if skip is not None:
+                    ok |= skip
+                flags = ok.all(tuple(range(1, ok.ndim)))
+            cache[rule] = flags
         return cache[rule]
 
     return look

@@ -286,6 +286,9 @@ class SweepReport:
     maps_checked: int
     verdicts_checked: int
     falsifications: tuple[Falsification, ...]
+    # Kernel hits the per-instance verdict calls consistent: a fault of
+    # the kernel, recorded in the same form.
+    disagreements: tuple[Falsification, ...]
     elapsed_seconds: float
 
     @property
@@ -347,13 +350,11 @@ def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
 def _structured_maps(n: int, member: np.ndarray, anchor: int) -> np.ndarray:
     """Identity, all constants, and the circle-fixing map: the shapes the
     existence theorems actually fire on, which random maps almost never hit."""
-    rows = [np.arange(n)]
-    for v in range(n):
-        rows.append(np.full(n, v))
-    fixing = np.arange(n)
-    fixing[~member] = anchor
-    rows.append(fixing)
-    return np.array(rows, dtype=np.intp)
+    rows = np.empty((n + 2, n), dtype=np.intp)
+    rows[0] = np.arange(n)
+    rows[1:n + 1] = np.arange(n)[:, None]
+    rows[n + 1] = np.where(member, np.arange(n), anchor)
+    return rows
 
 
 def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
@@ -366,11 +367,12 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     carriers) or sampled, a handful of structured maps is stirred in,
     and all nine theorems are evaluated against a selection of realized
     circles. Any consistent=false hit is re-verified through the
-    per-instance path and reported as a Falsification.
+    per-instance path: a Falsification if that verdict is inconsistent
+    too, a disagreement between the two paths otherwise.
     """
     eps = _resolve_eps(eps)
     t0 = time.perf_counter()
-    falsifications: list[Falsification] = []
+    events = {False: [], True: []}     # keyed by the re-check's consistent
     maps_checked = 0
     verdicts = 0
     for i in range(space_count):
@@ -401,11 +403,12 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
                     circle = circle_of(space, center, radius, eps)
                     verdict = verify_theorem(theorem_id, space, tmap, circle,
                                              eps)
-                    falsifications.append(Falsification(
+                    events[verdict.consistent].append(Falsification(
                         theorem_id=theorem_id, space=space,
                         images=tuple(int(v) for v in maps[b]),
                         center=center, radius=radius, verdict=verdict))
     return SweepReport(spaces_checked=space_count, maps_checked=maps_checked,
                        verdicts_checked=verdicts,
-                       falsifications=tuple(falsifications),
+                       falsifications=tuple(events[False]),
+                       disagreements=tuple(events[True]),
                        elapsed_seconds=time.perf_counter() - t0)

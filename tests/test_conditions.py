@@ -1,9 +1,10 @@
 """Condition checker tests.
 
-The main safety net is a differential check: every margin-based checker
-is compared against a plain-loop reimplementation of the defining
-inequality, written here from the definitions rather than shared with
-the engine.
+The main safety net is a differential check: every report of
+check_condition, field by field, and every batch atom of
+condition_flags is compared against a plain-loop reimplementation of
+the defining inequalities, written here from the definitions rather
+than shared with the engine.
 """
 
 import gc
@@ -16,14 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedcircle.conditions import (CONDITION_IDS, check_banach, check_c1, check_c1_dstar,
-                                    check_c1_star, check_c2, check_c2_dstar,
-                                    check_c2_star, check_c3, check_c3_dstar,
-                                    check_caristi, check_condition,
+from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
+                                    check_c1, check_c1_dstar, check_c1_star,
+                                    check_c2, check_c2_dstar, check_c2_star,
+                                    check_c3, check_caristi, check_condition,
                                     check_identity_condition, check_rhoades,
                                     condition_flags, member_mask,
                                     phi_canonical)
 from fixedcircle.errors import DomainError
+from fixedcircle.gallery import load_entry
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
                                      enumerate_circles, is_fixed_circle,
@@ -50,88 +52,103 @@ def _some_circle(space):
 
 
 # ---------------------------------------------------------------------------
-# Plain-loop margin oracles, straight from the definitions
+# Plain-loop oracle, straight from the definitions
 
 
-def _margin_c1(space, t, circle):
-    phi = lambda x: space.distance(x, circle.center)
-    return min((phi(x) - phi(t.apply(x)) - space.distance(x, t.apply(x))
-                for x in circle.members), default=math.inf)
+_MEMBER_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR")
 
 
-def _margin_c2(space, t, circle):
-    return min((space.distance(t.apply(x), circle.center) - circle.radius
-                for x in circle.members), default=math.inf)
-
-
-def _margin_c1_star(space, t, circle):
-    phi = lambda x: space.distance(x, circle.center)
-    return min((phi(x) + phi(t.apply(x)) - 2 * circle.radius
-                - space.distance(x, t.apply(x)) for x in circle.members),
-               default=math.inf)
-
-
-def _margin_c2_star(space, t, circle):
-    return min((circle.radius - space.distance(t.apply(x), circle.center)
-                for x in circle.members), default=math.inf)
-
-
-def _holds_c2_dstar(space, t, circle, eps=EPS):
-    # some h in [0, 1) with h d(x,Tx) + d(Tx,c) >= r for all members:
-    # feasible iff every member with Tx inside the circle actually moves
-    # far enough that h = (r - d(Tx,c)) / d(x,Tx) stays below 1
-    for x in circle.members:
-        tx = t.apply(x)
-        disp = space.distance(x, tx)
-        dtc = space.distance(tx, circle.center)
-        if disp <= eps:
-            if dtc < circle.radius - eps:
-                return False
-        elif circle.radius - dtc >= disp:
-            return False
-    return True
-
-
-def _holds_c3(space, t, circle, eps=EPS):
-    # some h in [0, 1): d(Tx,Ty) <= h d(x,y) for members x, off-circle y
-    others = [y for y in space.points() if y not in circle.members]
-    for x in circle.members:
-        for y in others:
-            dxy = space.distance(x, y)
-            dtt = space.distance(t.apply(x), t.apply(y))
-            if dxy <= eps:
-                if dtt > eps:
-                    return False
-            elif dtt >= dxy:
-                return False
-    return True
-
-
-def _holds_banach(space, t, eps=EPS):
+def _oracle(cid, space, t, circle, eps=EPS, phi=None):
+    """The report of one condition on one map by a plain loop over its
+    tuples: the margin is the first strictly smallest slack, its tuple
+    the witness. The off-circle points are those whose distance to the
+    center misses the radius by more than eps. ``phi`` is CARISTI's
+    weight (canonical when None)."""
+    d, c, r = space.distance, circle.center, circle.radius
+    weight = phi.at if phi is not None else (lambda x: d(x, c))
     pts = space.points()
-    for x, y in itertools.combinations(pts, 2):
-        dxy = space.distance(x, y)
-        dtt = space.distance(t.apply(x), t.apply(y))
-        if dxy <= eps:
-            if dtt > eps:
-                return False
-        elif dtt >= dxy:
-            return False
-    return True
+    off = [y for y in pts if abs(d(y, c) - r) > eps]
+    if cid in _MEMBER_IDS:
+        tuples = [(x,) for x in circle.members]
+        note = "empty circle: holds vacuously"
+    elif cid in ("C3", "C3_DSTAR"):
+        tuples = [(x, y) for x in circle.members for y in off]
+        note = "no (member, off-circle) pair to check"
+    elif cid in ("BANACH", "RHOADES"):
+        tuples = list(itertools.combinations(pts, 2))
+        note = "fewer than two points"
+    else:
+        tuples, note = [(x,) for x in pts], None
+    caveat = circle.resolution == "sampled" or (
+        cid not in _MEMBER_IDS and not space.is_finite)
+    if not tuples and note:
+        return ConditionReport(cid, True, math.inf, None, None, 0, caveat,
+                               True, (note,))
+    # the margin conditions: slack of (x, Tx, d(x, Tx), d(Tx, c)) >= -eps
+    weak = {"C1": lambda x, tx, dx, dtc: d(x, c) - dtc - dx,
+            "C1_DSTAR": lambda x, tx, dx, dtc: d(x, c) - dtc - dx,
+            "C2": lambda x, tx, dx, dtc: dtc - r,
+            "C1_STAR": lambda x, tx, dx, dtc: d(x, c) + dtc - 2 * r - dx,
+            "C2_STAR": lambda x, tx, dx, dtc: r - dtc,
+            "CARISTI": lambda x, tx, dx, dtc: weight(x) - weight(tx) - dx}
+    holds, margin, witness, ratios = True, math.inf, None, [0.0]
+    for tup in tuples:
+        x = tup[0]
+        tx = t.apply(x, eps=eps)
+        dx, dtc = d(x, tx), d(tx, c)
+        if cid in weak:
+            slack = weak[cid](x, tx, dx, dtc)
+            ok = slack >= -eps
+        elif cid == "C2_DSTAR":
+            # some h in [0, 1) with h d(x, Tx) + d(Tx, c) >= r
+            if dx <= eps:
+                slack = dtc - r
+                ok = slack >= -eps
+            else:
+                slack = dx + dtc - r
+                ok = r - dtc < dx
+                ratios.append((r - dtc) / dx)
+        elif cid == "ID_COND":
+            # some h > 1 with d(x, Tx) <= (phi(x) - phi(Tx)) / h; the
+            # slack is the best h a moved point leaves
+            if dx <= eps:
+                continue
+            gain = d(x, c) - dtc
+            ok = gain - dx > eps
+            slack = gain / dx
+        else:
+            y = tup[1]
+            ty = t.apply(y, eps=eps)
+            dxy, dtt = d(x, y), d(tx, ty)
+            if cid in ("C3", "BANACH"):
+                # some h in [0, 1) with d(Tx, Ty) <= h d(x, y)
+                slack = dxy - dtt
+                ok = dtt <= eps if dxy <= eps else dtt < dxy
+                if dxy > eps:
+                    ratios.append(dtt / dxy)
+            else:
+                five = max(dxy, dx, d(y, ty), d(x, ty), d(y, tx))
+                slack = five - dtt
+                ok = slack > eps
+        holds = holds and ok
+        if slack < margin:
+            margin, witness = slack, tup
+    derived = max(ratios) if cid in ("C2_DSTAR", "C3", "BANACH") else None
+    if cid == "ID_COND":
+        derived, margin = margin, margin - 1 if math.isfinite(margin) else math.inf
+    notes = ("phi assumed lower semicontinuous",) if cid == "CARISTI" else ()
+    return ConditionReport(cid, holds, margin, witness, derived, len(tuples),
+                           caveat, False, notes)
 
 
-def _holds_c3_dstar(space, t, circle, eps=EPS):
-    others = [y for y in space.points() if y not in circle.members]
-    for x in circle.members:
-        tx = t.apply(x)
-        for y in others:
-            ty = t.apply(y)
-            five = max(space.distance(x, y), space.distance(x, tx),
-                       space.distance(y, ty), space.distance(x, ty),
-                       space.distance(y, tx))
-            if not space.distance(tx, ty) < five - eps:
-                return False
-    return True
+def _exact(rep):
+    """A report's fields with every float as float.hex and the witness
+    as its repr, so a test sees each bit, the sign of zero included."""
+    fields = dict(vars(rep), witness=repr(rep.witness))
+    for name in ("margin", "derived_param"):
+        if fields[name] is not None:
+            fields[name] = float(fields[name]).hex()
+    return fields
 
 
 @pytest.mark.parametrize("seed", [3, 17, 40, 71, 99])
@@ -140,20 +157,27 @@ def test_margins_match_plain_loops(seed):
     circle = _some_circle(space)
     maps = itertools.islice(_maps_of(space), 0, 3125, 41)
     for t in maps:
-        assert check_c1(space, t, circle).margin == pytest.approx(
-            _margin_c1(space, t, circle), abs=1e-12)
-        assert check_c2(space, t, circle).margin == pytest.approx(
-            _margin_c2(space, t, circle), abs=1e-12)
-        assert check_c1_star(space, t, circle).margin == pytest.approx(
-            _margin_c1_star(space, t, circle), abs=1e-12)
-        assert check_c2_star(space, t, circle).margin == pytest.approx(
-            _margin_c2_star(space, t, circle), abs=1e-12)
-        assert check_c2_dstar(space, t, circle).holds == _holds_c2_dstar(
-            space, t, circle)
-        assert check_c3(space, t, circle).holds == _holds_c3(space, t, circle)
-        assert check_c3_dstar(space, t, circle).holds == _holds_c3_dstar(
-            space, t, circle)
-        assert check_banach(space, t).holds == _holds_banach(space, t)
+        for cid in CONDITION_IDS:
+            assert _exact(check_condition(cid, space, t, circle=circle)) \
+                == _exact(_oracle(cid, space, t, circle)), cid
+
+
+@pytest.mark.parametrize("entry_id,k", [
+    ("EX_2_12", 0), ("EX_2_12", 2), ("EX_2_16", 0), ("EX_2_8", 0),
+    ("EX_2_19", 0), ("EX_3_4", 1)])
+def test_analytic_reports_match_plain_loops(entry_id, k):
+    # images off the sample set: the reciprocal branch of EX_2_12 and the
+    # complex reciprocal of EX_2_8; members off it: EX_2_16's ln 2 on the
+    # real_exp carrier; a user weight for CARISTI
+    entry = load_entry(entry_id)
+    circle = entry.circles[k]
+    for cid in CONDITION_IDS:
+        assert _exact(check_condition(cid, entry.space, entry.tmap,
+                                      circle=circle)) \
+            == _exact(_oracle(cid, entry.space, entry.tmap, circle)), cid
+    phi = PhiMap("abs", abs)
+    assert _exact(check_caristi(entry.space, entry.tmap, phi)) == _exact(
+        _oracle("CARISTI", entry.space, entry.tmap, circle, phi=phi))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +335,7 @@ def test_identity_map_satisfies_weak_conditions(seed):
 
 
 # ---------------------------------------------------------------------------
-# Batch atoms against the scalar checkers
+# Batch atoms and single-map reports against the oracle
 
 
 ATOM_IDS = CONDITION_IDS + ("FIXED_CIRCLE",)
@@ -387,9 +411,11 @@ def test_condition_flags_match_scalar_checkers(kind, seed, n):
                                    member_mask(space, circle))
             for k, tmap in enumerate(tmaps):
                 for cid in CONDITION_IDS:
-                    want = check_condition(cid, space, tmap, circle=circle,
-                                           eps=eps).holds
-                    assert bool(look(cid)[k]) == want, (cid, ci, radius, k)
+                    want = _oracle(cid, space, tmap, circle, eps)
+                    assert bool(look(cid)[k]) == want.holds, (cid, ci, radius, k)
+                    got = check_condition(cid, space, tmap, circle=circle,
+                                          eps=eps)
+                    assert _exact(got) == _exact(want), (cid, ci, radius, k)
                 want = is_fixed_circle(tmap, circle, eps).holds
                 assert bool(look("FIXED_CIRCLE")[k]) == want, (ci, radius, k)
 

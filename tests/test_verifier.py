@@ -13,12 +13,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fixedcircle import conditions
+from fixedcircle import conditions, verifier
 from fixedcircle.errors import DomainError, InvalidMetricError
 from fixedcircle.conditions import phi_canonical
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import MetricSpace, SelfMap, circle_of, enumerate_circles
-from fixedcircle.verifier import (THEOREM_IDS, enumerate_fixed_circles,
+from fixedcircle.verifier import (THEOREM_IDS, _structured_maps,
+                                  enumerate_fixed_circles,
                                   soundness_sweep, theorem_flags,
                                   verify_banach, verify_caristi,
                                   verify_existence, verify_identity_theorem,
@@ -293,3 +294,34 @@ def test_sweep_is_seeded():
                         circles_per_space=2, seed=777)
     assert (a.spaces_checked, a.maps_checked, a.verdicts_checked) == \
         (b.spaces_checked, b.maps_checked, b.verdicts_checked)
+
+
+def test_sweep_reports_a_kernel_slip_as_a_disagreement():
+    # a kernel hit the per-instance verdict calls consistent is a fault of
+    # the kernel, not a falsification of the theorem
+    kernel = verifier.theorem_flags
+    slipped = []
+
+    def one_slip(*args):
+        flags = kernel(*args)
+        if not slipped:
+            hyp, concl = flags["T_EXIST_C1C2"]
+            hyp[0], concl[0] = True, False
+            slipped.append(args[1][0])
+        return flags
+    with mock.patch.object(verifier, "theorem_flags", one_slip):
+        rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5,
+                              circles_per_space=1)
+    assert rep.sound and rep.falsifications == ()
+    (event,) = rep.disagreements
+    assert event.theorem_id == "T_EXIST_C1C2"
+    assert event.images == tuple(int(v) for v in slipped[0])
+    assert event.verdict.consistent
+
+
+def test_structured_maps_rows():
+    member = np.array([True, False, True, False])
+    rows = _structured_maps(4, member, 3)
+    assert rows.dtype == np.intp
+    assert rows.tolist() == [[0, 1, 2, 3], [0, 0, 0, 0], [1, 1, 1, 1],
+                             [2, 2, 2, 2], [3, 3, 3, 3], [0, 3, 2, 3]]
