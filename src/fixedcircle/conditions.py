@@ -12,12 +12,13 @@ tie does not count as "strictly less".
 
 condition_flags reduces a batch's verdicts with .all, for the callers
 that need only verdicts: the counterexample search and, through
-verifier.theorem_flags, the soundness sweep. Every check_* is a batch
-of one over the same rules and reads its ConditionReport off the
-arrays: the margin is the slack at the first smallest tuple, that tuple
-the witness, derived_param the extremal feasible h. Analytic carriers
-read each distance through space.distance, their own scalar metric: a
-numpy form of it differs in the last bit, which would move margins.
+verifier.theorem_flags, the soundness sweep. A check_*, or a theorem
+verdict, builds the operands of one map (_OneMap, a batch of one) and
+reads its ConditionReports off the same rules' arrays: the margin is
+the slack at the first smallest tuple, that tuple the witness,
+derived_param the extremal feasible h. Analytic carriers read each
+distance through space.distance, their own scalar metric: a numpy form
+of it differs in the last bit, which would move margins.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -109,7 +110,7 @@ class _Operands:
         self.d, self.maps, self.phi, self.M = d, maps, phi, M
         self.radius, self.eps = radius, eps
         self.X = np.arange(maps.shape[1] if n is None else n)
-        self._pairs = {}
+        self._pairs, self._flags = {}, {}
 
     @cached_property
     def members(self):
@@ -160,6 +161,22 @@ class _Operands:
             self._pairs[key] = (x, y, tx, ty, self.d(x, y), self.d(tx, ty),
                                 skip)
         return self._pairs[key]
+
+    def flag(self, name: str) -> np.ndarray:
+        """Atom ``name`` as (m,) bools, computed on first lookup and cached
+        by rule, so C1 and C1_DSTAR share one. No operand may refer back to
+        this method: the cycle would hold every array of the batch until
+        the cyclic collector happens to run."""
+        rule = _RULES[name]
+        if rule not in self._flags:
+            flags = rule(self)
+            if isinstance(flags, tuple):
+                ok, skip, _, _ = flags
+                if skip is not None:
+                    ok |= skip
+                flags = ok.all(tuple(range(1, ok.ndim)))
+            self._flags[rule] = flags
+        return self._flags[rule]
 
 
 # A rule maps a batch's operands to (per-tuple verdicts, map axis first;
@@ -270,6 +287,7 @@ _RULES = {
     "NO_FIXED_OFF_CIRCLE": lambda src: ~src.fixed[0].take(src.E, 1).any(1),
     "IDENTITY": lambda src: src.fixed[1] == len(src.X),
     "ONE_FIXED_POINT": lambda src: src.fixed[1] == 1,
+    "AT_MOST_ONE_FIXED_POINT": lambda src: src.fixed[1] <= 1,
     "SOME_FIXED_POINT": lambda src: src.fixed[1] >= 1,
 }
 
@@ -287,35 +305,46 @@ _EMPTY_NOTES = {
 }
 
 
-def _check(condition_id, space, tmap, circle=None, eps=None, center=None,
-           phi=None) -> ConditionReport:
+class _OneMap(_Operands):
+    """The operands of one map: its table's gather on a finite carrier;
+    on an analytic one, the samples and the circle's members, each
+    mapped once, every distance through space.distance. phi defaults to
+    the canonical weight at ``center``, by default the circle's."""
+
+    def __init__(self, space, tmap, circle=None, phi=None, eps=None,
+                 center=None):
+        eps = _resolve_eps(eps)
+        radius, members = None, ()
+        if circle is not None:
+            center, radius, members = circle.center, circle.radius, circle.members
+        if phi is None and center is not None:
+            phi = phi_canonical(space, center)    # rejects an off-carrier center
+        pts = space.points()
+        if space.is_finite:
+            maps = np.array([[space.index_of(p) for p in tmap.table]])
+            M = [space.index_of(p) for p in members]
+            d = lambda a, b: space.as_array[a, b]
+        else:
+            pts = list(pts) + list(members)
+            M = range(len(space.points()), len(pts))
+            maps = np.arange(len(pts), 2 * len(pts))[None]
+            pts += [tmap.apply(p, eps=eps) for p in pts]
+            d = _pointwise(space.distance, pts, 2)
+        super().__init__(d, maps, phi and _pointwise(phi.at, pts, 1), radius,
+                         eps, np.array(M, dtype=np.intp), len(space.points()))
+        self.pts, self.finite = pts, space.is_finite
+        self.sampled = circle is not None and circle.resolution == "sampled"
+
+
+def _report(condition_id: str, src: _OneMap) -> ConditionReport:
     """One map's report on one condition, read off the rule's arrays:
     the margin is the slack of the first smallest tuple, which is the
     witness; for ID_COND, whose slack is the h a point leaves,
-    derived_param is that h and the margin its excess over 1."""
-    eps = _resolve_eps(eps)
-    if circle is not None:
-        center, radius, members = circle.center, circle.radius, circle.members
-    else:
-        radius, members = None, ()
-    if phi is None and center is not None:
-        phi = phi_canonical(space, center)    # rejects an off-carrier center
-    pts = space.points()
-    if space.is_finite:
-        maps = np.array([[space.index_of(p) for p in tmap.table]])
-        M = [space.index_of(p) for p in members]
-        d = lambda a, b: space.as_array[a, b]
-    else:
-        pts = list(pts) + list(members)
-        M = range(len(space.points()), len(pts))
-        maps = np.arange(len(pts), 2 * len(pts))[None]
-        pts += [tmap.apply(p, eps=eps) for p in pts]
-        d = _pointwise(space.distance, pts, 2)
-    ok, _, where, detail = _RULES[condition_id](_Operands(
-        d, maps, phi and _pointwise(phi.at, pts, 1), radius, eps,
-        np.array(M, dtype=np.intp), len(space.points())))
-    caveat = bool(circle and circle.resolution == "sampled") or (
-        condition_id not in _MEMBER_IDS and not space.is_finite)
+    derived_param is that h and the margin its excess over 1. The caveat
+    is a sampled circle's, or for a non-member condition an analytic
+    carrier's."""
+    ok, _, where, detail = _RULES[condition_id](src)
+    caveat = src.sampled if condition_id in _MEMBER_IDS else not src.finite
     # One map's pair sets are lists (skip is None): the tuples are the
     # block's entries in order.
     block = ok.shape[1:]
@@ -329,7 +358,7 @@ def _check(condition_id, space, tmap, circle=None, eps=None, center=None,
         i = int(slack.argmin())
         margin = float(slack[i])
         if margin != math.inf:
-            witness = tuple(pts[np.broadcast_to(w, block).flat[i]]
+            witness = tuple(src.pts[np.broadcast_to(w, block).flat[i]]
                             for w in where)
     derived = None
     if param is not None:
@@ -346,7 +375,7 @@ def _check(condition_id, space, tmap, circle=None, eps=None, center=None,
 def check_c1(space: MetricSpace, tmap: SelfMap, circle: Circle,
              eps=None, _cid="C1") -> ConditionReport:
     """d(x, Tx) <= phi(x) - phi(Tx) for members x, canonical phi."""
-    return _check(_cid, space, tmap, circle, eps)
+    return _report(_cid, _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_c1_dstar(space, tmap, circle, eps=None) -> ConditionReport:
@@ -357,17 +386,17 @@ def check_c1_dstar(space, tmap, circle, eps=None) -> ConditionReport:
 
 def check_c2(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) >= radius for members x."""
-    return _check("C2", space, tmap, circle, eps)
+    return _report("C2", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_c1_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(x, Tx) <= phi(x) + phi(Tx) - 2 radius for members x."""
-    return _check("C1_STAR", space, tmap, circle, eps)
+    return _report("C1_STAR", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_c2_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) <= radius for members x."""
-    return _check("C2_STAR", space, tmap, circle, eps)
+    return _report("C2_STAR", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
@@ -377,7 +406,7 @@ def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) 
     passes with room); margin is the slack of the defining inequality
     at h -> 1.
     """
-    return _check("C2_DSTAR", space, tmap, circle, eps)
+    return _report("C2_DSTAR", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
@@ -389,7 +418,7 @@ def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
     ratio over moved points, +inf for the identity map; margin is
     derived_param - 1.
     """
-    return _check("ID_COND", space, tmap, eps=eps, center=center)
+    return _report("ID_COND", _OneMap(space, tmap, eps=eps, center=center))
 
 
 def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
@@ -399,26 +428,26 @@ def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> Con
     derived_param is the contraction ratio actually attained (max over
     pairs), margin the slack at h -> 1.
     """
-    return _check("C3", space, tmap, circle, eps)
+    return _report("C3", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_c3_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, Ty) < max of the five point-image distances, members x
     against off-circle y; strict, so margin must clear the tolerance."""
-    return _check("C3_DSTAR", space, tmap, circle, eps)
+    return _report("C3_DSTAR", _OneMap(space, tmap, circle, eps=eps))
 
 
 def check_rhoades(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
     """The globally quantified strict five-term condition, all pairs x != y
     (Rhoades 1977, "A comparison of various definitions of contractive
     mappings", Trans. AMS 226)."""
-    return _check("RHOADES", space, tmap, eps=eps)
+    return _report("RHOADES", _OneMap(space, tmap, eps=eps))
 
 
 def check_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
     """d(Tx, Ty) <= h d(x, y) over all pairs, some h in [0, 1);
     derived_param is the attained Lipschitz ratio."""
-    return _check("BANACH", space, tmap, eps=eps)
+    return _report("BANACH", _OneMap(space, tmap, eps=eps))
 
 
 def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> ConditionReport:
@@ -428,7 +457,7 @@ def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> C
     Lower semicontinuity of phi is an assumption recorded in the notes;
     it is not checkable on finite data.
     """
-    return _check("CARISTI", space, tmap, eps=eps, phi=phi)
+    return _report("CARISTI", _OneMap(space, tmap, phi=phi, eps=eps))
 
 
 def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
@@ -493,29 +522,11 @@ def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
     distance matrix ``D``. The atoms are every id in CONDITION_IDS, with
     CARISTI on the canonical weight, each the .all of its rule's
     verdicts, and the fixed-set atoms the theorem conclusions read:
-    FIXED_CIRCLE (is_fixed_circle), NO_FIXED_OFF_CIRCLE (the verifier's
-    _fixed_set_matches), and IDENTITY, ONE_FIXED_POINT and
-    SOME_FIXED_POINT (on fixed_points). The members are the mask
-    ``member`` (member_mask of the circle). Vacuous cases come out True.
-    An atom is computed on first lookup.
+    FIXED_CIRCLE (no member moved), NO_FIXED_OFF_CIRCLE (no off-circle
+    point fixed), and IDENTITY, ONE_FIXED_POINT, AT_MOST_ONE_FIXED_POINT
+    and SOME_FIXED_POINT (how many points are fixed). The members are the
+    mask ``member`` (member_mask of the circle). Vacuous cases come out
+    True. An atom is computed on first lookup.
     """
-    src = _Operands(lambda a, b: D[a, b], maps, D[:, center_idx].__getitem__,
-                    radius, eps, np.flatnonzero(member))
-    # Keyed by rule, so C1 and C1_DSTAR share one array. Nothing here may
-    # refer back to look: a reference cycle would hold every array of
-    # the batch until the cyclic collector happens to run.
-    cache = {}
-
-    def look(name: str) -> np.ndarray:
-        rule = _RULES[name]
-        if rule not in cache:
-            flags = rule(src)
-            if isinstance(flags, tuple):
-                ok, skip, _, _ = flags
-                if skip is not None:
-                    ok |= skip
-                flags = ok.all(tuple(range(1, ok.ndim)))
-            cache[rule] = flags
-        return cache[rule]
-
-    return look
+    return _Operands(lambda a, b: D[a, b], maps, D[:, center_idx].__getitem__,
+                     radius, eps, np.flatnonzero(member)).flag

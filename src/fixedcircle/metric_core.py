@@ -127,6 +127,8 @@ class MetricSpace:
             pts = [float(s) for s in samples]
         if not pts:
             raise MalformedInputError("analytic carrier needs a nonempty sample set")
+        if not all(map(cmath.isfinite, pts)):
+            raise MalformedInputError("analytic samples must be finite")
         fn = _METRIC_FNS[kind]
         # Drop samples that are metrically indistinguishable from an
         # earlier one; keeping both would break identity of
@@ -174,12 +176,14 @@ class MetricSpace:
         return {}
 
     def contains(self, point) -> bool:
-        """Membership in the carrier (not the sample set)."""
+        """Membership in the carrier (not the sample set); an analytic
+        carrier holds finite numbers only."""
         if self.is_finite:
             return point in self._index
         if self.carrier.kind == "complex_usual":
-            return isinstance(point, (int, float, complex))
-        return isinstance(point, (int, float)) and not isinstance(point, bool)
+            return isinstance(point, (int, float, complex)) and cmath.isfinite(point)
+        return (isinstance(point, (int, float)) and not isinstance(point, bool)
+                and math.isfinite(point))
 
     def distance(self, x, y) -> float:
         if self.is_finite:
@@ -261,24 +265,14 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
 
     Returns an empty violation list iff zero-self-distance, identity of
     indiscernibles, symmetry, and the triangle inequality all hold
-    within the tolerance. Raises MalformedInputError for structurally
-    bad input (non-square or negative matrix). A space is checked once
+    within the tolerance; MetricSpace.finite has already refused a
+    non-square, negative or non-finite matrix. A space is checked once
     per tolerance; later calls return the same report.
     """
     eps = _resolve_eps(eps)
-    if eps in space._validations:
-        return space._validations[eps]
-    if space.is_finite and space.matrix is not None:
-        n = len(space.carrier.labels)
-        if len(space.matrix) != n or any(len(r) != n for r in space.matrix):
-            raise MalformedInputError("distance matrix is not square")
-        for row in space.matrix:
-            for v in row:
-                if v < 0 or not math.isfinite(v):
-                    raise MalformedInputError(
-                        f"distance entries must be finite and >= 0, got {v}")
-    report = space._validations[eps] = _validate(space, eps)
-    return report
+    if eps not in space._validations:
+        space._validations[eps] = _validate(space, eps)
+    return space._validations[eps]
 
 
 def _validate(space: MetricSpace, eps: float) -> ValidationReport:
@@ -501,6 +495,10 @@ class SelfMap:
         for b in branches:
             if b.predicate[0] not in ("on_circle", "at_points"):
                 raise MalformedInputError(f"unknown predicate {b.predicate[0]!r}")
+            if b.predicate[0] == "on_circle" and not (
+                    space.contains(b.predicate[1]) and math.isfinite(b.predicate[2])):
+                raise MalformedInputError(
+                    f"on_circle needs a carrier center and a finite radius: {b.predicate!r}")
             _check_image(space, b.image)
         _check_image(space, default)
         if space.is_finite:
@@ -590,7 +588,7 @@ def is_fixed_circle(tmap: SelfMap, circle: Circle, eps=None) -> FixedCircleRepor
         tx = tmap.apply(x, eps=eps)
         disp = tmap.space.distance(x, tx)
         witnesses.append(PointWitness(x, tx, disp))
-        if disp > eps:
+        if not disp <= eps:     # as fixed_points reads it
             holds = False
     return FixedCircleReport(holds=holds, vacuous=circle.empty,
                              resolution=circle.resolution,

@@ -1,7 +1,7 @@
 """Theorem-level verdicts built from condition reports.
 
-Each verify_* operation evaluates a theorem's hypotheses, then its
-conclusion, and reports both along with the implication
+Each verdict evaluates a theorem's hypotheses, then its conclusion, and
+reports both along with the implication
 ``consistent = (not hypotheses_hold) or conclusion_holds``. On a valid
 metric space consistent must be true for every map and circle; a false
 value is a falsification event, the highest-severity outcome anywhere
@@ -15,54 +15,74 @@ subset of the fixed-point set (every one-point circle around a fixed
 point, for instance) do not contradict the theorems and do not count
 against consistency.
 
-Each theorem is written once, in the registry EXISTENCE_VARIANTS /
-UNIQUENESS_VARIANTS (hypothesis condition ids) or in its own verify_*
-function; verify_theorem dispatches by theorem id. The soundness sweep
-drives the same verdicts over seeded random spaces and bulk table maps
-through theorem_flags, which ANDs the batch atoms of
-conditions.condition_flags, and re-checks any hit through
-verify_theorem before reporting it.
+Each theorem is written once, in the registry _THEOREMS: the condition
+ids its hypotheses AND and the fixed-set atoms of
+conditions.condition_flags its conclusion ANDs, with the uniqueness
+rule for an empty circle and, in _SAMPLE_WINDOW, the relaxed conclusions
+of analytic carriers beside it. verify_theorem reads one entry off the
+operands of one map: the hypothesis ConditionReports and the
+conclusion atoms. The soundness sweep reads the same entries over
+seeded random spaces and bulk table maps through theorem_flags, and
+re-checks any hit through verify_theorem before reporting it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionReport, PhiMap, batch_rows, check_banach,
-                         check_caristi, check_condition,
-                         check_identity_condition, condition_flags,
-                         phi_canonical)
+from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
+                         batch_rows, condition_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, _resolve_eps,
-                          circle_of, enumerate_circles, fixed_points,
-                          is_fixed_circle, validate_metric)
+                          circle_of, enumerate_circles, is_fixed_circle,
+                          validate_metric)
 
-THEOREM_IDS = ("T_EXIST_C1C2", "T_EXIST_STAR", "T_EXIST_DSTAR", "T_IDENTITY",
-               "T_UNIQUE_C3", "T_UNIQUE_C3_STARVARIANT", "T_UNIQUE_C3_DSTAR",
-               "T_BANACH", "T_CARISTI")
 
-# The theorem registry: variant -> (theorem id, hypothesis condition ids).
-# verify_existence/verify_uniqueness check these ids one by one and
-# theorem_flags ANDs the same ids over a batch. T_IDENTITY, T_BANACH and
-# T_CARISTI rest on the single condition ID_COND, BANACH and CARISTI.
-EXISTENCE_VARIANTS = {
-    "C1C2": ("T_EXIST_C1C2", ("C1", "C2")),
-    "STAR": ("T_EXIST_STAR", ("C1_STAR", "C2_STAR")),
-    "DSTAR": ("T_EXIST_DSTAR", ("C1_DSTAR", "C2_DSTAR")),
+# The theorem registry, in THEOREM_IDS order: theorem id -> (condition
+# ids the hypotheses AND, fixed-set atoms the conclusion ANDs, whether
+# the uniqueness rule holds). That rule: an empty circle cannot anchor
+# the uniqueness argument (no member plays the fixed reference point),
+# so there both sides are false and the vacuous hypotheses are reported
+# as not asserted.
+_UNIQUE = ("FIXED_CIRCLE", "NO_FIXED_OFF_CIRCLE")
+_THEOREMS = {
+    "T_EXIST_C1C2": (("C1", "C2"), ("FIXED_CIRCLE",), False),
+    "T_EXIST_STAR": (("C1_STAR", "C2_STAR"), ("FIXED_CIRCLE",), False),
+    "T_EXIST_DSTAR": (("C1_DSTAR", "C2_DSTAR"), ("FIXED_CIRCLE",), False),
+    "T_IDENTITY": (("ID_COND",), ("IDENTITY", "FIXED_CIRCLE"), False),
+    "T_UNIQUE_C3": (("C1", "C2", "C3"), _UNIQUE, True),
+    "T_UNIQUE_C3_STARVARIANT": (("C1_STAR", "C2_STAR", "C3"), _UNIQUE, True),
+    "T_UNIQUE_C3_DSTAR": (("C1_DSTAR", "C2_DSTAR", "C3_DSTAR"), _UNIQUE, True),
+    "T_BANACH": (("BANACH",), ("ONE_FIXED_POINT",), False),
+    "T_CARISTI": (("CARISTI",), ("SOME_FIXED_POINT",), False),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+# On an analytic carrier the map is seen on the sample window only, where
+# two conclusions are not refutable as stated: T_BANACH's fixed point may
+# sit off the window, so it means "at most one fixed sample"; T_CARISTI's
+# existence has no finite refutation, so it always holds. Theorem id ->
+# (relaxed conclusion atoms, caveat, note when the exact one fails).
+_SAMPLE_WINDOW = {
+    "T_BANACH": (("AT_MOST_ONE_FIXED_POINT",),
+                 "sample window: existence of the fixed point not decidable",
+                 None),
+    "T_CARISTI": ((), "sample window: absence of a fixed sample is not a "
+                      "refutation", "no fixed sample found"),
 }
 
-UNIQUENESS_VARIANTS = {
-    "C3": ("T_UNIQUE_C3", ("C1", "C2", "C3")),
-    "C3_ON_STAR": ("T_UNIQUE_C3_STARVARIANT", ("C1_STAR", "C2_STAR", "C3")),
-    "C3_DSTAR": ("T_UNIQUE_C3_DSTAR", ("C1_DSTAR", "C2_DSTAR", "C3_DSTAR")),
-}
+# variant -> (theorem id, hypothesis condition ids)
+EXISTENCE_VARIANTS = {v: (tid, _THEOREMS[tid][0]) for v, tid in (
+    ("C1C2", "T_EXIST_C1C2"), ("STAR", "T_EXIST_STAR"),
+    ("DSTAR", "T_EXIST_DSTAR"))}
+UNIQUENESS_VARIANTS = {v: (tid, _THEOREMS[tid][0]) for v, tid in (
+    ("C3", "T_UNIQUE_C3"), ("C3_ON_STAR", "T_UNIQUE_C3_STARVARIANT"),
+    ("C3_DSTAR", "T_UNIQUE_C3_DSTAR"))}
 
 
 @dataclass(frozen=True)
@@ -74,14 +94,6 @@ class TheoremVerdict:
     consistent: bool
     caveats: tuple[str, ...] = ()
     fixed_circles: tuple[Circle, ...] | None = None
-
-
-def _verdict(theorem_id, reports, hyp, concl, caveats=(), fixed_circles=None):
-    return TheoremVerdict(theorem_id=theorem_id,
-                          hypothesis_reports=tuple(reports),
-                          hypotheses_hold=hyp, conclusion_holds=concl,
-                          consistent=(not hyp) or concl,
-                          caveats=tuple(caveats), fixed_circles=fixed_circles)
 
 
 def _require_valid(space: MetricSpace, eps: float):
@@ -105,35 +117,58 @@ def _circle_caveats(circle: Circle, empty_note: str) -> list[str]:
     return out
 
 
+def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
+             circle: Circle | None = None, phi: PhiMap | None = None,
+             eps=None) -> TheoremVerdict:
+    """The registry entry's verdict on one map, its hypothesis reports
+    and conclusion atoms read off one operand source. A verdict about a
+    circle carries the circle's caveats."""
+    eps = _resolve_eps(eps)
+    _require_valid(space, eps)
+    hypotheses, conclusion, unique = _THEOREMS[theorem_id]
+    src = _OneMap(space, tmap, circle, phi, eps)
+    reports = tuple(_report(cid, src) for cid in hypotheses)
+    hyp = all(r.holds for r in reports)
+    concl = all(src.flag(atom)[0] for atom in conclusion)
+    caveats = [] if circle is None else _circle_caveats(
+        circle, "conclusion is vacuous")
+    if not space.is_finite and theorem_id in _SAMPLE_WINDOW:
+        relaxed, caveat, unmet = _SAMPLE_WINDOW[theorem_id]
+        caveats += [caveat] if concl or not unmet else [caveat, unmet]
+        concl = all(src.flag(atom)[0] for atom in relaxed)
+    found = None
+    if unique:
+        if circle.empty:      # the uniqueness rule
+            hyp = concl = False
+            caveats.append("empty circle: hypotheses are vacuous, not asserted")
+        found = enumerate_fixed_circles(space, tmap, eps=eps)
+        if len(found) > 1:
+            caveats.append("other fixed circles exist inside the fixed-point set")
+        if not space.is_finite:
+            caveats.append("uniqueness checked over the sample window only")
+    return TheoremVerdict(theorem_id, reports, hyp, concl, (not hyp) or concl,
+                          tuple(caveats), found)
+
+
+def _variant_theorem(table: dict, kind: str, variant: str) -> str:
+    try:
+        return table[variant][0]
+    except KeyError:
+        raise DomainError(f"unknown {kind} variant {variant!r}") from None
+
+
 def verify_existence(space: MetricSpace, tmap: SelfMap, circle: Circle,
                      variant: str, eps=None) -> TheoremVerdict:
     """Hypotheses C1+C2 / C1*+C2* / C1**+C2**; conclusion: fixed circle."""
-    eps = _resolve_eps(eps)
-    try:
-        theorem_id, hypotheses = EXISTENCE_VARIANTS[variant]
-    except KeyError:
-        raise DomainError(f"unknown existence variant {variant!r}") from None
-    _require_valid(space, eps)
-    reports = [check_condition(cid, space, tmap, circle=circle, eps=eps)
-               for cid in hypotheses]
-    fc = is_fixed_circle(tmap, circle, eps)
-    return _verdict(theorem_id, reports, all(r.holds for r in reports),
-                    fc.holds, _circle_caveats(circle, "conclusion is vacuous"))
+    return _verdict(_variant_theorem(EXISTENCE_VARIANTS, "existence", variant),
+                    space, tmap, circle, eps=eps)
 
 
 def verify_identity_theorem(space: MetricSpace, tmap: SelfMap, circle: Circle,
                             eps=None) -> TheoremVerdict:
     """Hypothesis: the h>1 displacement bound over the whole carrier.
     Conclusion: the map is pointwise the identity and fixes the circle."""
-    eps = _resolve_eps(eps)
-    _require_valid(space, eps)
-    report = check_identity_condition(space, tmap, circle.center, eps)
-    fc = is_fixed_circle(tmap, circle, eps)
-    pts = space.points()
-    is_identity = len(fixed_points(tmap, eps)) == len(pts)
-    return _verdict("T_IDENTITY", [report], report.holds,
-                    is_identity and fc.holds,
-                    _circle_caveats(circle, "conclusion is vacuous"))
+    return _verdict("T_IDENTITY", space, tmap, circle, eps=eps)
 
 
 def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
@@ -159,16 +194,6 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     return tuple(out)
 
 
-def _fixed_set_matches(space, tmap, circle, eps):
-    """No carrier point off the circle is fixed (and members are fixed
-    iff the fixed-circle test said so). Sample-window check on analytic
-    carriers."""
-    for x in fixed_points(tmap, eps):
-        if abs(space.distance(x, circle.center) - circle.radius) > eps:
-            return False
-    return True
-
-
 def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
                       variant: str, eps=None) -> TheoremVerdict:
     """Existence hypotheses plus a contraction; conclusion: the circle is
@@ -178,27 +203,8 @@ def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
     member to play the fixed reference point), so its vacuously-true
     hypotheses are reported as not holding, with a caveat.
     """
-    eps = _resolve_eps(eps)
-    try:
-        theorem_id, hypotheses = UNIQUENESS_VARIANTS[variant]
-    except KeyError:
-        raise DomainError(f"unknown uniqueness variant {variant!r}") from None
-    _require_valid(space, eps)
-    reports = [check_condition(cid, space, tmap, circle=circle, eps=eps)
-               for cid in hypotheses]
-    fc = is_fixed_circle(tmap, circle, eps)
-    hyp = all(r.holds for r in reports)
-    caveats = _circle_caveats(circle, "conclusion is vacuous")
-    if circle.empty:
-        hyp = False
-        caveats.append("empty circle: hypotheses are vacuous, not asserted")
-    concl = fc.holds and not fc.vacuous and _fixed_set_matches(space, tmap, circle, eps)
-    found = enumerate_fixed_circles(space, tmap, include_degenerate=False, eps=eps)
-    if len(found) > 1:
-        caveats.append("other fixed circles exist inside the fixed-point set")
-    if not space.is_finite:
-        caveats.append("uniqueness checked over the sample window only")
-    return _verdict(theorem_id, reports, hyp, concl, caveats, fixed_circles=found)
+    return _verdict(_variant_theorem(UNIQUENESS_VARIANTS, "uniqueness",
+                                     variant), space, tmap, circle, eps=eps)
 
 
 def verify_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> TheoremVerdict:
@@ -209,14 +215,7 @@ def verify_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> TheoremVerdict
     the sample window), so the conclusion there is "at most one fixed
     sample", flagged.
     """
-    eps = _resolve_eps(eps)
-    _require_valid(space, eps)
-    report = check_banach(space, tmap, eps)
-    nfix = len(fixed_points(tmap, eps))
-    if space.is_finite:
-        return _verdict("T_BANACH", [report], report.holds, nfix == 1)
-    return _verdict("T_BANACH", [report], report.holds, nfix <= 1,
-                    ["sample window: existence of the fixed point not decidable"])
+    return _verdict("T_BANACH", space, tmap, eps=eps)
 
 
 def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
@@ -227,16 +226,7 @@ def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
     refutation of existence, so the verdict reports whether a fixed
     sample was found and never counts its absence as a falsification.
     """
-    eps = _resolve_eps(eps)
-    _require_valid(space, eps)
-    report = check_caristi(space, tmap, phi, eps)
-    nfix = len(fixed_points(tmap, eps))
-    if space.is_finite:
-        return _verdict("T_CARISTI", [report], report.holds, nfix >= 1)
-    caveats = ["sample window: absence of a fixed sample is not a refutation"]
-    if nfix == 0:
-        caveats.append("no fixed sample found")
-    return _verdict("T_CARISTI", [report], report.holds, True, caveats)
+    return _verdict("T_CARISTI", space, tmap, phi=phi, eps=eps)
 
 
 def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
@@ -252,16 +242,10 @@ def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
         return verify_banach(space, tmap, eps)
     if circle is None:
         raise DomainError(f"{theorem_id} needs a circle")
-    if theorem_id == "T_IDENTITY":
-        return verify_identity_theorem(space, tmap, circle, eps)
     if theorem_id == "T_CARISTI":
         return verify_caristi(space, tmap, phi_canonical(space, circle.center),
                               eps)
-    for table, verify in ((EXISTENCE_VARIANTS, verify_existence),
-                          (UNIQUENESS_VARIANTS, verify_uniqueness)):
-        for variant, (tid, _) in table.items():
-            if tid == theorem_id:
-                return verify(space, tmap, circle, variant, eps)
+    return _verdict(theorem_id, space, tmap, circle, eps=eps)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +287,11 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
 
     ``maps`` is an (m, n) array of image indices. Returns
     {theorem_id: (hypotheses_hold, conclusion_holds)} as boolean (m,)
-    arrays, equal to the verify_* verdicts. The circle's members are
-    read from the row d(c, x), as circle_of reads them; every hypothesis
-    and conclusion is an atom of conditions.condition_flags, evaluated
-    batch_rows maps at a time. An empty circle anchors no uniqueness
-    argument, so there the uniqueness hypotheses and conclusions are
-    false.
+    arrays, equal to the verify_* verdicts on a finite carrier. The
+    circle's members are read from the row d(c, x), as circle_of reads
+    them; each side is its registry entry reduced over the atoms of
+    conditions.condition_flags, batch_rows maps at a time, under the
+    uniqueness rule for an empty circle.
     """
     m, n = maps.shape
     member = np.abs(D[center_idx] - radius) <= eps
@@ -325,19 +308,26 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
             for tid in THEOREM_IDS}
 
 
+# The registry's distinct sides, and each theorem's two of them by index:
+# a side two theorems share is reduced once per chunk.
+_SIDES = tuple(dict.fromkeys((atoms, unique)
+                             for hyps, concl, unique in _THEOREMS.values()
+                             for atoms in (hyps, concl)))
+_PLAN = tuple((tid, _SIDES.index((hyps, unique)),
+               _SIDES.index((concl, unique)))
+              for tid, (hyps, concl, unique) in _THEOREMS.items())
+
+
 def _theorem_chunk(look, nonempty: bool) -> dict:
-    """theorem_flags' result over one chunk, from its atom lookup."""
-    def holds(ids):
-        return functools.reduce(operator.and_, map(look, ids))
-    fc = look("FIXED_CIRCLE")
-    unique = fc & look("NO_FIXED_OFF_CIRCLE") & nonempty
-    out = {tid: (holds(ids), fc) for tid, ids in EXISTENCE_VARIANTS.values()}
-    out.update((tid, (holds(ids) & nonempty, unique))
-               for tid, ids in UNIQUENESS_VARIANTS.values())
-    out["T_IDENTITY"] = (look("ID_COND"), look("IDENTITY") & fc)
-    out["T_BANACH"] = (look("BANACH"), look("ONE_FIXED_POINT"))
-    out["T_CARISTI"] = (look("CARISTI"), look("SOME_FIXED_POINT"))
-    return out
+    """theorem_flags' result over one chunk: each registry entry's sides
+    reduced over the atom lookup."""
+    sides = []
+    for atoms, unique in _SIDES:
+        side = look(atoms[0])
+        for atom in atoms[1:]:
+            side = side & look(atom)
+        sides.append(side & nonempty if unique else side)   # the uniqueness rule
+    return {tid: (sides[h], sides[c]) for tid, h, c in _PLAN}
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,

@@ -33,5 +33,13 @@ def test_traced_names_resolve():
         assert isinstance(owner.__dict__.get(method), classmethod), \
             (module, cls, method)
     verifier = importlib.import_module("fixedcircle.verifier")
+    conditions = importlib.import_module("fixedcircle.conditions")
     for table in names["VARIANT_TABLES"]:
         assert isinstance(getattr(verifier, table, None), dict), table
+        # install() unpacks each value as (theorem id, checkers)
+        for variant, value in getattr(verifier, table).items():
+            assert isinstance(value, tuple) and len(value) == 2, variant
+            theorem_id, hypotheses = value
+            assert theorem_id in verifier.THEOREM_IDS, variant
+            assert hypotheses and set(hypotheses) <= set(conditions.CONDITION_IDS), \
+                variant

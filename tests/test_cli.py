@@ -228,6 +228,35 @@ def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+_LINE = {"carrier": {"type": "analytic", "kind": "real_usual",
+                     "samples": [0.0, 1.0, 2.0]},
+         "metric": {"type": "named"}}
+
+
+@pytest.mark.parametrize("space,tmap", [
+    ({**_LINE, "carrier": {**_LINE["carrier"],
+                           "samples": [math.nan, 0.0, 1.0, 2.0]}}, None),
+    (_LINE, {"rule": {"type": "piecewise", "branches": [],
+                      "default": "constant:nan"}}),
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": [{"on_circle": {"center": 0.0,
+                                                  "radius": math.inf},
+                                    "image": "constant:0.0"}]}}),
+], ids=["nan_sample", "nan_constant_image", "infinite_on_circle_radius"])
+def test_cli_non_finite_points_exit_2(tmp_path, capsys, space, tmap):
+    # json writes NaN and Infinity, and reads them back as floats
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps(space), encoding="utf-8")
+    argv = ["validate", str(sp)]
+    if tmap is not None:
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(tmap), encoding="utf-8")
+        argv = ["enumerate", str(sp), str(mp)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_check_exit_codes(files, capsys):
     sp, mp = files["EX_2_6"]
     code, out = _run(capsys, "check", sp, mp, "--center", "0",

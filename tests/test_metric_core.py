@@ -128,6 +128,37 @@ def test_analytic_rejects_empty_and_unknown_kind():
         MetricSpace.analytic("real_squared", (1.0,))
 
 
+def test_analytic_carriers_refuse_non_finite_points():
+    # NaN is at distance NaN from every sample, so every later sample
+    # looked indistinguishable from it and was dropped; +-inf is no
+    # point of the line or plane either
+    for kind, bad in (("real_usual", math.nan), ("real_exp", -math.inf),
+                      ("complex_usual", complex(0, math.inf))):
+        with pytest.raises(MalformedInputError):
+            MetricSpace.analytic(kind, (bad, 0.0, 1.0))
+    line = MetricSpace.analytic("real_usual", (0.0, 1.0))
+    plane = MetricSpace.analytic("complex_usual", (0j, 1j))
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not line.contains(bad)
+        assert not plane.contains(complex(bad, 0))
+        with pytest.raises(MalformedInputError):
+            SelfMap.constant(line, bad)
+        for predicate in (("on_circle", 0.0, bad), ("on_circle", bad, 1.0)):
+            with pytest.raises(MalformedInputError):
+                SelfMap.piecewise(line, (Branch(predicate, ("identity",)),),
+                                  ("identity",))
+
+
+def test_nan_displacement_is_not_fixed():
+    # center + radius overflows, and the member at inf is at distance
+    # NaN from its own image: moved for is_fixed_circle as for
+    # fixed_points and the FIXED_CIRCLE atom
+    space = MetricSpace.analytic("real_usual", (0.0,))
+    circle = circle_of(space, 1e308, 1e308)
+    assert math.isinf(circle.members[-1])
+    assert not is_fixed_circle(SelfMap.identity(space), circle).holds
+
+
 def test_abs_sum_distance_definition():
     space = MetricSpace.analytic("real_abs_sum", (-1.0, 0.0, 1.0, 2.0))
     assert space.distance(-1.0, 1.0) == 2.0

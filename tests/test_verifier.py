@@ -4,9 +4,12 @@ The centerpiece holds the two evaluation routes together: the
 vectorized sweep kernel and the per-instance rich API must agree on
 every hypothesis/conclusion bit over exhaustive map batches. The sweep
 never gets to certify soundness through a kernel that drifted from the
-checkers it summarizes.
+checkers it summarizes. Both routes read one theorem registry, so each
+whole verdict is also held against a reference written here as plain
+loops over is_fixed_circle, fixed_points and space.distance.
 """
 
+import functools
 import itertools
 from unittest import mock
 
@@ -15,10 +18,14 @@ import pytest
 
 from fixedcircle import conditions, verifier
 from fixedcircle.errors import DomainError, InvalidMetricError
-from fixedcircle.conditions import phi_canonical
+from fixedcircle.conditions import check_condition, phi_canonical
+from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.generators import GenConfig, random_metric_space
-from fixedcircle.metric_core import MetricSpace, SelfMap, circle_of, enumerate_circles
-from fixedcircle.verifier import (THEOREM_IDS, _structured_maps,
+from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
+                                     enumerate_circles, fixed_points,
+                                     is_fixed_circle)
+from fixedcircle.verifier import (THEOREM_IDS, TheoremVerdict,
+                                  _structured_maps,
                                   enumerate_fixed_circles,
                                   soundness_sweep, theorem_flags,
                                   verify_banach, verify_caristi,
@@ -105,6 +112,110 @@ def test_kernel_chunks_agree_with_one_chunk(n):
         for tid in THEOREM_IDS:
             assert np.array_equal(split[tid][0], whole[tid][0]), tid
             assert np.array_equal(split[tid][1], whole[tid][1]), tid
+
+
+# ---------------------------------------------------------------------------
+# Whole verdicts against a plain-loop reference
+
+# Each theorem's hypotheses, written out apart from the registry.
+HYPOTHESES = {
+    "T_EXIST_C1C2": ("C1", "C2"), "T_EXIST_STAR": ("C1_STAR", "C2_STAR"),
+    "T_EXIST_DSTAR": ("C1_DSTAR", "C2_DSTAR"), "T_IDENTITY": ("ID_COND",),
+    "T_UNIQUE_C3": ("C1", "C2", "C3"),
+    "T_UNIQUE_C3_STARVARIANT": ("C1_STAR", "C2_STAR", "C3"),
+    "T_UNIQUE_C3_DSTAR": ("C1_DSTAR", "C2_DSTAR", "C3_DSTAR"),
+    "T_BANACH": ("BANACH",), "T_CARISTI": ("CARISTI",),
+}
+
+
+def _reference_verdict(tid, space, tmap, circle):
+    """The verdict as the theorems state it, decided by loops over the
+    members and the carrier points; the hypothesis reports are the
+    checkers'."""
+    reports = tuple(check_condition(cid, space, tmap, circle=circle, eps=EPS)
+                    for cid in HYPOTHESES[tid])
+    hyp = all(r.holds for r in reports)
+    fixed = fixed_points(tmap, EPS)
+    fc = is_fixed_circle(tmap, circle, EPS)
+    caveats, found = [], None
+    if tid not in ("T_BANACH", "T_CARISTI"):
+        caveats += ["sampled-resolution verdict"] * (circle.resolution == "sampled")
+        caveats += ["empty circle: conclusion is vacuous"] * circle.empty
+        caveats += ["degenerate circle (radius ~ 0)"] * circle.degenerate
+    if tid.startswith("T_EXIST"):
+        concl = fc.holds
+    elif tid == "T_IDENTITY":
+        concl = len(fixed) == len(space.points()) and fc.holds
+    elif tid.startswith("T_UNIQUE"):
+        if circle.empty:
+            hyp = False
+            caveats.append("empty circle: hypotheses are vacuous, not asserted")
+        concl = fc.holds and not fc.vacuous and all(
+            abs(space.distance(x, circle.center) - circle.radius) <= EPS
+            for x in fixed)
+        found = verifier.enumerate_fixed_circles(space, tmap, eps=EPS)
+        if len(found) > 1:
+            caveats.append("other fixed circles exist inside the fixed-point set")
+        if not space.is_finite:
+            caveats.append("uniqueness checked over the sample window only")
+    elif tid == "T_BANACH":
+        concl = len(fixed) == 1 if space.is_finite else len(fixed) <= 1
+        if not space.is_finite:
+            caveats.append("sample window: existence of the fixed point not decidable")
+    else:
+        concl = bool(fixed) or not space.is_finite
+        if not space.is_finite:
+            caveats.append("sample window: absence of a fixed sample is not a refutation")
+            caveats += ["no fixed sample found"] * (not fixed)
+    return TheoremVerdict(tid, reports, hyp, concl, (not hyp) or concl,
+                          tuple(caveats), found)
+
+
+def _assert_reference_verdicts(space, circle, maps):
+    # The enumeration is not what is compared here: both sides read it
+    # once per map.
+    enumerate_once = functools.lru_cache(verifier.enumerate_fixed_circles)
+    with mock.patch.object(verifier, "enumerate_fixed_circles",
+                           enumerate_once):
+        for tmap in maps:
+            for tid in THEOREM_IDS:
+                assert verify_theorem(tid, space, tmap, circle, EPS) == \
+                    _reference_verdict(tid, space, tmap, circle), (tid, tmap)
+
+
+def _exhaustive(space):
+    n = len(space.points())
+    return [SelfMap.from_indices(space, m)
+            for m in itertools.product(range(n), repeat=n)]
+
+
+@pytest.mark.parametrize("seed,size", [(3, 2), (5, 3), (2, 4)])
+def test_verdicts_match_reference_on_random_spaces(seed, size):
+    space = random_metric_space(GenConfig(seed=seed, size=size))
+    maps = _exhaustive(space)
+    # every third realized circle, degenerate ones included: all of them
+    # at 4 points would take some 12 s
+    for center, radius in enumerate_circles(space)[::3]:
+        _assert_reference_verdicts(space, circle_of(space, center, radius),
+                                   maps)
+
+
+def test_verdicts_match_reference_on_asymmetric_and_empty_circles():
+    _assert_reference_verdicts(ROW_COLUMN_SPACE,
+                               circle_of(ROW_COLUMN_SPACE, "c", 1.0),
+                               _exhaustive(ROW_COLUMN_SPACE))
+    space = random_metric_space(GenConfig(seed=1, size=3))
+    circle = circle_of(space, "p0", 5.0)
+    assert circle.empty
+    _assert_reference_verdicts(space, circle, _exhaustive(space))
+
+
+@pytest.mark.parametrize("entry_id", [
+    e for e in list_entries() if not load_entry(e).space.is_finite])
+def test_verdicts_match_reference_on_analytic_gallery(entry_id):
+    entry = load_entry(entry_id)
+    for circle in entry.circles:
+        _assert_reference_verdicts(entry.space, circle, [entry.tmap])
 
 
 # ---------------------------------------------------------------------------
