@@ -25,6 +25,7 @@ variable or per call.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -335,7 +336,8 @@ def circle_of(space: MetricSpace, center, radius, eps=None) -> Circle:
 
     The center must lie in the carrier (for analytic kinds that is the
     whole line/plane, not just the samples). The radius must be a
-    finite nonnegative real.
+    finite nonnegative real, and on the real kinds the circle's members
+    must be finite reals too.
     """
     eps = _resolve_eps(eps)
     radius = float(radius)
@@ -343,48 +345,92 @@ def circle_of(space: MetricSpace, center, radius, eps=None) -> Circle:
         raise MalformedInputError(f"radius must be finite and >= 0, got {radius}")
     if not space.contains(center):
         raise DomainError(f"center {center!r} is not in the carrier")
-
-    if space.is_finite:
-        D = space.as_array
-        ci = space.index_of(center)
-        members = tuple(p for i, p in enumerate(space.points())
-                        if abs(D[ci, i] - radius) <= eps)
-        return _mk_circle(center, radius, members, "exact", eps)
-
-    kind = space.carrier.kind
-    if kind == "complex_usual":
+    if space.kind == "complex_usual":
         center = complex(center)
-        members = tuple(s for s in space.carrier.samples
-                        if abs(abs(s - center) - radius) <= eps)
-        return _mk_circle(center, radius, members, "sampled", eps)
+    elif not space.is_finite:
+        center = float(center)
+    return _mk_circle(space, center, radius,
+                      _member_rows(space, center, [radius], eps)[0], eps)
 
-    center = float(center)
+
+def _on_points(space: MetricSpace) -> bool:
+    """Whether circles are sets of carrier points (finite and complex
+    carriers) rather than closed-form points (the real kinds)."""
+    return space.is_finite or space.kind == "complex_usual"
+
+
+def _member_rows(space: MetricSpace, center, radii, eps: float):
+    """The members of the circles about one center, one row per radius.
+
+    On finite and complex carriers the rows are one (k, n) boolean array
+    over points(): the window |d(center, x) - r| <= eps, taken over the
+    whole row at once. A complex row is measured by the scalar metric,
+    for a sample center as for an off-sample one. On the real kinds each
+    row is the member tuple of the closed form. ``center`` is a carrier
+    point, of the carrier's number type on analytic carriers.
+    """
+    if space.is_finite:
+        row = space.as_array[space.index_of(center)]
+    elif space.kind == "complex_usual":
+        row = np.array([abs(s - center) for s in space.carrier.samples],
+                       dtype=float)
+    else:
+        return [_real_members(space.kind, center, r, eps) for r in radii]
+    return np.abs(row - np.asarray(radii, dtype=float)[:, None]) <= eps
+
+
+def _real_members(kind: str, center: float, radius: float, eps: float) -> tuple:
+    """Solve d(center, y) = radius in closed form on a real kind; a circle
+    with a member past the float range is refused."""
     if radius <= eps:
-        return _mk_circle(center, radius, (center,), "exact", eps)
-    if kind == "real_usual":
-        members = (center - radius, center + radius)
-    elif kind == "real_exp":
-        ec = math.exp(center)
-        members = [math.log(ec + radius)]
-        if ec - radius > 0:
-            members.insert(0, math.log(ec - radius))
-        members = tuple(members)
-    else:  # real_abs_sum: solve |center| + |y| = radius with y != center
-        t = radius - abs(center)
-        if t < -eps:
-            members = ()
-        elif abs(t) <= eps:
-            members = (0.0,)
-        else:
-            members = (-t, t)
-        members = tuple(y for y in members if y != center)
-    return _mk_circle(center, radius, members, "exact", eps)
+        return (center,)
+    try:
+        if kind == "real_usual":
+            members = (center - radius, center + radius)
+        elif kind == "real_exp":
+            ec = math.exp(center)
+            members = (math.log(ec + radius),)
+            if ec - radius > 0:
+                members = (math.log(ec - radius),) + members
+        else:  # real_abs_sum: solve |center| + |y| = radius with y != center
+            t = radius - abs(center)
+            if t < -eps:
+                members = ()
+            elif abs(t) <= eps:
+                members = (0.0,)
+            else:
+                members = (-t, t)
+            members = tuple(y for y in members if y != center)
+        finite = all(map(math.isfinite, members))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise MalformedInputError(
+            f"the circle about {center!r} of radius {radius!r} overflows: "
+            "a member is not a finite real")
+    return members
 
 
-def _mk_circle(center, radius, members, resolution, eps) -> Circle:
+def _mk_circle(space: MetricSpace, center, radius: float, row,
+               eps: float) -> Circle:
+    """The Circle of one _member_rows row."""
+    members = (tuple(itertools.compress(space.points(), row))
+               if _on_points(space) else row)
+    sampled = space.kind == "complex_usual"
     return Circle(center=center, radius=radius, members=members,
-                  resolution=resolution, degenerate=radius <= eps,
-                  empty=len(members) == 0)
+                  resolution="sampled" if sampled else "exact",
+                  degenerate=radius <= eps, empty=len(members) == 0)
+
+
+def _radii(row: np.ndarray, eps: float) -> list:
+    """The radii one center attains, ascending, cut into clusters: a
+    cluster starts more than eps above the smallest distance of the one
+    before, and its smallest distance represents it."""
+    out = []
+    for r in np.sort(row).tolist():
+        if not out or r - out[-1] > eps:
+            out.append(r)
+    return out
 
 
 def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
@@ -398,15 +444,8 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     """
     eps = _resolve_eps(eps)
     D = space.as_array
-    out = []
-    for ci, c in enumerate(space.points()):
-        radii = np.sort(D[ci])
-        anchor = None
-        for r in radii:
-            if anchor is None or r - anchor > eps:
-                anchor = r
-                out.append((c, float(r)))
-    return tuple(out)
+    return tuple((c, r) for ci, c in enumerate(space.points())
+                 for r in _radii(D[ci], eps))
 
 
 def circle_samples(center, radius, count=None) -> tuple:

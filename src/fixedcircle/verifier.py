@@ -38,9 +38,9 @@ from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
                          batch_rows, condition_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, random_metric_space
-from .metric_core import (Circle, MetricSpace, SelfMap, _resolve_eps,
-                          circle_of, enumerate_circles, is_fixed_circle,
-                          validate_metric)
+from .metric_core import (Circle, MetricSpace, SelfMap, _member_rows,
+                          _mk_circle, _on_points, _radii, _resolve_eps,
+                          circle_of, enumerate_circles, validate_metric)
 
 
 # The theorem registry, in THEOREM_IDS order: theorem id -> (condition
@@ -176,21 +176,47 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
                             eps=None) -> tuple[Circle, ...]:
     """Every realized circle whose members the map leaves fixed.
 
-    Centers and radii come from enumerate_circles, so the result is
+    Centers and radii are those of enumerate_circles, so the result is
     deterministic: center order, then radius ascending. Degenerate
     (radius ~ 0) circles are included only on request; each is just a
     fixed point wearing a circle costume.
+
+    One pass per center, equal to a circle_of and an is_fixed_circle
+    call per realized circle. A point is moved when not d(x, Tx) <= eps,
+    as is_fixed_circle reads it, and the map is applied once per point
+    per call: to the points on finite and complex carriers, to the
+    distinct members on the real kinds. The member windows of all of a
+    center's radii are resolved together, by the code circle_of resolves
+    one with, and a Circle is built only for a fixed one. On n points
+    that is n sorted rows, n Python map applications and O(n^3)
+    elementwise array work in steps of O(n^2) memory; on the real kinds,
+    O(n^2) closed-form members in Python.
     """
     eps = _resolve_eps(eps)
+    seen = {}
+
+    def moved(x) -> bool:
+        if x not in seen:
+            seen[x] = not tmap.space.distance(x, tmap.apply(x, eps=eps)) <= eps
+        return seen[x]
+
+    pts = space.points()
+    on_points = _on_points(space)
+    if on_points:
+        moved_pts = np.array([moved(x) for x in pts], dtype=bool)
+    D = space.as_array
     out = []
-    for center, radius in enumerate_circles(space, eps):
-        circle = circle_of(space, center, radius, eps)
-        if circle.degenerate and not include_degenerate:
-            continue
-        if circle.empty:
-            continue
-        if is_fixed_circle(tmap, circle, eps).holds:
-            out.append(circle)
+    for ci, center in enumerate(pts):
+        radii = [r for r in _radii(D[ci], eps)
+                 if include_degenerate or r > eps]
+        rows = _member_rows(space, center, radii, eps)
+        if on_points:
+            fixed = np.flatnonzero(rows.any(axis=1)
+                                   & ~(rows & moved_pts).any(axis=1))
+        else:
+            fixed = [k for k, m in enumerate(rows)
+                     if m and not any(map(moved, m))]
+        out += [_mk_circle(space, center, radii[k], rows[k], eps) for k in fixed]
     return tuple(out)
 
 

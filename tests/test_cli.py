@@ -3,6 +3,7 @@ behavior, report precision, exit codes, and byte determinism."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -255,6 +256,33 @@ def test_cli_non_finite_points_exit_2(tmp_path, capsys, space, tmap):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--theorem", "T_EXIST_C1C2"), ("check", "--conditions", "C1")],
+    ids=["verify", "check"])
+@pytest.mark.parametrize("kind,center,radius", [
+    ("real_usual", "1e308", "1e308"), ("real_exp", "800", "1")],
+    ids=["real_usual_member_at_inf", "real_exp_exp_overflows"])
+def test_cli_overflowing_circle_exit_2(tmp_path, capsys, command, kind, center,
+                                       radius):
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({**_LINE, "carrier": {**_LINE["carrier"],
+                                                   "kind": kind}}),
+                  encoding="utf-8")
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"rule": {"type": "piecewise", "branches": [],
+                                       "default": "identity"}}),
+                  encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], str(sp), str(mp), *command[1:],
+                     "--center", center, "--radius", radius])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not caught, [str(w.message) for w in caught]
+    assert err.startswith("error: ") and "overflows" in err
+    assert repr(float(center)) in err and repr(float(radius)) in err
 
 
 def test_cli_check_exit_codes(files, capsys):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from fixedcircle.errors import DomainError, MalformedInputError
 from fixedcircle.generators import GenConfig, random_metric_space
-from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
-                                     circle_samples, classify_images,
+from fixedcircle.metric_core import (Branch, Circle, MetricSpace, SelfMap,
+                                     circle_of, circle_samples, classify_images,
                                      enumerate_circles, fixed_points,
                                      is_fixed_circle, validate_metric)
 
@@ -150,11 +150,12 @@ def test_analytic_carriers_refuse_non_finite_points():
 
 
 def test_nan_displacement_is_not_fixed():
-    # center + radius overflows, and the member at inf is at distance
-    # NaN from its own image: moved for is_fixed_circle as for
-    # fixed_points and the FIXED_CIRCLE atom
+    # a member at inf is at distance NaN from its own image: moved for
+    # is_fixed_circle as for fixed_points and the FIXED_CIRCLE atom
+    # (circle_of refuses such a circle; it is built by hand here)
     space = MetricSpace.analytic("real_usual", (0.0,))
-    circle = circle_of(space, 1e308, 1e308)
+    circle = Circle(center=1e308, radius=1e308, members=(0.0, math.inf),
+                    resolution="exact", degenerate=False, empty=False)
     assert math.isinf(circle.members[-1])
     assert not is_fixed_circle(SelfMap.identity(space), circle).holds
 
@@ -317,6 +318,19 @@ def test_enumerate_circles_dedupes_within_eps():
                     [[0, 1, 1 + 1e-12], [1, 0, 1], [1 + 1e-12, 1, 0]])
     radii = [r for c, r in enumerate_circles(space) if c == "p" and r > 0]
     assert radii == [1.0]
+
+
+def test_circle_window_and_cluster_cut_are_closed_at_eps():
+    # four points 0.5 apart on a line; with eps = 0.5 a distance exactly
+    # eps from the radius is a member, and exactly eps above a cluster's
+    # representative stays in its cluster (dyadic values: exact arithmetic)
+    line = _square("abcd", [[abs(i - j) / 2 for j in range(4)]
+                            for i in range(4)])
+    assert circle_of(line, "a", 1.0, 0.5).members == ("b", "c", "d")
+    assert circle_of(line, "a", 1.0, 0.0).members == ("c",)
+    radii = {eps: [r for c, r in enumerate_circles(line, eps) if c == "a"]
+             for eps in (0.5, 0.0)}
+    assert radii == {0.5: [0.0, 1.0], 0.0: [0.0, 0.5, 1.0, 1.5]}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from fixedcircle import conditions, verifier
 from fixedcircle.errors import DomainError, InvalidMetricError
 from fixedcircle.conditions import check_condition, phi_canonical
 from fixedcircle.gallery import list_entries, load_entry
-from fixedcircle.generators import GenConfig, random_metric_space
-from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
+from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
+                                    random_metric_space)
+from fixedcircle.metric_core import (ANALYTIC_KINDS, MetricSpace, SelfMap,
+                                     circle_of, circle_samples,
                                      enumerate_circles, fixed_points,
                                      is_fixed_circle)
 from fixedcircle.verifier import (THEOREM_IDS, TheoremVerdict,
@@ -338,6 +340,139 @@ def test_enumerate_fixed_circles_finds_singleton_around_other_center():
     const = SelfMap.constant(space, "p")
     found = enumerate_fixed_circles(space, const)
     assert [(c.center, c.radius) for c in found] == [("q", 1.0)]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-circle enumeration against the plain loop
+
+
+def _reference_fixed_circles(space, tmap, eps=EPS):
+    """Every fixed circle, degenerate ones included, as one circle_of and
+    one is_fixed_circle call per realized (center, radius) pair."""
+    out = []
+    for center, radius in enumerate_circles(space, eps):
+        circle = circle_of(space, center, radius, eps)
+        if not circle.empty and is_fixed_circle(tmap, circle, eps).holds:
+            out.append(circle)
+    return tuple(out)
+
+
+def _assert_enumeration_matches_loop(space, tmaps, eps=EPS):
+    for tmap in tmaps:
+        want = _reference_fixed_circles(space, tmap, eps)
+        for include_degenerate in (True, False):
+            got = enumerate_fixed_circles(space, tmap, include_degenerate, eps)
+            if not include_degenerate:
+                want = tuple(c for c in want if not c.degenerate)
+            # repr also tells -0.0 from 0.0 and a numpy float from a float
+            assert got == want and repr(got) == repr(want), (tmap, eps)
+
+
+@pytest.mark.parametrize("entry_id", list_entries())
+def test_enumeration_matches_loop_on_gallery(entry_id):
+    entry = load_entry(entry_id)
+    _assert_enumeration_matches_loop(entry.space, [entry.tmap])
+
+
+def _finite_maps(space, rng, count=12):
+    """Every table map up to 4 points; beyond that the identity, every
+    constant, a circle-fixing map and ``count`` random tables."""
+    n = len(space.points())
+    if n <= 4:
+        return _exhaustive(space)
+    D = space.as_array
+    circle = circle_of(space, space.points()[0], float(D[0, n - 1]))
+    rows = [np.arange(n), *(np.full(n, i) for i in range(n)),
+            *rng.integers(0, n, size=(count, n))]
+    return ([build_circle_fixing_map(space, circle)]
+            + [SelfMap.from_indices(space, row) for row in rows])
+
+
+@pytest.mark.parametrize("size", range(2, 13))
+@pytest.mark.parametrize("eps", [EPS, 0.25])
+def test_enumeration_matches_loop_on_random_spaces(size, eps):
+    rng = np.random.default_rng(size)
+    space = random_metric_space(GenConfig(seed=40 + size, size=size))
+    _assert_enumeration_matches_loop(space, _finite_maps(space, rng), eps)
+
+
+# c sees a, b and d at 1, 1.06 and 1.12: with eps = 0.1 the cut gives the
+# radii 1 and 1.12, whose windows overlap in b.
+OVERLAPPING_SPACE = MetricSpace.finite(("c", "a", "b", "d"), [
+    [0, 1, 1.06, 1.12], [1, 0, 1, 1], [1.06, 1, 0, 1], [1.12, 1, 1, 0]])
+
+
+@pytest.mark.parametrize("d1,d2", [(5e-10, 1.4e-9), (3.1e-10, 1.2e-9),
+                                   (7.9e-10, 1.6e-9)])
+def test_enumeration_matches_loop_on_near_ties(d1, d2):
+    # the near-tie family of the benchmark's instance workload, its repro
+    # first: x and y on the unit circle about a, within eps of one another
+    space = MetricSpace.finite(("a", "x", "y"), [
+        [0, 1, 1 - d1], [1, 0, d2], [1 - d1, d2, 0]])
+    _assert_enumeration_matches_loop(space, _exhaustive(space))
+    _assert_enumeration_matches_loop(space, _exhaustive(space), eps=2e-9)
+
+
+def test_enumeration_matches_loop_on_overlapping_clusters():
+    _assert_enumeration_matches_loop(ROW_COLUMN_SPACE,
+                                     _exhaustive(ROW_COLUMN_SPACE))
+    maps = _exhaustive(OVERLAPPING_SPACE)
+    assert [r for c, r in enumerate_circles(OVERLAPPING_SPACE, 0.1)
+            if c == "c"] == [0.0, 1.0, 1.12]
+    _assert_enumeration_matches_loop(OVERLAPPING_SPACE, maps, eps=0.1)
+    _assert_enumeration_matches_loop(OVERLAPPING_SPACE, maps)
+
+
+def _analytic_spaces():
+    # 1.004 is within 0.01 of the unit circle about 0 but not on it
+    reals = [k / 8 for k in range(-16, 17)] + [1.004]
+    plane = list(circle_samples(0, 1.0, 24)) + [
+        complex(x, y) / 4 for x in range(-4, 5) for y in range(-4, 5)] + [1.004]
+    return [MetricSpace.analytic(kind, plane if kind == "complex_usual"
+                                 else reals)
+            for kind in ANALYTIC_KINDS]
+
+
+@pytest.mark.parametrize("space", _analytic_spaces(),
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("eps", [EPS, 0.01, 0.0])
+def test_enumeration_matches_loop_on_analytic_kinds(space, eps):
+    # At eps = 0 a complex radius, read off the array metric, can miss its
+    # own window, measured by the scalar metric, by the last bit: such a
+    # realized circle is empty and not listed.
+    zero = 0j if space.kind == "complex_usual" else 0.0
+    circle = circle_of(space, zero, 1.0, eps)
+    maps = [SelfMap.identity(space), SelfMap.constant(space, zero),
+            build_circle_fixing_map(space, circle, eps=eps)]
+    if space.kind != "complex_usual":
+        maps.append(SelfMap.from_rule(space, ("reciprocal",)))
+    _assert_enumeration_matches_loop(space, maps, eps)
+
+
+@pytest.mark.parametrize("space", [
+    random_metric_space(GenConfig(seed=11, size=24)), *_analytic_spaces()],
+    ids=["finite", *ANALYTIC_KINDS])
+def test_enumeration_applies_the_map_once_per_point(space):
+    # once per carrier point where circles are sets of carrier points,
+    # once per distinct member on the real kinds
+    realized = [circle_of(space, c, r) for c, r in enumerate_circles(space)]
+    bound = len(space.points())
+    if space.kind not in (None, "complex_usual"):
+        bound = len({m for circle in realized for m in circle.members})
+    tmaps = [SelfMap.identity(space),
+             build_circle_fixing_map(space, realized[5])]
+    apply = SelfMap.apply
+    calls = []
+
+    def counted(self, x, eps=None):
+        calls.append(x)
+        return apply(self, x, eps=eps)
+    for tmap in tmaps:
+        calls.clear()
+        with mock.patch.object(SelfMap, "apply", counted):
+            found = enumerate_fixed_circles(space, tmap)
+        assert found
+        assert len(calls) <= bound
 
 
 # ---------------------------------------------------------------------------
