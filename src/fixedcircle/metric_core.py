@@ -209,7 +209,11 @@ def _d_real_abs_sum(x, y):
 
 
 def _d_complex_usual(x, y):
-    return abs(x - y)
+    try:
+        return abs(x - y)
+    except OverflowError:
+        raise MalformedInputError(
+            f"complex metric overflows at x={x!r}, y={y!r}") from None
 
 
 _METRIC_FNS = {
@@ -221,21 +225,26 @@ _METRIC_FNS = {
 
 
 def _sample_matrix(kind: str, samples: tuple) -> np.ndarray:
-    if kind == "complex_usual":
-        z = np.asarray(samples, dtype=complex)
-        return np.abs(z[:, None] - z[None, :])
-    x = np.asarray(samples, dtype=float)
-    if kind == "real_usual":
-        return np.abs(x[:, None] - x[None, :])
-    if kind == "real_exp":
-        e = np.exp(x)
-        if not np.all(np.isfinite(e)):
-            raise MalformedInputError("exp metric overflows on the sample set")
-        return np.abs(e[:, None] - e[None, :])
-    # real_abs_sum: |x| + |y| off the diagonal of equal values
-    a = np.abs(x)
-    m = a[:, None] + a[None, :]
-    m[x[:, None] == x[None, :]] = 0.0
+    """The distance matrix over the samples, numpy's form of the kind's
+    metric; a distance past the float range is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "complex_usual":
+            z = np.asarray(samples, dtype=complex)
+            m = np.abs(z[:, None] - z[None, :])
+        else:
+            x = np.asarray(samples, dtype=float)
+            if kind == "real_exp":
+                x = np.exp(x)
+            if kind == "real_abs_sum":
+                # |x| + |y| off the diagonal of equal values
+                a = np.abs(x)
+                m = a[:, None] + a[None, :]
+                m[x[:, None] == x[None, :]] = 0.0
+            else:
+                m = np.abs(x[:, None] - x[None, :])
+    if not np.isfinite(m).all():
+        raise MalformedInputError(
+            f"the {kind} metric overflows on the sample set")
     return m
 
 
@@ -299,9 +308,11 @@ def _validate(space: MetricSpace, eps: float) -> ValidationReport:
     for i, j in zip(*np.nonzero(asym > eps)):
         if i < j:
             push("symmetry", (pts[i], pts[j]), asym[i, j])
-    # Triangle: chunk over the middle point to keep memory at O(n^2).
+    # Triangle: chunk over the middle point to keep memory at O(n^2). A
+    # sum past the float range is inf, and no finite entry exceeds it.
     for j in range(n):
-        excess = D - (D[:, j:j + 1] + D[j:j + 1, :])
+        with np.errstate(over="ignore"):
+            excess = D - (D[:, j:j + 1] + D[j:j + 1, :])
         bad = excess > eps
         bad[j, :] = False
         bad[:, j] = False
@@ -359,23 +370,32 @@ def _on_points(space: MetricSpace) -> bool:
     return space.is_finite or space.kind == "complex_usual"
 
 
-def _member_rows(space: MetricSpace, center, radii, eps: float):
+def _center_row(space: MetricSpace, center) -> np.ndarray:
+    """d(center, x) over points(), the one row a center's radii are cut
+    from and its member windows read: the matrix row, except on the
+    complex plane, where it is the scalar metric's (numpy's complex abs
+    differs from it in the last bit), for a sample center as for an
+    off-sample one."""
+    if space.kind == "complex_usual":
+        return np.array([_d_complex_usual(s, center)
+                         for s in space.carrier.samples], dtype=float)
+    return space.as_array[space.index_of(center)]
+
+
+def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
     """The members of the circles about one center, one row per radius.
 
     On finite and complex carriers the rows are one (k, n) boolean array
     over points(): the window |d(center, x) - r| <= eps, taken over the
-    whole row at once. A complex row is measured by the scalar metric,
-    for a sample center as for an off-sample one. On the real kinds each
-    row is the member tuple of the closed form. ``center`` is a carrier
-    point, of the carrier's number type on analytic carriers.
+    center's whole row (``row``, by default its _center_row) at once. On
+    the real kinds each row is the member tuple of the closed form.
+    ``center`` is a carrier point, of the carrier's number type on
+    analytic carriers.
     """
-    if space.is_finite:
-        row = space.as_array[space.index_of(center)]
-    elif space.kind == "complex_usual":
-        row = np.array([abs(s - center) for s in space.carrier.samples],
-                       dtype=float)
-    else:
+    if not _on_points(space):
         return [_real_members(space.kind, center, r, eps) for r in radii]
+    if row is None:
+        row = _center_row(space, center)
     return np.abs(row - np.asarray(radii, dtype=float)[:, None]) <= eps
 
 
@@ -437,15 +457,15 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     """All (center, radius) pairs with realized, nonempty circles.
 
     Centers run over the carrier/sample points in order; for each, the
-    radii are the distances the center actually attains, ascending,
+    radii are the distances the center actually attains in its
+    _center_row, the row circle_of resolves members on, ascending,
     deduplicated within the tolerance (the representative is the
     smallest of each cluster). The zero radius is included; it yields
     the degenerate one-point circle.
     """
     eps = _resolve_eps(eps)
-    D = space.as_array
-    return tuple((c, r) for ci, c in enumerate(space.points())
-                 for r in _radii(D[ci], eps))
+    return tuple((c, r) for c in space.points()
+                 for r in _radii(_center_row(space, c), eps))
 
 
 def circle_samples(center, radius, count=None) -> tuple:
@@ -546,6 +566,12 @@ class SelfMap:
             return cls.from_table(space, {p: m.apply(p) for p in space.points()})
         return cls(space=space, kind="piecewise", branches=branches,
                    default=tuple(default))
+
+    @cached_property
+    def _enumerations(self) -> dict:
+        """enumerate_fixed_circles' results, keyed by the resolved
+        tolerance: (the space enumerated over, the circles)."""
+        return {}
 
     @classmethod
     def identity(cls, space: MetricSpace) -> "SelfMap":

@@ -38,9 +38,10 @@ from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
                          batch_rows, condition_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, random_metric_space
-from .metric_core import (Circle, MetricSpace, SelfMap, _member_rows,
-                          _mk_circle, _on_points, _radii, _resolve_eps,
-                          circle_of, enumerate_circles, validate_metric)
+from .metric_core import (Circle, MetricSpace, SelfMap, _center_row,
+                          _member_rows, _mk_circle, _on_points, _radii,
+                          _resolve_eps, circle_of, enumerate_circles,
+                          validate_metric)
 
 
 # The theorem registry, in THEOREM_IDS order: theorem id -> (condition
@@ -181,18 +182,36 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     (radius ~ 0) circles are included only on request; each is just a
     fixed point wearing a circle costume.
 
-    One pass per center, equal to a circle_of and an is_fixed_circle
-    call per realized circle. A point is moved when not d(x, Tx) <= eps,
-    as is_fixed_circle reads it, and the map is applied once per point
-    per call: to the points on finite and complex carriers, to the
-    distinct members on the real kinds. The member windows of all of a
-    center's radii are resolved together, by the code circle_of resolves
-    one with, and a Circle is built only for a fixed one. On n points
-    that is n sorted rows, n Python map applications and O(n^3)
-    elementwise array work in steps of O(n^2) memory; on the real kinds,
-    O(n^2) closed-form members in Python.
+    A map is enumerated once per space and tolerance: the circles,
+    degenerate ones included, are kept on the SelfMap, and later calls,
+    such as the three uniqueness verdicts of one map, read them back.
     """
     eps = _resolve_eps(eps)
+    memo = tmap._enumerations.get(eps)
+    if memo is None or memo[0] is not space:
+        memo = tmap._enumerations[eps] = (space,
+                                          _fixed_circles(space, tmap, eps))
+    if include_degenerate:
+        return memo[1]
+    return tuple(c for c in memo[1] if not c.degenerate)
+
+
+def _fixed_circles(space: MetricSpace, tmap: SelfMap,
+                   eps: float) -> tuple[Circle, ...]:
+    """The fixed circles, degenerate ones included, in one pass per
+    center, equal to a circle_of and an is_fixed_circle call per realized
+    circle.
+
+    A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
+    it, and the map is applied once per point: to the points on finite
+    and complex carriers, to the distinct members on the real kinds. The
+    radii and member windows of a center are cut from and resolved on
+    its one _center_row, by the code circle_of resolves one with, and a
+    Circle is built only for a fixed one. On n points that is n sorted
+    rows, n Python map applications and O(n^3) elementwise array work in
+    steps of O(n^2) memory; on the real kinds, O(n^2) closed-form members
+    in Python.
+    """
     seen = {}
 
     def moved(x) -> bool:
@@ -204,12 +223,11 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     on_points = _on_points(space)
     if on_points:
         moved_pts = np.array([moved(x) for x in pts], dtype=bool)
-    D = space.as_array
     out = []
-    for ci, center in enumerate(pts):
-        radii = [r for r in _radii(D[ci], eps)
-                 if include_degenerate or r > eps]
-        rows = _member_rows(space, center, radii, eps)
+    for center in pts:
+        row = _center_row(space, center)
+        radii = _radii(row, eps)
+        rows = _member_rows(space, center, radii, eps, row)
         if on_points:
             fixed = np.flatnonzero(rows.any(axis=1)
                                    & ~(rows & moved_pts).any(axis=1))

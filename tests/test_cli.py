@@ -258,6 +258,26 @@ def test_cli_non_finite_points_exit_2(tmp_path, capsys, space, tmap):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind,samples", [
+    ("real_usual", [1e308, -1e308, 0.0]),
+    ("complex_usual", [[1.5e308, 1.5e308], [0.0, 0.0]])],
+    ids=["real_usual", "complex_usual"])
+def test_cli_validate_overflowing_samples_exit_2(tmp_path, capsys, kind,
+                                                 samples):
+    # a distance between two samples is past the float range
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({**_LINE, "carrier": {
+        **_LINE["carrier"], "kind": kind, "samples": samples}}),
+        encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["validate", str(sp)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert not caught, [str(w.message) for w in caught]
+    assert err.startswith("error: ") and "overflows" in err
+
+
 @pytest.mark.parametrize("command", [
     ("verify", "--theorem", "T_EXIST_C1C2"), ("check", "--conditions", "C1")],
     ids=["verify", "check"])

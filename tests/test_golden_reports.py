@@ -14,13 +14,11 @@ for a deliberate change of report content:
     PYTHONPATH=src python tests/test_golden_reports.py
 """
 
-import functools
 import hashlib
 import json
 from pathlib import Path
-from unittest import mock
 
-from fixedcircle import fileio, verifier
+from fixedcircle import fileio
 from fixedcircle.conditions import CONDITION_IDS, check_condition
 from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.verifier import THEOREM_IDS, verify_theorem
@@ -41,16 +39,6 @@ def _digest(row, reports):
 
 
 def _current():
-    # Each uniqueness verdict enumerates the fixed circles of the same
-    # (space, map) again; the enumeration is not what is pinned here, so
-    # it is computed once per entry.
-    enumerate_once = functools.lru_cache(verifier.enumerate_fixed_circles)
-    with mock.patch.object(verifier, "enumerate_fixed_circles",
-                           enumerate_once):
-        return _reports()
-
-
-def _reports():
     out = {}
     for entry_id in list_entries():
         entry = load_entry(entry_id)

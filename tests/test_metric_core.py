@@ -7,6 +7,7 @@ code under test.
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ def test_exp_metric_overflow_is_malformed():
         MetricSpace.analytic("real_exp", (0.0, 1e6)).as_array
 
 
+def test_overflowing_sample_distance_is_malformed():
+    # 1e308 - (-1e308) is past the float range: refused, with no numpy
+    # warning on the way, instead of an inf distance reported valid
+    space = MetricSpace.analytic("real_usual", (1e308, -1e308, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MalformedInputError, match="overflows"):
+            validate_metric(space)
+    # Python's complex abs raises where the sum of squares overflows
+    with pytest.raises(MalformedInputError, match="overflows"):
+        MetricSpace.analytic("complex_usual", (1.5e308 + 1.5e308j, 0j))
+
+
+def test_triangle_sum_past_float_range_is_no_violation():
+    # d(x, y) = 1.7e308 is finite, d(x, y) + d(y, x) is not
+    space = MetricSpace.analytic("real_usual", (1e308, -7e307))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_metric(space).valid
+
+
 def test_epsilon_env_override(monkeypatch, path_space):
     monkeypatch.setenv("FIXEDCIRCLE_EPSILON", "0.5")
     c = circle_of(path_space, "p", 1.2)
@@ -311,6 +333,21 @@ def test_enumerate_circles_covers_realized_radii(path_space):
     # every listed pair resolves to a nonempty circle
     for center, radius in pairs:
         assert not circle_of(path_space, center, radius).empty
+
+
+def test_complex_realized_circles_are_nonempty_at_zero_tolerance():
+    # the radii are cut from the row the member windows are read on, so
+    # at eps = 0 every realized pair still holds the point realizing it
+    space = MetricSpace.analytic("complex_usual",
+                                 circle_samples(0.3 + 0.1j, 1.7, 60))
+    pairs = enumerate_circles(space, 0.0)
+    assert len(pairs) > 3000
+    circles = [circle_of(space, c, r, 0.0) for c, r in pairs]
+    assert not [c for c in circles if c.empty]
+    # and the members are those of the scalar metric the conditions read
+    for c in circles:
+        assert c.members == tuple(x for x in space.points()
+                                  if space.distance(x, c.center) == c.radius)
 
 
 def test_enumerate_circles_dedupes_within_eps():

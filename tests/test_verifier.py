@@ -9,7 +9,6 @@ whole verdict is also held against a reference written here as plain
 loops over is_fixed_circle, fixed_points and space.distance.
 """
 
-import functools
 import itertools
 from unittest import mock
 
@@ -174,15 +173,10 @@ def _reference_verdict(tid, space, tmap, circle):
 
 
 def _assert_reference_verdicts(space, circle, maps):
-    # The enumeration is not what is compared here: both sides read it
-    # once per map.
-    enumerate_once = functools.lru_cache(verifier.enumerate_fixed_circles)
-    with mock.patch.object(verifier, "enumerate_fixed_circles",
-                           enumerate_once):
-        for tmap in maps:
-            for tid in THEOREM_IDS:
-                assert verify_theorem(tid, space, tmap, circle, EPS) == \
-                    _reference_verdict(tid, space, tmap, circle), (tid, tmap)
+    for tmap in maps:
+        for tid in THEOREM_IDS:
+            assert verify_theorem(tid, space, tmap, circle, EPS) == \
+                _reference_verdict(tid, space, tmap, circle), (tid, tmap)
 
 
 def _exhaustive(space):
@@ -437,9 +431,6 @@ def _analytic_spaces():
                          ids=lambda s: s.kind)
 @pytest.mark.parametrize("eps", [EPS, 0.01, 0.0])
 def test_enumeration_matches_loop_on_analytic_kinds(space, eps):
-    # At eps = 0 a complex radius, read off the array metric, can miss its
-    # own window, measured by the scalar metric, by the last bit: such a
-    # realized circle is empty and not listed.
     zero = 0j if space.kind == "complex_usual" else 0.0
     circle = circle_of(space, zero, 1.0, eps)
     maps = [SelfMap.identity(space), SelfMap.constant(space, zero),
@@ -447,6 +438,28 @@ def test_enumeration_matches_loop_on_analytic_kinds(space, eps):
     if space.kind != "complex_usual":
         maps.append(SelfMap.from_rule(space, ("reciprocal",)))
     _assert_enumeration_matches_loop(space, maps, eps)
+
+
+def test_complex_identity_fixes_every_realized_circle_at_zero_tolerance():
+    # a radius and its member window come from one row, so no realized
+    # circle misses its own window by the last bit
+    space = MetricSpace.analytic("complex_usual",
+                                 circle_samples(0.3 + 0.1j, 1.7, 60))
+    found = enumerate_fixed_circles(space, SelfMap.identity(space), eps=0.0)
+    realized = [(c, r) for c, r in enumerate_circles(space, 0.0) if r > 0]
+    assert len(realized) > 3000
+    assert [(c.center, c.radius) for c in found] == realized
+
+
+def _counting_apply():
+    """A stand-in for SelfMap.apply that records each point applied."""
+    apply = SelfMap.apply
+    calls = []
+
+    def counted(self, x, eps=None):
+        calls.append(x)
+        return apply(self, x, eps=eps)
+    return calls, counted
 
 
 @pytest.mark.parametrize("space", [
@@ -461,18 +474,60 @@ def test_enumeration_applies_the_map_once_per_point(space):
         bound = len({m for circle in realized for m in circle.members})
     tmaps = [SelfMap.identity(space),
              build_circle_fixing_map(space, realized[5])]
-    apply = SelfMap.apply
-    calls = []
-
-    def counted(self, x, eps=None):
-        calls.append(x)
-        return apply(self, x, eps=eps)
+    calls, counted = _counting_apply()
     for tmap in tmaps:
         calls.clear()
         with mock.patch.object(SelfMap, "apply", counted):
             found = enumerate_fixed_circles(space, tmap)
         assert found
         assert len(calls) <= bound
+
+
+def test_uniqueness_verdicts_share_one_enumeration():
+    # A finite map's verdicts gather its table; only the enumeration
+    # applies it, and the three uniqueness verdicts and a direct call
+    # read one enumeration.
+    space = random_metric_space(GenConfig(seed=11, size=24))
+    circle = circle_of(space, space.points()[0],
+                       float(space.as_array[0, 23]))
+    tmap = build_circle_fixing_map(space, circle)
+    calls, counted = _counting_apply()
+    with mock.patch.object(SelfMap, "apply", counted):
+        verdicts = [verify_uniqueness(space, tmap, circle, variant)
+                    for variant in ("C3", "C3_ON_STAR", "C3_DSTAR")]
+        found = enumerate_fixed_circles(space, tmap)
+    assert sorted(calls) == sorted(space.points())
+    assert found and all(v.fixed_circles == found for v in verdicts)
+    assert found == tuple(c for c in _reference_fixed_circles(space, tmap)
+                          if not c.degenerate)
+
+
+@pytest.mark.parametrize("space", [
+    random_metric_space(GenConfig(seed=7, size=9)), *_analytic_spaces()],
+    ids=["finite", *ANALYTIC_KINDS])
+def test_enumeration_memo_is_keyed_by_tolerance_and_space(space):
+    # One map asked at alternating tolerances, then over an equal space
+    # that is another object: every answer is the plain loop's, and the
+    # map is applied again exactly when the (space, eps) is new to it.
+    twin = (MetricSpace.finite(space.points(), space.matrix)
+            if space.is_finite
+            else MetricSpace.analytic(space.kind, space.points()))
+    assert twin == space and twin is not space
+    tmap = SelfMap.constant(space, space.points()[0])
+    calls, counted = _counting_apply()
+    for target, eps, fresh in [(space, EPS, True), (space, 0.25, True),
+                               (space, EPS, False), (twin, EPS, True),
+                               (twin, 0.25, True), (twin, EPS, False)]:
+        want = _reference_fixed_circles(target, tmap, eps)
+        calls.clear()
+        with mock.patch.object(SelfMap, "apply", counted):
+            got = {flag: enumerate_fixed_circles(target, tmap, flag, eps)
+                   for flag in (True, False, True)}
+        assert bool(calls) == fresh, (target is twin, eps)
+        for flag, expected in [(True, want), (False, tuple(
+                c for c in want if not c.degenerate))]:
+            assert got[flag] == expected and repr(got[flag]) == repr(
+                expected), (target is twin, eps, flag)
 
 
 # ---------------------------------------------------------------------------
