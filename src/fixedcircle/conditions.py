@@ -17,9 +17,9 @@ verdict, builds the operands of one map (_OneMap, a batch of one) and
 reads its ConditionReports off the same rules' arrays: the margin is
 the slack at the first smallest tuple, that tuple the witness,
 derived_param the extremal feasible h. Analytic carriers read each
-distance from their kind's own scalar metric function, the one
-space.distance calls: a numpy form of it differs in the last bit, which
-would move margins.
+distance from space._metric_fn, the scalar metric space.distance
+reads: a numpy form of it differs in the last bit, which would move
+margins.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError
-from .metric_core import (_METRIC_FNS, Circle, MetricSpace, SelfMap,
-                          _resolve_eps)
+from .metric_core import Circle, MetricSpace, SelfMap, _resolve_eps
 
 CONDITION_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR",
                  "ID_COND", "C3", "C3_DSTAR", "BANACH", "CARISTI", "RHOADES")
@@ -310,9 +309,9 @@ _EMPTY_NOTES = {
 class _OneMap(_Operands):
     """The operands of one map: its table's gather on a finite carrier;
     on an analytic one, the samples and the circle's members, each
-    mapped once, every distance by the kind's scalar metric function,
-    called directly rather than through space.distance. phi defaults to
-    the canonical weight at ``center``, by default the circle's."""
+    mapped once, every distance by space._metric_fn, called directly
+    rather than through space.distance. phi defaults to the canonical
+    weight at ``center``, by default the circle's."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None,
                  center=None):
@@ -332,7 +331,7 @@ class _OneMap(_Operands):
             M = range(len(space.points()), len(pts))
             maps = np.arange(len(pts), 2 * len(pts))[None]
             pts += [tmap.apply(p, eps=eps) for p in pts]
-            d = _pointwise(_METRIC_FNS[space.kind], pts, 2)
+            d = _pointwise(space._metric_fn, pts, 2)
         super().__init__(d, maps, phi and _pointwise(phi.at, pts, 1), radius,
                          eps, np.array(M, dtype=np.intp), len(space.points()))
         self.pts, self.finite = pts, space.is_finite

@@ -172,6 +172,12 @@ class MetricSpace:
         return _sample_matrix(self.carrier.kind, self.carrier.samples)
 
     @cached_property
+    def _metric_fn(self):
+        """The scalar metric every distance on an analytic carrier is
+        read from; None on a finite one."""
+        return None if self.is_finite else _METRIC_FNS[self.carrier.kind]
+
+    @cached_property
     def _validations(self) -> dict:
         """validate_metric's reports, keyed by the resolved tolerance."""
         return {}
@@ -189,7 +195,7 @@ class MetricSpace:
     def distance(self, x, y) -> float:
         if self.is_finite:
             return self.as_array[self.index_of(x), self.index_of(y)]
-        return _METRIC_FNS[self.carrier.kind](x, y)
+        return self._metric_fn(x, y)
 
 
 def _d_real_usual(x, y):
@@ -377,7 +383,7 @@ def _center_row(space: MetricSpace, center) -> np.ndarray:
     differs from it in the last bit), for a sample center as for an
     off-sample one."""
     if space.kind == "complex_usual":
-        return np.array([_d_complex_usual(s, center)
+        return np.array([space._metric_fn(s, center)
                          for s in space.carrier.samples], dtype=float)
     return space.as_array[space.index_of(center)]
 
@@ -568,9 +574,9 @@ class SelfMap:
                    default=tuple(default))
 
     @cached_property
-    def _enumerations(self) -> dict:
-        """enumerate_fixed_circles' results, keyed by the resolved
-        tolerance: (the space enumerated over, the circles)."""
+    def _enumeration(self) -> dict:
+        """enumerate_fixed_circles' last result, at most one entry: the
+        resolved tolerance -> (the space enumerated over, the circles)."""
         return {}
 
     @classmethod

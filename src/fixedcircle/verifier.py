@@ -182,18 +182,21 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     (radius ~ 0) circles are included only on request; each is just a
     fixed point wearing a circle costume.
 
-    A map is enumerated once per space and tolerance: the circles,
-    degenerate ones included, are kept on the SelfMap, and later calls,
-    such as the three uniqueness verdicts of one map, read them back.
+    The SelfMap keeps its last enumeration, degenerate circles included,
+    with the space and tolerance it was made for, and a call on the same
+    space object at the same tolerance reads it back: the three
+    uniqueness verdicts of one map enumerate once. Any other call
+    enumerates again and takes its place, so a map holds at most one.
     """
     eps = _resolve_eps(eps)
-    memo = tmap._enumerations.get(eps)
-    if memo is None or memo[0] is not space:
-        memo = tmap._enumerations[eps] = (space,
-                                          _fixed_circles(space, tmap, eps))
+    memo = tmap._enumeration
+    if eps not in memo or memo[eps][0] is not space:
+        memo.clear()
+        memo[eps] = (space, _fixed_circles(space, tmap, eps))
+    circles = memo[eps][1]
     if include_degenerate:
-        return memo[1]
-    return tuple(c for c in memo[1] if not c.degenerate)
+        return circles
+    return tuple(c for c in circles if not c.degenerate)
 
 
 def _fixed_circles(space: MetricSpace, tmap: SelfMap,

@@ -505,25 +505,28 @@ def test_uniqueness_verdicts_share_one_enumeration():
 @pytest.mark.parametrize("space", [
     random_metric_space(GenConfig(seed=7, size=9)), *_analytic_spaces()],
     ids=["finite", *ANALYTIC_KINDS])
-def test_enumeration_memo_is_keyed_by_tolerance_and_space(space):
-    # One map asked at alternating tolerances, then over an equal space
-    # that is another object: every answer is the plain loop's, and the
-    # map is applied again exactly when the (space, eps) is new to it.
+def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
+    # One map asked at changing tolerances and over an equal space that
+    # is another object: every answer is the plain loop's, the map is
+    # applied again exactly when the (space, eps) differs from the last
+    # call's, and the map keeps one enumeration.
     twin = (MetricSpace.finite(space.points(), space.matrix)
             if space.is_finite
             else MetricSpace.analytic(space.kind, space.points()))
     assert twin == space and twin is not space
     tmap = SelfMap.constant(space, space.points()[0])
     calls, counted = _counting_apply()
-    for target, eps, fresh in [(space, EPS, True), (space, 0.25, True),
-                               (space, EPS, False), (twin, EPS, True),
-                               (twin, 0.25, True), (twin, EPS, False)]:
+    for target, eps, fresh in [(space, EPS, True), (space, EPS, False),
+                               (space, 0.25, True), (space, EPS, True),
+                               (twin, EPS, True), (twin, EPS, False),
+                               (space, EPS, True)]:
         want = _reference_fixed_circles(target, tmap, eps)
         calls.clear()
         with mock.patch.object(SelfMap, "apply", counted):
             got = {flag: enumerate_fixed_circles(target, tmap, flag, eps)
                    for flag in (True, False, True)}
         assert bool(calls) == fresh, (target is twin, eps)
+        assert len(tmap._enumeration) == 1
         for flag, expected in [(True, want), (False, tuple(
                 c for c in want if not c.degenerate))]:
             assert got[flag] == expected and repr(got[flag]) == repr(
