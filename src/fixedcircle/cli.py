@@ -26,9 +26,8 @@ from .conditions import CONDITION_IDS, check_condition
 from .errors import FixedCircleError, MalformedInputError
 from .gallery import list_entries, load_entry, replay_all
 from .generators import search_counterexample
-from .metric_core import (DEFAULT_CIRCLE_SAMPLES, DEFAULT_EPSILON,
-                          MetricSpace, _resolve_eps, circle_of,
-                          validate_metric)
+from .metric_core import (DEFAULT_EPSILON, MetricSpace, _resolve_eps,
+                          circle_of, validate_metric)
 from .verifier import (THEOREM_IDS, _circle_caveats, enumerate_fixed_circles,
                        verify_theorem)
 
@@ -40,8 +39,6 @@ _EXIT_FALSIFIED = 3
 _EPILOG = f"""environment:
   FIXEDCIRCLE_EPSILON         default comparison tolerance
                               (currently {DEFAULT_EPSILON!r}; --epsilon wins)
-  FIXEDCIRCLE_CIRCLE_SAMPLES  sample count for complex circles
-                              (currently {DEFAULT_CIRCLE_SAMPLES})
 """
 
 
@@ -207,8 +204,7 @@ def _cmd_gallery(args) -> tuple[int, fileio.RunReport]:
         payload["exported"] = exported
     run = fileio.RunReport(
         command="gallery", inputs={},
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
-        payload=payload)
+        epsilon=fileio.round12(_resolve_eps(None)), payload=payload)
     return (_EXIT_OK if report.ok else _EXIT_NEGATIVE), run
 
 
@@ -225,10 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--epsilon", type=float, default=None,
-                       help="comparison tolerance (overrides "
-                            "FIXEDCIRCLE_EPSILON)")
+    def common(p, epsilon=True):
+        if epsilon:
+            p.add_argument("--epsilon", type=float, default=None,
+                           help="comparison tolerance (overrides "
+                                "FIXEDCIRCLE_EPSILON)")
         p.add_argument("--format", choices=("json", "table"), default="json",
                        help="report rendering (default json)")
 
@@ -283,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="entry-id substring filter")
     p.add_argument("--export", default=None, metavar="DIR",
                    help="also write each entry's space/map files here")
-    common(p)
+    common(p, epsilon=False)
     p.set_defaults(handler=_cmd_gallery)
     return parser
 

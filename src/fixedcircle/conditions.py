@@ -17,9 +17,8 @@ verdict, builds the operands of one map (_OneMap, a batch of one) and
 reads its ConditionReports off the same rules' arrays: the margin is
 the slack at the first smallest tuple, that tuple the witness,
 derived_param the extremal feasible h. Analytic carriers read each
-distance from space._metric_fn, the scalar metric space.distance
-reads: a numpy form of it differs in the last bit, which would move
-margins.
+distance from space._metric_fn, the one definition of the metric that
+space.distance and space.as_array read too.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.

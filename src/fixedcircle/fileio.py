@@ -34,8 +34,7 @@ from dataclasses import asdict, dataclass, field
 from .conditions import ConditionReport
 from .errors import MalformedInputError
 from .generators import SearchResult
-from .metric_core import (ANALYTIC_KINDS, Branch, Circle, MetricSpace,
-                          SelfMap, ValidationReport)
+from .metric_core import Branch, Circle, MetricSpace, SelfMap, ValidationReport
 from .verifier import TheoremVerdict
 
 SCHEMA_VERSION = 1
@@ -156,8 +155,6 @@ def space_from_doc(doc: dict) -> MetricSpace:
             raise MalformedInputError(
                 f"analytic carriers take the named metric, got {mtype!r}")
         kind = _expect(carrier, "kind", "carrier")
-        if kind not in ANALYTIC_KINDS:
-            raise MalformedInputError(f"unknown analytic kind {kind!r}")
         samples = [point_from_json(s)
                    for s in _expect(carrier, "samples", "carrier")]
         return MetricSpace.analytic(kind, samples)
@@ -174,9 +171,6 @@ def map_to_doc(tmap: SelfMap) -> dict:
         return {"rule": {"type": "table",
                          "images": {str(p): str(img)
                                     for p, img in zip(pts, tmap.table)}}}
-    if tmap.kind == "rule":
-        return {"rule": {"type": "piecewise", "branches": [],
-                         "default": _image_to_str(tmap.rule)}}
     branches = []
     for b in tmap.branches:
         if b.predicate[0] == "on_circle":
@@ -218,8 +212,6 @@ def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
             raise MalformedInputError(
                 f"branch {i}: needs an on_circle or at_points predicate")
         branches.append(Branch(pred, image))
-    if not branches:
-        return SelfMap.from_rule(space, default)
     return SelfMap.piecewise(space, branches, default)
 
 

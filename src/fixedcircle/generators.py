@@ -180,14 +180,7 @@ def build_circle_fixing_map(space: MetricSpace, circle: Circle, anchor=None,
     circle. When the circle exhausts a finite carrier the map is the
     identity and no anchor is involved.
     """
-    eps = _resolve_eps(eps)
-    if _covers_carrier(space, (circle,), eps):
-        return SelfMap.identity(space)
-    bound = _resolve_anchor(space, (circle,), anchor, ("ne",), eps)
-    branches = (Branch(predicate=("on_circle", circle.center, circle.radius),
-                       image=("identity",)),)
-    return SelfMap.piecewise(space, branches,
-                             default=("constant", bound.value))
+    return build_multi_circle_map(space, (circle,), anchor, eps)
 
 
 def build_multi_circle_map(space: MetricSpace, circles, anchor=None,

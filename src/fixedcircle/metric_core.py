@@ -51,11 +51,6 @@ def default_epsilon() -> float:
     return float(raw) if raw else DEFAULT_EPSILON
 
 
-def default_circle_samples() -> int:
-    raw = os.environ.get("FIXEDCIRCLE_CIRCLE_SAMPLES")
-    return int(raw) if raw else DEFAULT_CIRCLE_SAMPLES
-
-
 def _resolve_eps(eps) -> float:
     if eps is None:
         return default_epsilon()
@@ -166,10 +161,21 @@ class MetricSpace:
 
     @cached_property
     def as_array(self) -> np.ndarray:
-        """Distance matrix over points() as a float array (any carrier)."""
+        """Distance matrix over points() as a float array (any carrier).
+
+        On an analytic carrier each entry is _metric_fn at its ordered
+        pair of samples, the value distance returns; a distance past the
+        float range is refused.
+        """
         if self.is_finite:
             return np.asarray(self.matrix, dtype=float)
-        return _sample_matrix(self.carrier.kind, self.carrier.samples)
+        fn, s = self._metric_fn, self.carrier.samples
+        m = np.fromiter((fn(x, y) for x in s for y in s), dtype=float,
+                        count=len(s) ** 2).reshape(len(s), len(s))
+        if not np.isfinite(m).all():
+            raise MalformedInputError(
+                f"the {self.carrier.kind} metric overflows on the sample set")
+        return m
 
     @cached_property
     def _metric_fn(self):
@@ -228,30 +234,6 @@ _METRIC_FNS = {
     "real_abs_sum": _d_real_abs_sum,
     "complex_usual": _d_complex_usual,
 }
-
-
-def _sample_matrix(kind: str, samples: tuple) -> np.ndarray:
-    """The distance matrix over the samples, numpy's form of the kind's
-    metric; a distance past the float range is refused."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind == "complex_usual":
-            z = np.asarray(samples, dtype=complex)
-            m = np.abs(z[:, None] - z[None, :])
-        else:
-            x = np.asarray(samples, dtype=float)
-            if kind == "real_exp":
-                x = np.exp(x)
-            if kind == "real_abs_sum":
-                # |x| + |y| off the diagonal of equal values
-                a = np.abs(x)
-                m = a[:, None] + a[None, :]
-                m[x[:, None] == x[None, :]] = 0.0
-            else:
-                m = np.abs(x[:, None] - x[None, :])
-    if not np.isfinite(m).all():
-        raise MalformedInputError(
-            f"the {kind} metric overflows on the sample set")
-    return m
 
 
 @dataclass(frozen=True)
@@ -379,9 +361,8 @@ def _on_points(space: MetricSpace) -> bool:
 def _center_row(space: MetricSpace, center) -> np.ndarray:
     """d(center, x) over points(), the one row a center's radii are cut
     from and its member windows read: the matrix row, except on the
-    complex plane, where it is the scalar metric's (numpy's complex abs
-    differs from it in the last bit), for a sample center as for an
-    off-sample one."""
+    complex plane, where a circle's center may lie off the samples and
+    so have no matrix row."""
     if space.kind == "complex_usual":
         return np.array([space._metric_fn(s, center)
                          for s in space.carrier.samples], dtype=float)
@@ -474,13 +455,9 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
                  for r in _radii(_center_row(space, c), eps))
 
 
-def circle_samples(center, radius, count=None) -> tuple:
-    """Equally spaced points on a complex circle, for carrier building.
-
-    The default count is 360, overridable per call or with the
-    FIXEDCIRCLE_CIRCLE_SAMPLES environment variable.
-    """
-    count = default_circle_samples() if count is None else int(count)
+def circle_samples(center, radius, count=DEFAULT_CIRCLE_SAMPLES) -> tuple:
+    """Equally spaced points on a complex circle, for carrier building."""
+    count = int(count)
     if count < 1:
         raise MalformedInputError(f"sample count must be >= 1, got {count}")
     center = complex(center)
@@ -510,16 +487,15 @@ class SelfMap:
     """A total self-mapping of the carrier.
 
     Finite carriers use a positional lookup table (image of points()[i]
-    at slot i). Analytic carriers use a closed-form rule or a piecewise
-    rule; images are computed exactly from the rule even at points
-    outside the sample set, so sampled carriers never snap images to
-    the nearest sample.
+    at slot i). Analytic carriers use a piecewise rule, a closed-form
+    rule being one with no branches; images are computed exactly from
+    the rule even at points outside the sample set, so sampled carriers
+    never snap images to the nearest sample.
     """
 
     space: MetricSpace
-    kind: str                      # "table" | "rule" | "piecewise"
+    kind: str                      # "table" | "piecewise"
     table: tuple | None = None
-    rule: tuple | None = None
     branches: tuple[Branch, ...] = ()
     default: tuple | None = None
 
@@ -547,11 +523,7 @@ class SelfMap:
 
     @classmethod
     def from_rule(cls, space: MetricSpace, rule: tuple) -> "SelfMap":
-        _check_image(space, rule)
-        if space.is_finite:
-            pts = space.points()
-            return cls.from_table(space, {p: _apply_image(space, rule, p) for p in pts})
-        return cls(space=space, kind="rule", rule=tuple(rule))
+        return cls.piecewise(space, (), rule)
 
     @classmethod
     def piecewise(cls, space: MetricSpace, branches: Iterable[Branch],
@@ -590,9 +562,7 @@ class SelfMap:
     def apply(self, x, eps=None):
         if self.kind == "table":
             return self.table[self.space.index_of(x)]
-        if self.kind == "rule":
-            return _apply_image(self.space, self.rule, x)
-        eps = _resolve_eps(eps)
+        eps = _resolve_eps(eps) if self.branches else eps
         for b in self.branches:
             if _matches(self.space, b.predicate, x, eps):
                 return _apply_image(self.space, b.image, x)

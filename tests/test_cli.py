@@ -409,6 +409,18 @@ def test_cli_gallery(files, capsys, tmp_path):
     assert code2 == 0
 
 
+def test_cli_gallery_takes_no_epsilon(capsys, monkeypatch):
+    # replay runs at the default tolerance, so no flag pretends otherwise
+    with pytest.raises(SystemExit) as exc:
+        main(["gallery", "--epsilon", "0.3"])
+    assert exc.value.code == 2
+    # the report gives the tolerance replay used
+    monkeypatch.setenv("FIXEDCIRCLE_EPSILON", "1e-10")
+    code, out = _run(capsys, "gallery", "--filter", "EX_2_16")
+    assert code == 0
+    assert json.loads(out)["epsilon"] == 1e-10
+
+
 def test_cli_byte_determinism(files, capsys):
     sp, mp = files["EX_2_12"]
     argv = ("check", sp, mp, "--center", "0", "--radius", "1",
@@ -444,7 +456,7 @@ def test_cli_help_names_env_vars(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "FIXEDCIRCLE_EPSILON" in out
-    assert "FIXEDCIRCLE_CIRCLE_SAMPLES" in out
+    assert "FIXEDCIRCLE_CIRCLE_SAMPLES" not in out
 
 
 def test_cli_rejects_unknown_theorem(files):

@@ -9,6 +9,7 @@ import pytest
 from fixedcircle.errors import DomainError
 from fixedcircle.gallery import (ConditionExpectation, list_entries,
                                  load_entry, replay_all, replay_entry)
+from fixedcircle.metric_core import validate_metric
 from fixedcircle.verifier import enumerate_fixed_circles
 
 
@@ -18,6 +19,19 @@ def test_full_replay_is_green():
     for r in report.results:
         assert r.passed, f"{r.entry_id}[{r.index}] {r.kind}: {r.detail}"
     assert report.ok and report.failures == ()
+
+
+def test_replay_ignores_circle_sample_variable(monkeypatch):
+    # the gallery's complex carriers are pinned, not read from the
+    # environment
+    monkeypatch.setenv("FIXEDCIRCLE_CIRCLE_SAMPLES", "7")
+    assert replay_all().ok
+
+
+def test_complex_gallery_space_is_a_metric_at_zero_tolerance():
+    # validation reads the same distances the checkers do, so the
+    # sampled complex plane passes the triangle test with no slack
+    assert validate_metric(load_entry("EX_2_8").space, 0.0).valid
 
 
 def test_entry_ids_in_natural_order():

@@ -170,6 +170,22 @@ def test_abs_sum_distance_definition():
     assert rep.valid
 
 
+@pytest.mark.parametrize("kind", ["real_usual", "real_exp", "real_abs_sum",
+                                  "complex_usual"])
+def test_sample_matrix_is_the_scalar_metric(kind):
+    # one definition of each metric: the matrix that validation and the
+    # radii read holds, bit for bit, what distance returns
+    rng = np.random.default_rng(96)
+    xs = rng.uniform(-3.0, 3.0, 96)
+    if kind == "complex_usual":
+        xs = xs + 1j * rng.uniform(-3.0, 3.0, 96)
+    space = MetricSpace.analytic(kind, xs.tolist())
+    pts = space.points()
+    assert len(pts) == 96
+    want = np.array([[space.distance(x, y) for y in pts] for x in pts])
+    assert np.array_equal(space.as_array.view(np.int64), want.view(np.int64))
+
+
 def test_exp_metric_overflow_is_malformed():
     with pytest.raises(MalformedInputError):
         MetricSpace.analytic("real_exp", (0.0, 1e6)).as_array
@@ -319,8 +335,9 @@ def test_complex_circle_is_sample_intersection():
 def test_circle_samples_count_and_env(monkeypatch):
     assert len(circle_samples(0, 1)) == 360
     assert len(circle_samples(0, 1, count=7)) == 7
+    # the count is a parameter only; the environment does not move it
     monkeypatch.setenv("FIXEDCIRCLE_CIRCLE_SAMPLES", "12")
-    assert len(circle_samples(0, 1)) == 12
+    assert len(circle_samples(0, 1)) == 360
     with pytest.raises(MalformedInputError):
         circle_samples(0, 1, count=0)
     for z in circle_samples(complex(1, 1), 2.0, count=16):
