@@ -62,29 +62,6 @@ def _load_map(path: str, space: MetricSpace):
     return fileio.map_from_doc(doc, space), fileio.digest(doc)
 
 
-def _parse_point(text: str, space: MetricSpace):
-    """A finite label, a real number, or 're,im' for complex carriers."""
-    if space.is_finite:
-        return text
-    if space.kind == "complex_usual":
-        if "," in text:
-            re_s, im_s = text.split(",", 1)
-            try:
-                return complex(float(re_s), float(im_s))
-            except ValueError:
-                raise MalformedInputError(
-                    f"bad complex point {text!r}") from None
-        try:
-            return complex(float(text), 0.0)
-        except ValueError:
-            raise MalformedInputError(f"bad complex point {text!r}") from None
-    try:
-        return float(text)
-    except ValueError:
-        raise MalformedInputError(
-            f"bad point {text!r} for a real carrier") from None
-
-
 _MEMBER_VACUITY = "member-quantified conditions are vacuous"
 
 
@@ -105,7 +82,7 @@ def _cmd_validate(args) -> tuple[int, fileio.RunReport]:
 def _cmd_check(args) -> tuple[int, fileio.RunReport]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
-    center = _parse_point(args.center, space)
+    center = fileio.point_from_text(args.center, space)
     circle = circle_of(space, center, args.radius, args.epsilon)
     requested = [c.strip().upper() for c in args.conditions.split(",")
                  if c.strip()]
@@ -127,19 +104,18 @@ def _cmd_check(args) -> tuple[int, fileio.RunReport]:
 def _cmd_verify(args) -> tuple[int, fileio.RunReport]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
-    circle = None
-    if args.theorem != "T_BANACH":
-        if args.center is None or args.radius is None:
-            raise MalformedInputError(
-                f"theorem {args.theorem} needs --center and --radius")
-        circle = circle_of(space, _parse_point(args.center, space),
-                           args.radius, args.epsilon)
-    verdict = verify_theorem(args.theorem, space, tmap, circle, args.epsilon)
     inputs = {"space": space_digest, "map": map_digest}
+    circle = None
     if args.center is not None and args.radius is not None:
-        inputs["circle"] = {"center": fileio.point_to_json(
-            _parse_point(args.center, space)),
-            "radius": fileio.round12(args.radius)}
+        center = fileio.point_from_text(args.center, space)
+        inputs["circle"] = {"center": fileio.point_to_json(center),
+                            "radius": fileio.round12(args.radius)}
+        if args.theorem != "T_BANACH":
+            circle = circle_of(space, center, args.radius, args.epsilon)
+    elif args.theorem != "T_BANACH":
+        raise MalformedInputError(
+            f"theorem {args.theorem} needs --center and --radius")
+    verdict = verify_theorem(args.theorem, space, tmap, circle, args.epsilon)
     run = fileio.RunReport(
         command="verify", inputs=inputs,
         epsilon=fileio.round12(_resolve_eps(args.epsilon)),
@@ -164,7 +140,7 @@ def _cmd_enumerate(args) -> tuple[int, fileio.RunReport]:
 
 def _cmd_search(args) -> tuple[int, fileio.RunReport]:
     space, space_digest = _load_space(args.space)
-    center = _parse_point(args.center, space)
+    center = fileio.point_from_text(args.center, space)
     circle = circle_of(space, center, args.radius, args.epsilon)
     result = search_counterexample(space, circle, args.target,
                                    budget=args.budget, seed=args.seed,

@@ -15,7 +15,8 @@ named metric of their kind. Complex numbers ride as [re, im] pairs;
 labels are opaque strings. Piecewise branches carry one predicate
 ({"on_circle": {"center": c, "radius": r}} or
 {"at_points": {"points": [...]}}) and an image string ("identity",
-"reciprocal", or "constant:<value>").
+"reciprocal", or "constant:<value>", the value a point written as text
+as point_from_text reads it).
 
 Input files keep full float precision so a parsed space is bit-equal to
 the exported one. Report values instead pass through round12, which
@@ -70,6 +71,22 @@ def point_from_json(v):
     return float(v)
 
 
+def point_from_text(text: str, space: MetricSpace):
+    """A point written as text: a finite carrier's label as it stands, a
+    real number on a real carrier, and 're,im' or a real number on the
+    complex plane."""
+    if space.is_finite:
+        return text
+    try:
+        if space.kind != "complex_usual":
+            return float(text)
+        re_s, comma, im_s = text.partition(",")
+        return complex(float(re_s), float(im_s) if comma else 0.0)
+    except ValueError:
+        raise MalformedInputError(
+            f"bad point {text!r} for a {space.kind} carrier") from None
+
+
 def _image_to_str(image: tuple) -> str:
     op = image[0]
     if op in ("identity", "reciprocal"):
@@ -82,19 +99,12 @@ def _image_to_str(image: tuple) -> str:
     return f"constant:{float(v)!r}"
 
 
-def _image_from_str(text: str) -> tuple:
+def _image_from_str(text, space: MetricSpace) -> tuple:
     if text in ("identity", "reciprocal"):
         return (text,)
-    if not text.startswith("constant:"):
+    if not (isinstance(text, str) and text.startswith("constant:")):
         raise MalformedInputError(f"unknown image rule {text!r}")
-    body = text[len("constant:"):]
-    if "," in body:
-        re_s, im_s = body.split(",", 1)
-        return ("constant", complex(float(re_s), float(im_s)))
-    try:
-        return ("constant", float(body))
-    except ValueError:
-        return ("constant", body)  # a finite-carrier label
+    return ("constant", point_from_text(text[len("constant:"):], space))
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +206,10 @@ def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
         return SelfMap.from_table(space, dict(images))
     if rtype != "piecewise":
         raise MalformedInputError(f"unknown rule type {rtype!r}")
-    default = _image_from_str(_expect(rule, "default", "rule"))
+    default = _image_from_str(_expect(rule, "default", "rule"), space)
     branches = []
     for i, b in enumerate(rule.get("branches", ())):
-        image = _image_from_str(_expect(b, "image", f"branch {i}"))
+        image = _image_from_str(_expect(b, "image", f"branch {i}"), space)
         if "on_circle" in b:
             node = b["on_circle"]
             pred = ("on_circle", point_from_json(_expect(node, "center",

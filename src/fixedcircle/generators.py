@@ -17,6 +17,8 @@ chosen by maximizing the minimum slack, ties broken by carrier order.
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,99 +212,85 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
 _SEARCH_ATOMS = CONDITION_IDS + ("FIXED_CIRCLE",)
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "!&|()":
-                self.items.append(ch)
-                i += 1
-            elif ch.isalpha():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.items.append(text[i:j])
-                i = j
-            else:
-                raise MalformedInputError(
-                    f"bad character {ch!r} in target at offset {i}")
-        self.pos = 0
+# Not a letter, digit, _, whitespace or !&|() (\w and \s read
+# str.isalnum and str.isspace), or a digit that starts a word: with no
+# number in it, a target draws no SyntaxWarning from the parser.
+_TARGET_JUNK = re.compile(r"[^\w\s!&|()]|(?<!\w)\d")
 
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
-def _both(left, right):
-    def node(look):
-        v = left(look)
-        return v & right(look) if v.any() else v
-    return node
-
-
-def _either(left, right):
-    def node(look):
-        v = left(look)
-        return v if v.all() else v | right(look)
-    return node
+# Each operator's chain: when the value so far settles it, and how an
+# operand joins. A conjunction false everywhere (or a disjunction true
+# everywhere) skips its remaining operands, so atoms are looked up on
+# demand, left to right.
+_CHAINS = {ast.BitAnd: (lambda v: not v.any(), np.logical_and),
+           ast.BitOr: (lambda v: v.all(), np.logical_or)}
 
 
 def _parse_target(text: str):
-    """Parse !,&,| over condition-id atoms into an evaluator tree.
+    """Parse !, &, | and parentheses over condition-id atoms into an
+    evaluator.
 
-    The tree takes an atom -> (m,) bool lookup and returns the (m,) bool
-    verdicts. A conjunction that is false everywhere (or a disjunction
-    true everywhere) skips its right operand, so atoms are only
-    computed on demand.
+    ! binds tighter than &, and & tighter than |, each left-associative:
+    Python's grammar for ~, & and |, so ast parses a target once its !
+    are written as ~. Characters other than letters, digits, _,
+    whitespace and !&|(), and numbers, are refused before parsing; after
+    it, anything but atom names (any case) and the three operators, and
+    a target nested too deeply for the parser.
+
+    The evaluator takes an atom -> (m,) bool lookup and returns the (m,)
+    bool verdicts.
     """
-    toks = _Tokens(text)
-
-    def parse_or():
-        node = parse_and()
-        while toks.peek() == "|":
-            toks.take()
-            node = _either(node, parse_and())
-        return node
-
-    def parse_and():
-        node = parse_not()
-        while toks.peek() == "&":
-            toks.take()
-            node = _both(node, parse_not())
-        return node
-
-    def parse_not():
-        if toks.peek() == "!":
-            toks.take()
-            inner = parse_not()
-            return lambda look: ~inner(look)
-        if toks.peek() == "(":
-            toks.take()
-            node = parse_or()
-            if toks.take() != ")":
-                raise MalformedInputError(f"unbalanced parens in {text!r}")
-            return node
-        tok = toks.take()
-        if tok is None:
-            raise MalformedInputError(f"target {text!r} ends mid-expression")
-        name = tok.upper()
-        if name not in _SEARCH_ATOMS:
-            raise MalformedInputError(f"unknown condition atom {tok!r}")
-        return lambda look: look(name)
-
-    tree = parse_or()
-    if toks.peek() is not None:
+    bad = _TARGET_JUNK.search(text)
+    if bad:
         raise MalformedInputError(
-            f"trailing tokens in target {text!r}: {toks.items[toks.pos:]}")
-    return tree
+            f"bad character {bad.group()!r} in target at offset {bad.start()}")
+    src = " ".join(text.split()).replace("!", "~")
+    try:
+        body = ast.parse(src, "<target>", "eval").body
+    except SyntaxError as err:
+        raise MalformedInputError(f"bad target {text!r}: {err.msg}") from None
+    except (RecursionError, MemoryError):   # MemoryError: its stack overflowed
+        raise MalformedInputError("target is nested too deeply") from None
+    return _evaluator(body, src.encode())
+
+
+def _evaluator(node, src: bytes):
+    """The evaluator of one parsed target node. A run of ~ is read by its
+    parity and a chain of one operator in a loop, so only parentheses,
+    whose depth the parser bounds, nest Python calls."""
+    odd = False
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+        node, odd = node.operand, not odd
+    if odd:
+        inner = _evaluator(node, src)
+        return lambda look: ~inner(look)
+    # the text as typed: Python's NFKC-normalized id would read a
+    # full-width or superscript name as an atom
+    part = src[node.col_offset:node.end_col_offset].decode()
+    if isinstance(node, ast.Name):
+        name = part.upper()
+        if name not in _SEARCH_ATOMS:
+            raise MalformedInputError(f"unknown condition atom {part!r}")
+        return lambda look: look(name)
+    if not (isinstance(node, ast.BinOp) and type(node.op) in _CHAINS):
+        raise MalformedInputError(
+            f"{part!r} in target is not an atom or a !, &, | expression")
+    op = type(node.op)
+    settled, join = _CHAINS[op]
+    operands = []
+    while isinstance(node, ast.BinOp) and type(node.op) is op:
+        operands.append(node.right)
+        node = node.left
+    first = _evaluator(node, src)
+    rest = [_evaluator(n, src) for n in reversed(operands)]
+
+    def chain(look):
+        v = first(look)
+        for operand in rest:
+            if settled(v):
+                break
+            v = join(v, operand(look))
+        return v
+    return chain
 
 
 @dataclass(frozen=True)

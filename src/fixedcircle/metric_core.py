@@ -46,18 +46,20 @@ ANALYTIC_KINDS = ("real_usual", "real_exp", "real_abs_sum", "complex_usual")
 _VIOLATION_CAP = 256
 
 
-def default_epsilon() -> float:
-    raw = os.environ.get("FIXEDCIRCLE_EPSILON")
-    return float(raw) if raw else DEFAULT_EPSILON
-
-
 def _resolve_eps(eps) -> float:
+    """The tolerance: ``eps``, or when it is None FIXEDCIRCLE_EPSILON, or
+    when that is unset or empty DEFAULT_EPSILON; finite and >= 0 in every
+    case."""
     if eps is None:
-        return default_epsilon()
-    eps = float(eps)
-    if eps < 0 or not math.isfinite(eps):
-        raise MalformedInputError(f"tolerance must be finite and >= 0, got {eps}")
-    return eps
+        eps = os.environ.get("FIXEDCIRCLE_EPSILON") or DEFAULT_EPSILON
+    try:
+        value = float(eps)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not (value >= 0 and math.isfinite(value)):
+        raise MalformedInputError(
+            f"tolerance must be finite and >= 0, got {eps!r}")
+    return value
 
 
 @dataclass(frozen=True)

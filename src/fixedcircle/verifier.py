@@ -36,7 +36,7 @@ import numpy as np
 
 from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
                          batch_rows, condition_flags, phi_canonical)
-from .errors import DomainError, InvalidMetricError
+from .errors import DomainError, InvalidMetricError, MalformedInputError
 from .generators import GenConfig, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, _center_row,
                           _member_rows, _mk_circle, _on_points, _radii,
@@ -206,8 +206,10 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
     circle.
 
     A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
-    it, and the map is applied once per point: to the points on finite
-    and complex carriers, to the distinct members on the real kinds. The
+    it, or when the metric refuses d(x, Tx) as past the float range (where
+    is_fixed_circle raises). The map is applied once per point: to the
+    points on finite and complex carriers, to the distinct members on the
+    real kinds. The
     radii and member windows of a center are cut from and resolved on
     its one _center_row, by the code circle_of resolves one with, and a
     Circle is built only for a fixed one. On n points that is n sorted
@@ -219,7 +221,11 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
 
     def moved(x) -> bool:
         if x not in seen:
-            seen[x] = not tmap.space.distance(x, tmap.apply(x, eps=eps)) <= eps
+            tx = tmap.apply(x, eps=eps)
+            try:
+                seen[x] = not tmap.space.distance(x, tx) <= eps
+            except MalformedInputError:
+                seen[x] = True
         return seen[x]
 
     pts = space.points()
@@ -355,26 +361,16 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
             for tid in THEOREM_IDS}
 
 
-# The registry's distinct sides, and each theorem's two of them by index:
-# a side two theorems share is reduced once per chunk.
-_SIDES = tuple(dict.fromkeys((atoms, unique)
-                             for hyps, concl, unique in _THEOREMS.values()
-                             for atoms in (hyps, concl)))
-_PLAN = tuple((tid, _SIDES.index((hyps, unique)),
-               _SIDES.index((concl, unique)))
-              for tid, (hyps, concl, unique) in _THEOREMS.items())
-
-
 def _theorem_chunk(look, nonempty: bool) -> dict:
-    """theorem_flags' result over one chunk: each registry entry's sides
-    reduced over the atom lookup."""
-    sides = []
-    for atoms, unique in _SIDES:
-        side = look(atoms[0])
+    """theorem_flags' result over one chunk: each registry entry's two
+    sides reduced over the atom lookup."""
+    def side(atoms, unique):
+        out = look(atoms[0])
         for atom in atoms[1:]:
-            side = side & look(atom)
-        sides.append(side & nonempty if unique else side)   # the uniqueness rule
-    return {tid: (sides[h], sides[c]) for tid, h, c in _PLAN}
+            out = out & look(atom)
+        return out & nonempty if unique else out    # the uniqueness rule
+    return {tid: (side(hyps, unique), side(concl, unique))
+            for tid, (hyps, concl, unique) in _THEOREMS.items()}
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,

@@ -13,6 +13,7 @@ from fixedcircle.errors import MalformedInputError
 from fixedcircle.gallery import load_entry
 from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
                                      circle_samples)
+from fixedcircle.verifier import enumerate_fixed_circles
 
 # ---------------------------------------------------------------------------
 # Documents
@@ -89,6 +90,10 @@ def test_map_document_complex_constant():
     assert doc["rule"]["default"].startswith("constant:")
     back = fileio.map_from_doc(doc, space)
     assert back.apply(complex(0, 0)) == complex(1, 2)
+    # a constant written as one number is read as a point of the plane
+    real = fileio.map_from_doc({"rule": {"type": "piecewise", "branches": [],
+                                         "default": "constant:1.5"}}, space)
+    assert type(real.default[1]) is complex and real.default[1] == 1.5
 
 
 def test_malformed_documents_are_diagnosed():
@@ -214,8 +219,9 @@ _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
                   "samples": [0.0, "x"]},
       "metric": {"type": "named"}}, None),
     (_ABC, {"rule": {"type": "table", "images": ["a", "b", "c"]}}),
+    (_ABC, {"rule": {"type": "piecewise", "branches": [], "default": 3}}),
 ], ids=["non_numeric_entry", "labels_not_a_list", "non_numeric_sample",
-        "images_not_an_object"])
+        "images_not_an_object", "image_not_a_string"])
 def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps(space), encoding="utf-8")
@@ -407,6 +413,67 @@ def test_cli_gallery(files, capsys, tmp_path):
                     str(export / names[1]), "--center", "0", "--radius", "1",
                     "--conditions", "C1_DSTAR,C2_DSTAR")
     assert code2 == 0
+
+
+@pytest.mark.parametrize("target", ["!" * 3000 + "C1",
+                                    " & ".join(["C1"] * 3000)],
+                         ids=["negations", "conjunction"])
+def test_cli_search_deep_target_exits_2(files, capsys, target):
+    sp, _ = files["PROP_3_1"]
+    code = main(["search", sp, "--target", target, "--center", "x0",
+                 "--radius", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels,image", [
+    (["0", "1", "2"], "1"), (["a,b", "c", "d"], "a,b")],
+    ids=["numeric_label", "comma_label"])
+def test_cli_constant_image_is_a_finite_label(tmp_path, capsys, labels,
+                                              image):
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({**_ABC, "carrier": {"type": "finite",
+                                                  "labels": labels}}),
+                  encoding="utf-8")
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"rule": {"type": "piecewise", "branches": [],
+                                       "default": f"constant:{image}"}}),
+                  encoding="utf-8")
+    code, out = _run(capsys, "enumerate", str(sp), str(mp),
+                     "--include-degenerate")
+    assert code == 0
+    # the constant map fixes its image only
+    assert [c["members"] for c in json.loads(out)["enumeration"]] == [[image]]
+
+
+def test_cli_enumerate_skips_overflowing_displacements(tmp_path, capsys):
+    # reciprocal sends a real_exp circle member near 0 past exp's range
+    space = MetricSpace.analytic("real_exp", [k / 64 for k in range(-64, 65)])
+    tmap = SelfMap.from_rule(space, ("reciprocal",))
+    sp, mp = tmp_path / "space.json", tmp_path / "map.json"
+    sp.write_text(fileio.dumps_document(fileio.space_to_doc(space)))
+    mp.write_text(fileio.dumps_document(fileio.map_to_doc(tmap)))
+    code, out = _run(capsys, "enumerate", str(sp), str(mp))
+    assert code == 0
+    circles = enumerate_fixed_circles(space, tmap)
+    assert len(json.loads(out)["enumeration"]) == len(circles) > 0
+    for circle in circles:
+        for x in circle.members:   # the metric raises on an overflow
+            assert space.distance(x, tmap.apply(x)) <= 1e-9
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "nan", "inf"])
+def test_cli_bad_epsilon_variable_exits_2(tmp_path, capsys, monkeypatch,
+                                          raw):
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps(_ABC), encoding="utf-8")
+    monkeypatch.setenv("FIXEDCIRCLE_EPSILON", raw)
+    code = main(["validate", str(sp)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert repr(raw) in err
 
 
 def test_cli_gallery_takes_no_epsilon(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 selection, the circle-fixing recipes, and the counterexample search."""
 
 import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -247,11 +248,20 @@ def test_search_rejects_analytic_carriers():
 
 @pytest.mark.parametrize("expr", [
     "C1 &", "(C1 & C2", "C1 C2", "WAT", "C1 | | C2", "",
+    # Python syntax beyond the target grammar
+    "C1 # x", "C1 ~ C2", "C1 and C2", "C1.x", "1C1", "1and C1",
+    # nested past the parser's depth
+    pytest.param("!" * 3000 + "C1", id="3000_negations"),
+    pytest.param(" & ".join(["C1"] * 3000), id="3000_term_conjunction"),
 ])
-def test_search_rejects_malformed_targets(little, expr):
+def test_search_rejects_malformed_targets(little, capsys, expr):
     circle = _mid_circle(little)
-    with pytest.raises(MalformedInputError):
-        search_counterexample(little, circle, expr)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(MalformedInputError):
+            search_counterexample(little, circle, expr)
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == ""
 
 
 def test_search_operator_semantics(little):
@@ -288,6 +298,72 @@ def _holds(tree, atom):
     if tree[0] == "&":
         return _holds(tree[1], atom) and _holds(tree[2], atom)
     return _holds(tree[1], atom) or _holds(tree[2], atom)
+
+
+_RANK = {"|": 0, "&": 1, "!": 2}
+
+
+def _render_tight(tree, rank=0):
+    """_render with only the parentheses that precedence needs."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "!":
+        return "!" + _render_tight(tree[1], _RANK["!"])
+    r = _RANK[tree[0]]
+    text = (f"{_render_tight(tree[1], r)} {tree[0]} "
+            f"{_render_tight(tree[2], r + 1)}")
+    return f"({text})" if r < rank else text
+
+
+def _lazy(tree, look):
+    """A plain lazy evaluator over (m,) bool arrays: an & false everywhere,
+    or an | true everywhere, does not look at its right operand."""
+    if isinstance(tree, str):
+        return look(tree)
+    if tree[0] == "!":
+        return ~_lazy(tree[1], look)
+    left = _lazy(tree[1], look)
+    if tree[0] == "&":
+        return left & _lazy(tree[2], look) if left.any() else left
+    return left if left.all() else left | _lazy(tree[2], look)
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        name = str(rng.choice(ATOMS))
+        return name.lower() if rng.random() < 0.2 else name
+    if rng.random() < 0.25:
+        return ("!", _random_tree(rng, depth - 1))
+    return (str(rng.choice(["&", "|"])), _random_tree(rng, depth - 1),
+            _random_tree(rng, depth - 1))
+
+
+def test_target_parser_matches_a_lazy_evaluator():
+    rng = np.random.default_rng(20261018)
+    m = 6
+    for _ in range(400):
+        tree = _random_tree(rng, int(rng.integers(1, 6)))
+        # some atoms false or true everywhere, so the skips are exercised
+        values = {}
+        for name in ATOMS:
+            kind = rng.integers(0, 3)
+            values[name] = (np.full(m, bool(kind)) if kind < 2
+                            else rng.integers(0, 2, m).astype(bool))
+
+        def recorder(seen):
+            def look(name):
+                seen.append(name.upper())
+                return values[name.upper()]
+            return look
+        want_seen = []
+        want = _lazy(tree, recorder(want_seen))
+        for j in range(m):
+            assert want[j] == _holds(tree, lambda a: values[a.upper()][j])
+        for text in (_render(tree), _render_tight(tree)):
+            seen = []
+            got = generators._parse_target(text)(recorder(seen))
+            assert got.tolist() == want.tolist(), text
+            assert seen == want_seen, text
 
 
 def _brute_search(space, circle, tree, budget, seed):
