@@ -49,6 +49,8 @@ def _read_doc(path: str, where: str) -> dict:
     except OSError as err:
         raise MalformedInputError(f"{where}: cannot read {path}: "
                                   f"{err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise MalformedInputError(f"{where}: {path} is not UTF-8: {err}") from None
     return fileio.loads_document(text, where)
 
 
@@ -66,42 +68,38 @@ _MEMBER_VACUITY = "member-quantified conditions are vacuous"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, RunReport)
+# Subcommand handlers: each returns (exit_code, its own RunReport fields);
+# main resolves the tolerance and adds it, the command and the wall time.
 
 
-def _cmd_validate(args) -> tuple[int, fileio.RunReport]:
+def _cmd_validate(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
-    report = validate_metric(space, args.epsilon)
-    run = fileio.RunReport(
-        command="validate", inputs={"space": space_digest},
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
+    report = validate_metric(space, eps)
+    return (_EXIT_OK if report.valid else _EXIT_NEGATIVE), dict(
+        inputs={"space": space_digest},
         payload={"validation": fileio.validation_row(report)})
-    return (_EXIT_OK if report.valid else _EXIT_NEGATIVE), run
 
 
-def _cmd_check(args) -> tuple[int, fileio.RunReport]:
+def _cmd_check(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     center = fileio.point_from_text(args.center, space)
-    circle = circle_of(space, center, args.radius, args.epsilon)
+    circle = circle_of(space, center, args.radius, eps)
     requested = [c.strip().upper() for c in args.conditions.split(",")
                  if c.strip()]
     if not requested:
         raise MalformedInputError("--conditions lists no condition ids")
     rows = [fileio.condition_row(
-        check_condition(cid, space, tmap, circle=circle, eps=args.epsilon))
+        check_condition(cid, space, tmap, circle=circle, eps=eps))
         for cid in requested]
-    run = fileio.RunReport(
-        command="check",
+    all_hold = all(r["holds"] for r in rows)
+    return (_EXIT_OK if all_hold else _EXIT_NEGATIVE), dict(
         inputs={"space": space_digest, "map": map_digest,
                 "circle": fileio.circle_row(circle)},
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
         conditions=rows, caveats=_circle_caveats(circle, _MEMBER_VACUITY))
-    all_hold = all(r["holds"] for r in rows)
-    return (_EXIT_OK if all_hold else _EXIT_NEGATIVE), run
 
 
-def _cmd_verify(args) -> tuple[int, fileio.RunReport]:
+def _cmd_verify(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
@@ -111,51 +109,40 @@ def _cmd_verify(args) -> tuple[int, fileio.RunReport]:
         inputs["circle"] = {"center": fileio.point_to_json(center),
                             "radius": fileio.round12(args.radius)}
         if args.theorem != "T_BANACH":
-            circle = circle_of(space, center, args.radius, args.epsilon)
+            circle = circle_of(space, center, args.radius, eps)
     elif args.theorem != "T_BANACH":
         raise MalformedInputError(
             f"theorem {args.theorem} needs --center and --radius")
-    verdict = verify_theorem(args.theorem, space, tmap, circle, args.epsilon)
-    run = fileio.RunReport(
-        command="verify", inputs=inputs,
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
-        verdicts=[fileio.verdict_row(verdict)],
+    verdict = verify_theorem(args.theorem, space, tmap, circle, eps)
+    return (_EXIT_OK if verdict.consistent else _EXIT_FALSIFIED), dict(
+        inputs=inputs, verdicts=[fileio.verdict_row(verdict)],
         caveats=list(verdict.caveats))
-    return (_EXIT_OK if verdict.consistent else _EXIT_FALSIFIED), run
 
 
-def _cmd_enumerate(args) -> tuple[int, fileio.RunReport]:
+def _cmd_enumerate(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     found = enumerate_fixed_circles(space, tmap,
                                     include_degenerate=args.include_degenerate,
-                                    eps=args.epsilon)
-    run = fileio.RunReport(
-        command="enumerate",
+                                    eps=eps)
+    return _EXIT_OK, dict(
         inputs={"space": space_digest, "map": map_digest},
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
         enumeration=[fileio.circle_row(c) for c in found])
-    return _EXIT_OK, run
 
 
-def _cmd_search(args) -> tuple[int, fileio.RunReport]:
+def _cmd_search(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     center = fileio.point_from_text(args.center, space)
-    circle = circle_of(space, center, args.radius, args.epsilon)
+    circle = circle_of(space, center, args.radius, eps)
     result = search_counterexample(space, circle, args.target,
-                                   budget=args.budget, seed=args.seed,
-                                   eps=args.epsilon)
-    run = fileio.RunReport(
-        command="search",
-        inputs={"space": space_digest,
-                "circle": fileio.circle_row(circle)},
-        epsilon=fileio.round12(_resolve_eps(args.epsilon)),
+                                   budget=args.budget, seed=args.seed, eps=eps)
+    return (_EXIT_OK if result.status == "found" else _EXIT_NEGATIVE), dict(
+        inputs={"space": space_digest, "circle": fileio.circle_row(circle)},
         payload={"search": fileio.search_row(result)},
         caveats=_circle_caveats(circle, _MEMBER_VACUITY))
-    return (_EXIT_OK if result.status == "found" else _EXIT_NEGATIVE), run
 
 
-def _cmd_gallery(args) -> tuple[int, fileio.RunReport]:
+def _cmd_gallery(args, eps) -> tuple[int, dict]:
     report = replay_all(args.filter)
     rows = [{"entry": r.entry_id, "index": r.index, "kind": r.kind,
              "passed": r.passed, "detail": r.detail}
@@ -178,10 +165,8 @@ def _cmd_gallery(args) -> tuple[int, fileio.RunReport]:
                     fh.write(fileio.dumps_document(doc))
                 exported.append(name)
         payload["exported"] = exported
-    run = fileio.RunReport(
-        command="gallery", inputs={},
-        epsilon=fileio.round12(_resolve_eps(None)), payload=payload)
-    return (_EXIT_OK if report.ok else _EXIT_NEGATIVE), run
+    return (_EXIT_OK if report.ok else _EXIT_NEGATIVE), dict(
+        inputs={}, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +251,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        code, report = args.handler(args)
+        eps = _resolve_eps(getattr(args, "epsilon", None))
+        code, fields = args.handler(args, eps)
     except FixedCircleError as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_INPUT
-    report.wall_time_seconds = fileio.round12(time.perf_counter() - started)
+    report = fileio.RunReport(
+        command=args.command, epsilon=fileio.round12(eps),
+        wall_time_seconds=fileio.round12(time.perf_counter() - started),
+        **fields)
     if args.format == "table":
         sys.stdout.write(fileio.report_table(report))
     else:

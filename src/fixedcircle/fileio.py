@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .conditions import ConditionReport
 from .errors import MalformedInputError
@@ -131,16 +131,17 @@ def _expect(doc, key, where):
 
 
 def _malformed_as(where: str):
-    """Report the ValueError/TypeError that a wrongly typed field raises
-    while a document is read (a non-numeric distance or sample, labels
-    that are not a list, images that are not an object) as
-    MalformedInputError, the input error every caller expects."""
+    """Report what a wrongly typed field raises while a document is read
+    (ValueError/TypeError: a non-numeric distance or sample, labels that
+    are not a list, images that are not an object; OverflowError: an
+    integer past the float range) as MalformedInputError, the input error
+    every caller expects."""
     def wrap(read):
         @functools.wraps(read)
         def reader(*args):
             try:
                 return read(*args)
-            except (ValueError, TypeError) as err:
+            except (ValueError, TypeError, OverflowError) as err:
                 raise MalformedInputError(f"{where}: {err}") from None
         return reader
     return wrap
@@ -236,6 +237,10 @@ def loads_document(text: str, where: str = "document") -> dict:
         raise MalformedInputError(
             f"{where}: parse error at line {err.lineno}, column "
             f"{err.colno}: {err.msg}") from None
+    except RecursionError:
+        raise MalformedInputError(f"{where}: nested too deeply to parse") from None
+    except ValueError:      # int() refuses a literal of over 4,300 digits
+        raise MalformedInputError(f"{where}: a number is too long") from None
     if not isinstance(doc, dict):
         raise MalformedInputError(f"{where}: top level must be an object")
     return doc
@@ -341,14 +346,12 @@ def parse_report(text: str) -> RunReport:
     if doc.get("schema") != SCHEMA_VERSION:
         raise MalformedInputError(
             f"unsupported report schema {doc.get('schema')!r}")
-    fields = {f: doc[f] for f in ("command", "inputs", "epsilon",
-                                  "conditions", "verdicts", "enumeration",
-                                  "caveats", "payload", "wall_time_seconds",
-                                  "schema") if f in doc}
-    missing = {"command", "inputs", "epsilon"} - fields.keys()
+    known = fields(RunReport)
+    missing = [f.name for f in known if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise MalformedInputError(f"report: missing {sorted(missing)}")
-    return RunReport(**fields)
+    return RunReport(**{f.name: doc[f.name] for f in known if f.name in doc})
 
 
 def _flat(prefix: str, value, rows: list) -> None:

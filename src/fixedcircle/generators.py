@@ -31,7 +31,10 @@ from .metric_core import Branch, Circle, MetricSpace, SelfMap, _resolve_eps
 
 _LATTICE_BITS = 20
 _LATTICE_MIN = 1049
-_RELATION_OPS = {"ne": "!=", "gt": ">", "lt": "<"}
+# anchor relation -> (its symbol, the slack of a distance d against radius r)
+_RELATIONS = {"ne": ("!=", lambda d, r: abs(d - r)),
+              "gt": (">", lambda d, r: d - r),
+              "lt": ("<", lambda d, r: r - d)}
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class AnchorConstraint:
     slack: float
 
     def describe(self) -> str:
-        return f"d(alpha, {self.center!r}) {_RELATION_OPS[self.relation]} {self.radius}"
+        return f"d(alpha, {self.center!r}) {_RELATIONS[self.relation][0]} {self.radius}"
 
 
 @dataclass(frozen=True)
@@ -88,30 +91,25 @@ class AnchorPoint:
     distances_to_centers: tuple[AnchorConstraint, ...]
 
 
-def _constraint_slack(distance: float, radius: float, relation: str) -> float:
-    if relation == "ne":
-        return abs(distance - radius)
-    if relation == "gt":
-        return distance - radius
-    if relation == "lt":
-        return radius - distance
-    raise MalformedInputError(f"unknown anchor relation {relation!r}")
+def _measure(space, value, wanted):
+    """The candidate's AnchorConstraints, one per ``wanted`` triple, lazily."""
+    for center, radius, relation in wanted:
+        distance = space.distance(value, center)
+        if relation not in _RELATIONS:
+            raise MalformedInputError(f"unknown anchor relation {relation!r}")
+        yield AnchorConstraint(center, radius, relation, distance,
+                               _RELATIONS[relation][1](distance, radius))
 
 
 def _bind_anchor(space, value, wanted, eps) -> AnchorPoint:
     """Measure the candidate against every constraint; strict slack only."""
     bound = []
-    for center, radius, relation in wanted:
-        distance = space.distance(value, center)
-        slack = _constraint_slack(distance, radius, relation)
-        if slack <= eps:
+    for c in _measure(space, value, wanted):
+        if c.slack <= eps:
             raise ConstraintViolationError(
-                f"anchor {value!r} violates "
-                f"d(alpha, {center!r}) {_RELATION_OPS[relation]} {radius} "
-                f"(distance {distance}, slack {slack})")
-        bound.append(AnchorConstraint(center=center, radius=radius,
-                                      relation=relation, distance=distance,
-                                      slack=slack))
+                f"anchor {value!r} violates {c.describe()} "
+                f"(distance {c.distance}, slack {c.slack})")
+        bound.append(c)
     return AnchorPoint(value=value, distances_to_centers=tuple(bound))
 
 
@@ -125,30 +123,22 @@ def choose_anchor(space: MetricSpace, wanted, eps=None) -> AnchorPoint:
     """
     eps = _resolve_eps(eps)
     wanted = tuple(wanted)
-    best = None
-    best_score = -np.inf
+    best, best_score = None, -np.inf
     admitted = [0] * len(wanted)
     for candidate in space.points():
-        slacks = []
-        ok = True
-        for j, (center, radius, relation) in enumerate(wanted):
-            slack = _constraint_slack(space.distance(candidate, center),
-                                      radius, relation)
-            if slack > eps:
-                admitted[j] += 1
-            else:
-                ok = False
-            slacks.append(slack)
-        if ok and min(slacks, default=np.inf) > best_score:
-            best = candidate
-            best_score = min(slacks, default=np.inf)
+        measured = tuple(_measure(space, candidate, wanted))
+        ok = [c.slack > eps for c in measured]
+        admitted = [a + k for a, k in zip(admitted, ok)]
+        score = min((c.slack for c in measured), default=np.inf)
+        if all(ok) and score > best_score:
+            best, best_score = AnchorPoint(candidate, measured), score
     if best is None:
         blocked = tuple(
             f"{AnchorConstraint(c, r, rel, 0.0, 0.0).describe()}"
             f" admits {admitted[j]} of {len(space.points())} candidates"
             for j, (c, r, rel) in enumerate(wanted))
         raise AnchorSearchError("no admissible anchor in carrier", blocked)
-    return _bind_anchor(space, best, wanted, eps)
+    return best
 
 
 def _covers_carrier(space, circles, eps) -> bool:
@@ -161,14 +151,12 @@ def _covers_carrier(space, circles, eps) -> bool:
     return True
 
 
-def _resolve_anchor(space, circles, anchor, relations, eps) -> AnchorPoint:
-    wanted = tuple((c.center, c.radius, rel)
-                   for c, rel in zip(circles, relations))
+def _resolve_anchor(space, circles, anchor, eps) -> AnchorPoint:
+    wanted = tuple((c.center, c.radius, "ne") for c in circles)
     if anchor is None:
         return choose_anchor(space, wanted, eps)
-    if isinstance(anchor, AnchorPoint):
-        return _bind_anchor(space, anchor.value, wanted, eps)
-    return _bind_anchor(space, anchor, wanted, eps)
+    value = anchor.value if isinstance(anchor, AnchorPoint) else anchor
+    return _bind_anchor(space, value, wanted, eps)
 
 
 def build_circle_fixing_map(space: MetricSpace, circle: Circle, anchor=None,
@@ -199,7 +187,7 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
         raise MalformedInputError("need at least one circle")
     if _covers_carrier(space, circles, eps):
         return SelfMap.identity(space)
-    bound = _resolve_anchor(space, circles, anchor, ("ne",) * len(circles), eps)
+    bound = _resolve_anchor(space, circles, anchor, eps)
     branches = tuple(Branch(predicate=("on_circle", c.center, c.radius),
                             image=("identity",)) for c in circles)
     return SelfMap.piecewise(space, branches,
@@ -340,7 +328,8 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     the given circle; operators are !, &, | and parentheses. Candidate
     maps are exhausted in index order when |X|**|X| fits the budget,
     otherwise drawn seeded-random up to the budget. Either way the
-    first hit in evaluation order wins, so results are reproducible.
+    first hit in evaluation order wins, so results are reproducible. A
+    negative budget or seed is refused.
 
     Candidates are drawn and evaluated in chunks, through
     conditions.condition_flags, with the target evaluated over boolean
@@ -353,6 +342,9 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     eps = _resolve_eps(eps)
     if not space.is_finite:
         raise DomainError("counterexample search needs a finite carrier")
+    for name, value in (("budget", budget), ("seed", seed)):
+        if value < 0:
+            raise MalformedInputError(f"{name} must be >= 0, got {value}")
     tree = _parse_target(target)
     n = len(space.points())
     D = space.as_array

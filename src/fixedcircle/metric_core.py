@@ -598,7 +598,7 @@ def _matches(space, predicate, x, eps):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-circle test and image classification
+# Fixed-circle test, fixed-circle enumeration and image classification
 
 
 @dataclass(frozen=True)
@@ -636,6 +636,80 @@ def is_fixed_circle(tmap: SelfMap, circle: Circle, eps=None) -> FixedCircleRepor
     return FixedCircleReport(holds=holds, vacuous=circle.empty,
                              resolution=circle.resolution,
                              witnesses=tuple(witnesses))
+
+
+def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
+                            include_degenerate: bool = False,
+                            eps=None) -> tuple[Circle, ...]:
+    """Every realized circle whose members the map leaves fixed.
+
+    Centers and radii are those of enumerate_circles, so the result is
+    deterministic: center order, then radius ascending. Degenerate
+    (radius ~ 0) circles are included only on request; each is just a
+    fixed point wearing a circle costume.
+
+    The SelfMap keeps its last enumeration, degenerate circles included,
+    with the space and tolerance it was made for, and a call on the same
+    space object at the same tolerance reads it back: the three
+    uniqueness verdicts of one map enumerate once. Any other call
+    enumerates again and takes its place, so a map holds at most one.
+    """
+    eps = _resolve_eps(eps)
+    memo = tmap._enumeration
+    if eps not in memo or memo[eps][0] is not space:
+        memo.clear()
+        memo[eps] = (space, _fixed_circles(space, tmap, eps))
+    circles = memo[eps][1]
+    if include_degenerate:
+        return circles
+    return tuple(c for c in circles if not c.degenerate)
+
+
+def _fixed_circles(space: MetricSpace, tmap: SelfMap,
+                   eps: float) -> tuple[Circle, ...]:
+    """The fixed circles, degenerate ones included, in one pass per
+    center, equal to a circle_of and an is_fixed_circle call per realized
+    circle.
+
+    A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
+    it, or when the metric refuses d(x, Tx) as past the float range (where
+    is_fixed_circle raises). The map is applied once per point: to the
+    points on finite and complex carriers, to the distinct members on the
+    real kinds. The radii and member windows of a center are cut from and
+    resolved on its one _center_row, by the code circle_of resolves one
+    with, and a Circle is built only for a fixed one. On n points that is
+    n sorted rows, n Python map applications and O(n^3) elementwise array
+    work in steps of O(n^2) memory; on the real kinds, O(n^2) closed-form
+    members in Python.
+    """
+    seen = {}
+
+    def moved(x) -> bool:
+        if x not in seen:
+            tx = tmap.apply(x, eps=eps)
+            try:
+                seen[x] = not tmap.space.distance(x, tx) <= eps
+            except MalformedInputError:
+                seen[x] = True
+        return seen[x]
+
+    pts = space.points()
+    on_points = _on_points(space)
+    if on_points:
+        moved_pts = np.array([moved(x) for x in pts], dtype=bool)
+    out = []
+    for center in pts:
+        row = _center_row(space, center)
+        radii = _radii(row, eps)
+        rows = _member_rows(space, center, radii, eps, row)
+        if on_points:
+            fixed = np.flatnonzero(rows.any(axis=1)
+                                   & ~(rows & moved_pts).any(axis=1))
+        else:
+            fixed = [k for k, m in enumerate(rows)
+                     if m and not any(map(moved, m))]
+        out += [_mk_circle(space, center, radii[k], rows[k], eps) for k in fixed]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,9 @@ def test_report_round_trip():
     assert fileio.parse_report(text) == rep
     with pytest.raises(MalformedInputError, match="schema"):
         fileio.parse_report(text.replace('"schema": 1', '"schema": 99'))
+    # the required fields are the ones RunReport gives no default
+    with pytest.raises(MalformedInputError, match=r"missing \['command'\]"):
+        fileio.parse_report(text.replace('"command"', '"verb"'))
 
 
 def test_report_table_is_flat():
@@ -204,6 +207,8 @@ def test_cli_validate(files, capsys):
     assert main(["validate", "/nonexistent/nope.json"]) == 2
 
 
+_HUGE = 10 ** 400
+
 _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
         "metric": {"type": "matrix",
                    "values": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}
@@ -220,8 +225,22 @@ _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
       "metric": {"type": "named"}}, None),
     (_ABC, {"rule": {"type": "table", "images": ["a", "b", "c"]}}),
     (_ABC, {"rule": {"type": "piecewise", "branches": [], "default": 3}}),
+    # json reads an integer of any size; float() refuses one past its range
+    ({"carrier": {"type": "finite", "labels": ["a", "b"]},
+      "metric": {"type": "matrix", "values": [[0, _HUGE], [_HUGE, 0]]}}, None),
+    ({"carrier": {"type": "analytic", "kind": "real_usual",
+                  "samples": [0.0, _HUGE]},
+      "metric": {"type": "named"}}, None),
+    (_ABC, {"rule": {"type": "piecewise", "default": "identity",
+                     "branches": [{"on_circle": {"center": "a",
+                                                 "radius": _HUGE},
+                                   "image": "identity"}]}}),
+    (_ABC, {"rule": {"type": "piecewise", "default": "identity",
+                     "branches": [{"at_points": {"points": [_HUGE]},
+                                   "image": "identity"}]}}),
 ], ids=["non_numeric_entry", "labels_not_a_list", "non_numeric_sample",
-        "images_not_an_object", "image_not_a_string"])
+        "images_not_an_object", "image_not_a_string", "huge_entry",
+        "huge_sample", "huge_on_circle_radius", "huge_at_points_point"])
 def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps(space), encoding="utf-8")
@@ -233,6 +252,22 @@ def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw,says", [
+    (b"[" * 100000, "nested too deeply"),
+    (b"\xff\xfe{}", "space.json is not UTF-8"),
+    (b'{"carrier": {"type": "finite", "labels": ["a"]}, "metric": '
+     b'{"type": "matrix", "values": [[' + b"1" * 5000 + b"]]}}",
+     "a number is too long")],
+    ids=["nested_too_deeply", "not_utf8", "integer_of_5000_digits"])
+def test_cli_unparseable_files_exit_2(tmp_path, capsys, raw, says):
+    sp = tmp_path / "space.json"
+    sp.write_bytes(raw)
+    assert main(["validate", str(sp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: space file: ") and "Traceback" not in err
+    assert says in err and err.count("\n") == 1
 
 
 _LINE = {"carrier": {"type": "analytic", "kind": "real_usual",
@@ -425,6 +460,28 @@ def test_cli_search_deep_target_exits_2(files, capsys, target):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("size,option,value", [
+    (9, "--seed", "-1"), (3, "--seed", "-1"), (3, "--budget", "-5")],
+    ids=["seed_sampled", "seed_exhaustive", "budget"])
+def test_cli_search_negative_numbers_exit_2(tmp_path, capsys, size, option,
+                                            value):
+    # 9**9 maps exceed the default budget, so that search samples; 3**3
+    # do not, so it exhausts
+    sp = tmp_path / "space.json"
+    labels = [f"p{i}" for i in range(size)]
+    sp.write_text(json.dumps({
+        "carrier": {"type": "finite", "labels": labels},
+        "metric": {"type": "matrix",
+                   "values": [[float(i != j) for j in range(size)]
+                              for i in range(size)]}}), encoding="utf-8")
+    code = main(["search", str(sp), "--target", "C1", "--center", "p0",
+                 "--radius", "1", option, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert option[2:] in err
 
 
 @pytest.mark.parametrize("labels,image", [
