@@ -24,11 +24,11 @@ import time
 from . import fileio
 from .conditions import CONDITION_IDS, check_condition
 from .errors import FixedCircleError, MalformedInputError
-from .gallery import list_entries, load_entry, replay_all
+from .gallery import load_entry, matching_entries, replay_all
 from .generators import search_counterexample
-from .metric_core import (DEFAULT_EPSILON, MetricSpace, _resolve_eps,
-                          circle_of, validate_metric)
-from .verifier import (THEOREM_IDS, _circle_caveats, enumerate_fixed_circles,
+from .metric_core import (DEFAULT_EPSILON, MetricSpace, circle_of,
+                          resolve_eps, validate_metric)
+from .verifier import (THEOREM_IDS, circle_caveats, enumerate_fixed_circles,
                        verify_theorem)
 
 _EXIT_OK = 0
@@ -96,7 +96,7 @@ def _cmd_check(args, eps) -> tuple[int, dict]:
     return (_EXIT_OK if all_hold else _EXIT_NEGATIVE), dict(
         inputs={"space": space_digest, "map": map_digest,
                 "circle": fileio.circle_row(circle)},
-        conditions=rows, caveats=_circle_caveats(circle, _MEMBER_VACUITY))
+        conditions=rows, caveats=circle_caveats(circle, _MEMBER_VACUITY))
 
 
 def _cmd_verify(args, eps) -> tuple[int, dict]:
@@ -139,7 +139,7 @@ def _cmd_search(args, eps) -> tuple[int, dict]:
     return (_EXIT_OK if result.status == "found" else _EXIT_NEGATIVE), dict(
         inputs={"space": space_digest, "circle": fileio.circle_row(circle)},
         payload={"search": fileio.search_row(result)},
-        caveats=_circle_caveats(circle, _MEMBER_VACUITY))
+        caveats=circle_caveats(circle, _MEMBER_VACUITY))
 
 
 def _cmd_gallery(args, eps) -> tuple[int, dict]:
@@ -148,9 +148,7 @@ def _cmd_gallery(args, eps) -> tuple[int, dict]:
              "passed": r.passed, "detail": r.detail}
             for r in report.results]
     payload = {"results": rows,
-               "entries": [e for e in list_entries()
-                           if args.filter is None
-                           or args.filter.upper() in e.upper()]}
+               "entries": list(matching_entries(args.filter))}
     if args.export is not None:
         import os
         os.makedirs(args.export, exist_ok=True)
@@ -251,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        eps = _resolve_eps(getattr(args, "epsilon", None))
+        eps = resolve_eps(getattr(args, "epsilon", None))
         code, fields = args.handler(args, eps)
     except FixedCircleError as err:
         print(f"error: {err}", file=sys.stderr)

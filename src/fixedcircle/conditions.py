@@ -17,8 +17,9 @@ verdict, builds the operands of one map (_OneMap, a batch of one) and
 reads its ConditionReports off the same rules' arrays: the margin is
 the slack at the first smallest tuple, that tuple the witness,
 derived_param the extremal feasible h. Analytic carriers read each
-distance from space._metric_fn, the one definition of the metric that
-space.distance and space.as_array read too.
+distance between two samples from space.as_array, and any other from
+space._metric_fn, the one definition of the metric that the matrix and
+space.distance are built from.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -34,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError
-from .metric_core import Circle, MetricSpace, SelfMap, _resolve_eps
+from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps
 
 CONDITION_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR",
                  "ID_COND", "C3", "C3_DSTAR", "BANACH", "CARISTI", "RHOADES")
@@ -66,23 +67,30 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class PhiMap:
-    """A nonnegative weight on carrier points."""
+    """A nonnegative weight on carrier points; ``canonical`` is the
+    (space, center) of phi_canonical's weight x -> d(x, center)."""
 
     name: str
     fn: Callable = field(compare=False)
+    canonical: tuple = field(default=(None, None), compare=False, repr=False)
 
     def at(self, x) -> float:
-        v = float(self.fn(x))
-        if v < 0 or not math.isfinite(v):
-            raise MalformedInputError(f"phi({x!r}) = {v} must be finite and >= 0")
-        return v
+        return _weight(x, float(self.fn(x)))
+
+
+def _weight(x, v: float) -> float:
+    if not 0 <= v < math.inf:
+        raise MalformedInputError(f"phi({x!r}) = {v} must be finite and >= 0")
+    return v
 
 
 def phi_canonical(space: MetricSpace, center) -> PhiMap:
     """The canonical weight x -> d(x, center)."""
     if not space.contains(center):
         raise DomainError(f"center {center!r} is not in the carrier")
-    return PhiMap(name=f"dist_to({center!r})", fn=lambda x: space.distance(x, center))
+    return PhiMap(name=f"dist_to({center!r})",
+                  fn=lambda x: space.distance(x, center),
+                  canonical=(space, center))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +102,37 @@ def _pointwise(fn, points, nin):
     only the values asked for are computed."""
     each, points = np.frompyfunc(fn, nin, 1), np.array(points, dtype=object)
     return lambda *idx: each(*(points[i] for i in idx)).astype(float)
+
+
+def _carrier_distances(space: MetricSpace, pts: list):
+    """d(a, b) at index arrays into pts, the samples first: as_array's
+    entry where both are samples (the matrix read only when a pair is),
+    space._metric_fn elsewhere."""
+    n, off_samples = len(space.points()), _pointwise(space._metric_fn, pts, 2)
+
+    def d(a, b):
+        off = np.maximum(a, b) >= n
+        if not off.any():
+            return space.as_array[a, b]
+        if off.all():
+            return off_samples(a, b)
+        out = space.as_array[np.where(off, 0, a), np.where(off, 0, b)]
+        out[off] = off_samples(np.where(off, a, 0)[off],
+                               np.where(off, b, 0)[off])
+        return out
+    return d
+
+
+def _canonical_weight(d, c: int, pts):
+    """phi(a) = d(a, c), refused where PhiMap.at would refuse it."""
+    def phi(a):
+        v = d(a, c)
+        ok = (v >= 0) & (v < math.inf)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            _weight(pts[np.ravel(a)[i]], float(v.flat[i]))
+        return v
+    return phi
 
 
 class _Operands:
@@ -307,14 +346,16 @@ _EMPTY_NOTES = {
 
 class _OneMap(_Operands):
     """The operands of one map: its table's gather on a finite carrier;
-    on an analytic one, the samples and the circle's members, each
-    mapped once, every distance by space._metric_fn, called directly
-    rather than through space.distance. phi defaults to the canonical
-    weight at ``center``, by default the circle's."""
+    on an analytic one, the samples, then the members, images and weight
+    center off them, each map applied once. An image or a center takes
+    an equal sample's index, a member only that of one written alike
+    (sign of zero included), so a witness names the member itself. phi
+    defaults to the canonical weight at ``center``, by default the
+    circle's, which is read off the same distances."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None,
                  center=None):
-        eps = _resolve_eps(eps)
+        eps = resolve_eps(eps)
         radius, members = None, ()
         if circle is not None:
             center, radius, members = circle.center, circle.radius, circle.members
@@ -322,17 +363,30 @@ class _OneMap(_Operands):
             phi = phi_canonical(space, center)    # rejects an off-carrier center
         pts = space.points()
         if space.is_finite:
-            maps = np.array([[space.index_of(p) for p in tmap.table]])
-            M = [space.index_of(p) for p in members]
-            d = lambda a, b: space.as_array[a, b]
+            at = lambda p, alike=False: space.index_of(p)
         else:
-            pts = list(pts) + list(members)
-            M = range(len(space.points()), len(pts))
-            maps = np.arange(len(pts), 2 * len(pts))[None]
-            pts += [tmap.apply(p, eps=eps) for p in pts]
-            d = _pointwise(space._metric_fn, pts, 2)
-        super().__init__(d, maps, phi and _pointwise(phi.at, pts, 1), radius,
-                         eps, np.array(M, dtype=np.intp), len(space.points()))
+            pts, index = list(pts), dict(space._index)
+
+            def at(p, alike=False):
+                i = index.get(p)
+                if i is None or (alike and pts[i] is not p
+                                 and repr(pts[i]) != repr(p)):
+                    i = len(pts)
+                    pts.append(p)
+                    index.setdefault(p, i)
+                return i
+        M = [at(p, alike=True) for p in members]
+        images = tmap.table if space.is_finite \
+            else [tmap.apply(p, eps=eps) for p in pts]
+        maps = np.array([[at(p) for p in images]])
+        c = at(phi.canonical[1]) if phi and phi.canonical[0] is space else None
+        d = (lambda a, b: space.as_array[a, b]) if space.is_finite \
+            else _carrier_distances(space, pts)
+        if phi is not None:
+            phi = (_pointwise(phi.at, pts, 1) if c is None
+                   else _canonical_weight(d, c, pts))
+        super().__init__(d, maps, phi, radius, eps,
+                         np.array(M, dtype=np.intp), len(space.points()))
         self.pts, self.finite = pts, space.is_finite
         self.sampled = circle is not None and circle.resolution == "sampled"
 

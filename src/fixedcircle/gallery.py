@@ -30,9 +30,9 @@ import numpy as np
 from .conditions import check_condition
 from .errors import DomainError
 from .generators import build_circle_fixing_map, build_multi_circle_map
-from .metric_core import (Branch, Circle, MetricSpace, SelfMap, _resolve_eps,
-                          circle_of, circle_samples, classify_images,
-                          is_fixed_circle)
+from .metric_core import (Branch, Circle, MetricSpace, SelfMap, circle_of,
+                          circle_samples, classify_images, is_fixed_circle,
+                          resolve_eps)
 from .verifier import enumerate_fixed_circles, verify_theorem
 
 _VALUE_TOL = 1e-9
@@ -492,6 +492,13 @@ def list_entries() -> tuple[str, ...]:
     return tuple(sorted(_BUILDERS, key=_natural_key))
 
 
+def matching_entries(filter_substring: str | None) -> tuple[str, ...]:
+    """The entry ids, in replay order, that hold filter_substring,
+    case-insensitively; every id for None."""
+    return tuple(e for e in list_entries() if filter_substring is None
+                 or filter_substring.upper() in e.upper())
+
+
 def load_entry(entry_id: str) -> GalleryEntry:
     """Build the named entry from scratch; deterministic per id."""
     try:
@@ -546,7 +553,7 @@ def _evaluate(entry: GalleryEntry, exp) -> tuple[bool, str]:
                 f"members={list(got)!r}")
     if isinstance(exp, FixedMembersExpectation):
         rep = is_fixed_circle(tmap, entry.circles[exp.circle_idx])
-        eps = _resolve_eps(None)
+        eps = resolve_eps(None)
         got = tuple(w.point for w in rep.witnesses if w.displacement <= eps)
         return (_match_point_sets(space, got, exp.members),
                 f"fixed members={list(got)!r}")
@@ -598,13 +605,10 @@ def replay_entry(entry: GalleryEntry) -> tuple[ExpectationResult, ...]:
 def replay_all(filter_substring: str | None = None) -> GalleryReport:
     """Re-evaluate every expectation of every (matching) entry.
 
-    The filter is a case-insensitive substring over entry ids; an empty
-    match set yields an empty, successful report.
+    The entries are matching_entries(filter_substring); an empty match
+    set yields an empty, successful report.
     """
     results = []
-    for entry_id in list_entries():
-        if filter_substring is not None \
-                and filter_substring.upper() not in entry_id.upper():
-            continue
+    for entry_id in matching_entries(filter_substring):
         results.extend(replay_entry(load_entry(entry_id)))
     return GalleryReport(results=tuple(results))

@@ -27,7 +27,7 @@ from .conditions import (CONDITION_IDS, batch_rows, condition_flags,
                          member_mask)
 from .errors import (AnchorSearchError, ConstraintViolationError, DomainError,
                      MalformedInputError)
-from .metric_core import Branch, Circle, MetricSpace, SelfMap, _resolve_eps
+from .metric_core import Branch, Circle, MetricSpace, SelfMap, resolve_eps
 
 _LATTICE_BITS = 20
 _LATTICE_MIN = 1049
@@ -44,6 +44,8 @@ class GenConfig:
     distance_scale: float = 1.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise MalformedInputError(f"seed must be >= 0, got {self.seed}")
         if self.size < 1:
             raise MalformedInputError(f"size must be >= 1, got {self.size}")
         if not self.distance_scale > 0:
@@ -121,7 +123,7 @@ def choose_anchor(space: MetricSpace, wanted, eps=None) -> AnchorPoint:
     point. Raises AnchorSearchError listing how many candidates each
     constraint admitted when nothing qualifies.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     wanted = tuple(wanted)
     best, best_score = None, -np.inf
     admitted = [0] * len(wanted)
@@ -181,7 +183,7 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
     reduces to build_circle_fixing_map. Auto-selection raises
     AnchorSearchError when the circles blanket the carrier.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     circles = tuple(circles)
     if not circles:
         raise MalformedInputError("need at least one circle")
@@ -339,7 +341,7 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     those of a one-by-one scan, and the seeded stream is the one a
     one-by-one draw takes.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     if not space.is_finite:
         raise DomainError("counterexample search needs a finite carrier")
     for name, value in (("budget", budget), ("seed", seed)):

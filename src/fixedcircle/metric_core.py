@@ -24,6 +24,7 @@ variable or per call.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import itertools
 import math
@@ -46,7 +47,7 @@ ANALYTIC_KINDS = ("real_usual", "real_exp", "real_abs_sum", "complex_usual")
 _VIOLATION_CAP = 256
 
 
-def _resolve_eps(eps) -> float:
+def resolve_eps(eps) -> float:
     """The tolerance: ``eps``, or when it is None FIXEDCIRCLE_EPSILON, or
     when that is unset or empty DEFAULT_EPSILON; finite and >= 0 in every
     case."""
@@ -118,7 +119,7 @@ class MetricSpace:
     def analytic(cls, kind: str, samples: Iterable, eps=None) -> "MetricSpace":
         if kind not in ANALYTIC_KINDS:
             raise MalformedInputError(f"unknown analytic kind {kind!r}")
-        eps = _resolve_eps(eps)
+        eps = resolve_eps(eps)
         if kind == "complex_usual":
             pts = [complex(s) for s in samples]
         else:
@@ -127,14 +128,24 @@ class MetricSpace:
             raise MalformedInputError("analytic carrier needs a nonempty sample set")
         if not all(map(cmath.isfinite, pts)):
             raise MalformedInputError("analytic samples must be finite")
-        fn = _METRIC_FNS[kind]
-        # Drop samples that are metrically indistinguishable from an
-        # earlier one; keeping both would break identity of
-        # indiscernibles at the declared tolerance.
-        kept: list = []
+        # Drop samples metrically indistinguishable from an earlier kept
+        # one (identity of indiscernibles at the tolerance), testing on
+        # the real kinds only p's neighbours among the sorted kept ones,
+        # as d grows away from p (math.exp is increasing), and on
+        # real_abs_sum, where d(p, q) = |p| + |q| for q != p, the least |q|.
+        fn, kept, near, least = _METRIC_FNS[kind], [], [], []
         for p in pts:
-            if all(fn(p, q) > eps for q in kept):
+            if kind == "complex_usual":
+                tested = kept
+            else:
+                i = bisect.bisect_left(near, p)
+                tested = near[max(i - 1, 0):i + 1] + least
+            if all(fn(p, q) > eps for q in tested):
                 kept.append(p)
+                if kind != "complex_usual":
+                    bisect.insort(near, p)
+                if kind == "real_abs_sum":
+                    least = [min(least + [p], key=abs)]
         return cls(carrier=AnalyticCarrier(kind, tuple(kept)))
 
     @property
@@ -269,7 +280,7 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
     non-square, negative or non-finite matrix. A space is checked once
     per tolerance; later calls return the same report.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     if eps not in space._validations:
         space._validations[eps] = _validate(space, eps)
     return space._validations[eps]
@@ -340,7 +351,7 @@ def circle_of(space: MetricSpace, center, radius, eps=None) -> Circle:
     finite nonnegative real, and on the real kinds the circle's members
     must be finite reals too.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     radius = float(radius)
     if radius < 0 or not math.isfinite(radius):
         raise MalformedInputError(f"radius must be finite and >= 0, got {radius}")
@@ -452,7 +463,7 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     smallest of each cluster). The zero radius is included; it yields
     the degenerate one-point circle.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     return tuple((c, r) for c in space.points()
                  for r in _radii(_center_row(space, c), eps))
 
@@ -564,7 +575,7 @@ class SelfMap:
     def apply(self, x, eps=None):
         if self.kind == "table":
             return self.table[self.space.index_of(x)]
-        eps = _resolve_eps(eps) if self.branches else eps
+        eps = resolve_eps(eps) if self.branches else eps
         for b in self.branches:
             if _matches(self.space, b.predicate, x, eps):
                 return _apply_image(self.space, b.image, x)
@@ -624,7 +635,7 @@ def is_fixed_circle(tmap: SelfMap, circle: Circle, eps=None) -> FixedCircleRepor
     An empty circle yields a vacuous-true verdict with the ``vacuous``
     flag set, so callers can tell vacuity from content.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     witnesses = []
     holds = True
     for x in circle.members:
@@ -654,7 +665,7 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     uniqueness verdicts of one map enumerate once. Any other call
     enumerates again and takes its place, so a map holds at most one.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     memo = tmap._enumeration
     if eps not in memo or memo[eps][0] is not space:
         memo.clear()
@@ -732,7 +743,7 @@ class ClassificationReport:
 
 def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationReport:
     """Classify each member's image as interior, on, or exterior."""
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     rows = []
     counts = {"interior": 0, "on": 0, "exterior": 0}
     for x in circle.members:
@@ -748,7 +759,7 @@ def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationRe
 
 def fixed_points(tmap: SelfMap, eps=None) -> tuple:
     """Carrier/sample points the map leaves in place, in carrier order."""
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     out = []
     for x in tmap.space.points():
         tx = tmap.apply(x, eps=eps)

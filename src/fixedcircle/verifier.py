@@ -38,9 +38,9 @@ from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
                          batch_rows, condition_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, random_metric_space
-from .metric_core import (Circle, MetricSpace, SelfMap, _resolve_eps,
-                          circle_of, enumerate_circles,
-                          enumerate_fixed_circles, validate_metric)
+from .metric_core import (Circle, MetricSpace, SelfMap, circle_of,
+                          enumerate_circles, enumerate_fixed_circles,
+                          resolve_eps, validate_metric)
 
 
 # The theorem registry, in THEOREM_IDS order: theorem id -> (condition
@@ -104,7 +104,7 @@ def _require_valid(space: MetricSpace, eps: float):
             "first: " + repr(report.violations[0]), report=report)
 
 
-def _circle_caveats(circle: Circle, empty_note: str) -> list[str]:
+def circle_caveats(circle: Circle, empty_note: str) -> list[str]:
     """Caveats a circle puts on any report about it; ``empty_note`` says
     what an empty circle makes vacuous."""
     out = []
@@ -123,14 +123,14 @@ def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
     """The registry entry's verdict on one map, its hypothesis reports
     and conclusion atoms read off one operand source. A verdict about a
     circle carries the circle's caveats."""
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     _require_valid(space, eps)
     hypotheses, conclusion, unique = _THEOREMS[theorem_id]
     src = _OneMap(space, tmap, circle, phi, eps)
     reports = tuple(_report(cid, src) for cid in hypotheses)
     hyp = all(r.holds for r in reports)
     concl = all(src.flag(atom)[0] for atom in conclusion)
-    caveats = [] if circle is None else _circle_caveats(
+    caveats = [] if circle is None else circle_caveats(
         circle, "conclusion is vacuous")
     if not space.is_finite and theorem_id in _SAMPLE_WINDOW:
         relaxed, caveat, unmet = _SAMPLE_WINDOW[theorem_id]
@@ -327,7 +327,7 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     per-instance path: a Falsification if that verdict is inconsistent
     too, a disagreement between the two paths otherwise.
     """
-    eps = _resolve_eps(eps)
+    eps = resolve_eps(eps)
     t0 = time.perf_counter()
     events = {False: [], True: []}     # keyed by the re-check's consistent
     maps_checked = 0

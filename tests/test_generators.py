@@ -21,6 +21,7 @@ from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
                                      enumerate_circles, is_fixed_circle,
                                      validate_metric)
+from fixedcircle.verifier import soundness_sweep
 
 EPS = 1e-9
 
@@ -63,6 +64,15 @@ def test_config_guards():
         GenConfig(seed=0, size=0)
     with pytest.raises(MalformedInputError):
         GenConfig(seed=0, size=3, distance_scale=0.0)
+
+
+def test_negative_seed_is_malformed():
+    # numpy's generator refuses a negative seed with a bare ValueError;
+    # GenConfig refuses it first, and with it a sweep's negative seed
+    with pytest.raises(MalformedInputError, match="seed"):
+        random_metric_space(GenConfig(seed=-1, size=3))
+    with pytest.raises(MalformedInputError, match="seed"):
+        soundness_sweep(2, seed=-1)
 
 
 def test_size_one_space():
