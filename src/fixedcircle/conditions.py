@@ -16,10 +16,9 @@ verifier.theorem_flags, the soundness sweep. A check_*, or a theorem
 verdict, builds the operands of one map (_OneMap, a batch of one) and
 reads its ConditionReports off the same rules' arrays: the margin is
 the slack at the first smallest tuple, that tuple the witness,
-derived_param the extremal feasible h. Analytic carriers read each
-distance between two samples from space.as_array, and any other from
-space._metric_fn, the one definition of the metric that the matrix and
-space.distance are built from.
+derived_param the extremal feasible h. Analytic carriers read a
+distance between two samples from space.as_array, any other from
+space._metric_fn, the one definition of the metric the matrix holds.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -67,30 +66,27 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class PhiMap:
-    """A nonnegative weight on carrier points; ``canonical`` is the
-    (space, center) of phi_canonical's weight x -> d(x, center)."""
+    """A nonnegative weight on carrier points."""
 
     name: str
     fn: Callable = field(compare=False)
-    canonical: tuple = field(default=(None, None), compare=False, repr=False)
+    _center: tuple = field(default=(None, None), init=False, compare=False,
+                           repr=False)
 
     def at(self, x) -> float:
-        return _weight(x, float(self.fn(x)))
-
-
-def _weight(x, v: float) -> float:
-    if not 0 <= v < math.inf:
-        raise MalformedInputError(f"phi({x!r}) = {v} must be finite and >= 0")
-    return v
+        v = float(self.fn(x))
+        if v < 0 or not math.isfinite(v):
+            raise MalformedInputError(f"phi({x!r}) = {v} must be finite and >= 0")
+        return v
 
 
 def phi_canonical(space: MetricSpace, center) -> PhiMap:
     """The canonical weight x -> d(x, center)."""
     if not space.contains(center):
         raise DomainError(f"center {center!r} is not in the carrier")
-    return PhiMap(name=f"dist_to({center!r})",
-                  fn=lambda x: space.distance(x, center),
-                  canonical=(space, center))
+    phi = PhiMap(name=f"dist_to({center!r})", fn=lambda x: space.distance(x, center))
+    object.__setattr__(phi, "_center", (space, center))    # for _OneMap
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -106,33 +102,17 @@ def _pointwise(fn, points, nin):
 
 def _carrier_distances(space: MetricSpace, pts: list):
     """d(a, b) at index arrays into pts, the samples first: as_array's
-    entry where both are samples (the matrix read only when a pair is),
-    space._metric_fn elsewhere."""
-    n, off_samples = len(space.points()), _pointwise(space._metric_fn, pts, 2)
+    entry for two samples once built (or to refuse inf), else _metric_fn's."""
+    n, fn = len(space.points()), _pointwise(space._metric_fn, pts, 2)
 
     def d(a, b):
         off = np.maximum(a, b) >= n
-        if not off.any():
-            return space.as_array[a, b]
-        if off.all():
-            return off_samples(a, b)
-        out = space.as_array[np.where(off, 0, a), np.where(off, 0, b)]
-        out[off] = off_samples(np.where(off, a, 0)[off],
-                               np.where(off, b, 0)[off])
+        out = None if "as_array" in vars(space) else fn(a, b)
+        if out is None or not np.isfinite(out[~off]).all():
+            out = space.as_array[np.where(off, 0, a), np.where(off, 0, b)]
+            out[off] = fn(np.where(off, a, 0)[off], np.where(off, b, 0)[off])
         return out
     return d
-
-
-def _canonical_weight(d, c: int, pts):
-    """phi(a) = d(a, c), refused where PhiMap.at would refuse it."""
-    def phi(a):
-        v = d(a, c)
-        ok = (v >= 0) & (v < math.inf)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            _weight(pts[np.ravel(a)[i]], float(v.flat[i]))
-        return v
-    return phi
 
 
 class _Operands:
@@ -345,13 +325,11 @@ _EMPTY_NOTES = {
 
 
 class _OneMap(_Operands):
-    """The operands of one map: its table's gather on a finite carrier;
-    on an analytic one, the samples, then the members, images and weight
-    center off them, each map applied once. An image or a center takes
-    an equal sample's index, a member only that of one written alike
-    (sign of zero included), so a witness names the member itself. phi
-    defaults to the canonical weight at ``center``, by default the
-    circle's, which is read off the same distances."""
+    """The operands of one map over the carrier's points, then the
+    members, images and weight center off them. An image or a center
+    takes an equal sample's index, a member only that of the very sample
+    it is, so a witness names the member itself. phi defaults to the
+    canonical weight at ``center``, by default the circle's."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None,
                  center=None):
@@ -361,33 +339,29 @@ class _OneMap(_Operands):
             center, radius, members = circle.center, circle.radius, circle.members
         if phi is None and center is not None:
             phi = phi_canonical(space, center)    # rejects an off-carrier center
-        pts = space.points()
-        if space.is_finite:
-            at = lambda p, alike=False: space.index_of(p)
-        else:
-            pts, index = list(pts), dict(space._index)
+        pts, finite = list(space.points()), space.is_finite
 
-            def at(p, alike=False):
-                i = index.get(p)
-                if i is None or (alike and pts[i] is not p
-                                 and repr(pts[i]) != repr(p)):
-                    i = len(pts)
-                    pts.append(p)
-                    index.setdefault(p, i)
-                return i
-        M = [at(p, alike=True) for p in members]
-        images = tmap.table if space.is_finite \
+        def at(p, member=False):
+            i = space.index_of(p) if finite else space._index.get(p)
+            if i is None or member and pts[i] is not p:
+                pts.append(p)
+                return len(pts) - 1
+            return i
+        M = [at(p, member=not finite) for p in members]
+        images = tmap.table if finite \
             else [tmap.apply(p, eps=eps) for p in pts]
         maps = np.array([[at(p) for p in images]])
-        c = at(phi.canonical[1]) if phi and phi.canonical[0] is space else None
-        d = (lambda a, b: space.as_array[a, b]) if space.is_finite \
+        c = at(phi._center[1]) if phi and phi._center[0] is space else None
+        d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)
-        if phi is not None:
-            phi = (_pointwise(phi.at, pts, 1) if c is None
-                   else _canonical_weight(d, c, pts))
-        super().__init__(d, maps, phi, radius, eps,
+        weight = phi and _pointwise(phi.at, pts, 1)
+        if c is not None:   # d(x, c) at every point; phi.at refuses inf
+            w = d(np.arange(len(pts)), c)
+            weight(np.flatnonzero(~np.isfinite(w)))
+            weight = w.__getitem__
+        super().__init__(d, maps, weight, radius, eps,
                          np.array(M, dtype=np.intp), len(space.points()))
-        self.pts, self.finite = pts, space.is_finite
+        self.pts, self.finite = pts, finite
         self.sampled = circle is not None and circle.resolution == "sampled"
 
 

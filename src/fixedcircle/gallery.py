@@ -493,8 +493,7 @@ def list_entries() -> tuple[str, ...]:
 
 
 def matching_entries(filter_substring: str | None) -> tuple[str, ...]:
-    """The entry ids, in replay order, that hold filter_substring,
-    case-insensitively; every id for None."""
+    """The ids holding filter_substring, case-insensitively; all for None."""
     return tuple(e for e in list_entries() if filter_substring is None
                  or filter_substring.upper() in e.upper())
 
@@ -608,7 +607,6 @@ def replay_all(filter_substring: str | None = None) -> GalleryReport:
     The entries are matching_entries(filter_substring); an empty match
     set yields an empty, successful report.
     """
-    results = []
-    for entry_id in matching_entries(filter_substring):
-        results.extend(replay_entry(load_entry(entry_id)))
-    return GalleryReport(results=tuple(results))
+    return GalleryReport(results=tuple(
+        r for entry_id in matching_entries(filter_substring)
+        for r in replay_entry(load_entry(entry_id))))

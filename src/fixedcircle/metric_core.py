@@ -24,7 +24,6 @@ variable or per call.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import itertools
 import math
@@ -128,24 +127,14 @@ class MetricSpace:
             raise MalformedInputError("analytic carrier needs a nonempty sample set")
         if not all(map(cmath.isfinite, pts)):
             raise MalformedInputError("analytic samples must be finite")
-        # Drop samples metrically indistinguishable from an earlier kept
-        # one (identity of indiscernibles at the tolerance), testing on
-        # the real kinds only p's neighbours among the sorted kept ones,
-        # as d grows away from p (math.exp is increasing), and on
-        # real_abs_sum, where d(p, q) = |p| + |q| for q != p, the least |q|.
-        fn, kept, near, least = _METRIC_FNS[kind], [], [], []
+        fn = _METRIC_FNS[kind]
+        # Drop samples that are metrically indistinguishable from an
+        # earlier one; keeping both would break identity of
+        # indiscernibles at the declared tolerance.
+        kept: list = []
         for p in pts:
-            if kind == "complex_usual":
-                tested = kept
-            else:
-                i = bisect.bisect_left(near, p)
-                tested = near[max(i - 1, 0):i + 1] + least
-            if all(fn(p, q) > eps for q in tested):
+            if all(fn(p, q) > eps for q in kept):
                 kept.append(p)
-                if kind != "complex_usual":
-                    bisect.insort(near, p)
-                if kind == "real_abs_sum":
-                    least = [min(least + [p], key=abs)]
         return cls(carrier=AnalyticCarrier(kind, tuple(kept)))
 
     @property

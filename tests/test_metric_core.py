@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedcircle.errors import DomainError, MalformedInputError
@@ -120,38 +120,6 @@ def test_validate_counts_beyond_detail_cap():
 def test_analytic_dedupes_indistinguishable_samples():
     space = MetricSpace.analytic("real_usual", (1.0, 1.0 + 1e-12, 2.0))
     assert space.points() == (1.0, 2.0)
-
-
-def _kept_by_the_loop(kind, pts, eps):
-    """The dedup as a plain loop in input order: a sample is kept when
-    it is more than eps from every sample kept before it."""
-    d = MetricSpace.analytic(kind, (0.0,))._metric_fn
-    kept = []
-    for p in pts:
-        if all(d(p, q) > eps for q in kept):
-            kept.append(p)
-    return kept
-
-
-@given(kind=st.sampled_from(["real_usual", "real_exp", "real_abs_sum"]),
-       eps=st.sampled_from([0.0, 1e-9, 0.25, 1.0]),
-       steps=st.lists(st.tuples(st.integers(-6, 6), st.integers(-9, 9),
-                                st.booleans()), max_size=40))
-@example(kind="real_usual", eps=1.0,
-         steps=[(0, 3, False), (0, 0, False), (0, 6, False)])
-@example(kind="real_abs_sum", eps=1.0,
-         steps=[(0, 1, False), (1, 0, False), (0, 0, True), (0, 2, False)])
-@settings(max_examples=300, deadline=None)
-def test_sorted_dedup_keeps_the_loops_samples(kind, eps, steps):
-    # samples a/2 moved by b quarter-tolerances, so distances fall on,
-    # just inside and just outside eps, and the greedy pick depends on
-    # the order: 0.75 eps, 0, 1.5 eps keeps 0.75 eps alone, while 0,
-    # 0.75 eps, 1.5 eps keeps 0 and 1.5 eps; zeros of either sign
-    pts = [-0.0 if neg and a / 2 + b * eps / 4 == 0 else a / 2 + b * eps / 4
-           for a, b, neg in steps] or [0.0]
-    got = MetricSpace.analytic(kind, pts, eps=eps).points()
-    want = _kept_by_the_loop(kind, pts, eps)
-    assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_analytic_rejects_empty_and_unknown_kind():

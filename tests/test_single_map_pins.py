@@ -21,6 +21,7 @@ for a deliberate change of report content:
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,19 @@ def test_caristi_canonical_weight_however_given():
         user = PhiMap("user", lambda x: space.distance(x, center))
         assert repr(passed.hypothesis_reports[0]) == repr(defaulted), name
         assert repr(check_caristi(space, tmap, user)) == repr(defaulted), name
+
+
+def test_only_phi_canonical_marks_the_canonical_weight():
+    # a PhiMap is built from a name and a function alone, so a user
+    # weight, even one named like the canonical weight, is read through
+    # its own function
+    assert [f.name for f in fields(PhiMap) if f.init] == ["name", "fn"]
+    space = MetricSpace.analytic("real_usual", CARRIERS["real_usual"][0])
+    tmap = SelfMap.constant(space, 3.0)
+    twice = PhiMap("dist_to(0.0)", lambda x: 2 * space.distance(x, 0.0))
+    assert check_caristi(space, tmap, phi_canonical(space, 0.0)).margin == -6.0
+    rep = check_caristi(space, tmap, twice)
+    assert (rep.margin, repr(rep.witness)) == (-9.0, "(-0.0,)")
 
 
 def test_weights_past_the_float_range_are_refused():
