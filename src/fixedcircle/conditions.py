@@ -16,7 +16,9 @@ verifier.theorem_flags, the soundness sweep. A check_*, or a theorem
 verdict, builds the operands of one map (_OneMap, a batch of one) and
 reads its ConditionReports off the same rules' arrays: the margin is
 the slack at the first smallest tuple, that tuple the witness,
-derived_param the extremal feasible h. Analytic carriers read a
+derived_param the extremal feasible h. The images of the points come
+from the map's image table, made once per space and tolerance; only
+members off the points are mapped anew. Analytic carriers read a
 distance between two samples from space.as_array, any other from
 space._metric_fn, the one definition of the metric the matrix holds.
 
@@ -325,11 +327,12 @@ _EMPTY_NOTES = {
 
 
 class _OneMap(_Operands):
-    """The operands of one map over the carrier's points, then the
-    members, images and weight center off them. An image or a center
-    takes an equal sample's index, a member only that of the very sample
-    it is, so a witness names the member itself. phi defaults to the
-    canonical weight at ``center``, by default the circle's."""
+    """The operands of one map over the carrier's points, then the images
+    (its image table), members, members' images and weight center off
+    them. An image or a center takes an equal sample's index, a member
+    only that of the very sample it is, so a witness names the member
+    itself. phi defaults to the canonical weight at ``center``, by
+    default the circle's."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None,
                  center=None):
@@ -339,7 +342,8 @@ class _OneMap(_Operands):
             center, radius, members = circle.center, circle.radius, circle.members
         if phi is None and center is not None:
             phi = phi_canonical(space, center)    # rejects an off-carrier center
-        pts, finite = list(space.points()), space.is_finite
+        row, extra = tmap._images(space, eps)
+        pts, finite = [*space.points(), *extra], space.is_finite
 
         def at(p, member=False):
             i = space.index_of(p) if finite else space._index.get(p)
@@ -348,9 +352,10 @@ class _OneMap(_Operands):
                 return len(pts) - 1
             return i
         M = [at(p, member=not finite) for p in members]
-        images = tmap.table if finite \
-            else [tmap.apply(p, eps=eps) for p in pts]
-        maps = np.array([[at(p) for p in images]])
+        tail = [at(tmap.apply(p, eps=eps)) for p in pts[len(row) + len(extra):]]
+        # the image of an off-sample image is never read: its slot holds 0
+        maps = row if len(pts) == len(row) else np.hstack(
+            (row, [0] * len(extra), tail)).astype(np.intp)
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
         d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)
@@ -359,7 +364,7 @@ class _OneMap(_Operands):
             w = d(np.arange(len(pts)), c)
             weight(np.flatnonzero(~np.isfinite(w)))
             weight = w.__getitem__
-        super().__init__(d, maps, weight, radius, eps,
+        super().__init__(d, maps[None], weight, radius, eps,
                          np.array(M, dtype=np.intp), len(space.points()))
         self.pts, self.finite = pts, finite
         self.sampled = circle is not None and circle.resolution == "sampled"

@@ -492,7 +492,10 @@ class SelfMap:
     at slot i). Analytic carriers use a piecewise rule, a closed-form
     rule being one with no branches; images are computed exactly from
     the rule even at points outside the sample set, so sampled carriers
-    never snap images to the nearest sample.
+    never snap images to the nearest sample. A map keeps one record, of
+    the last space object and resolved tolerance it was read on: its
+    image table and its fixed circles. The record is not a field, so ==,
+    hash, repr and dataclasses.replace ignore it.
     """
 
     space: MetricSpace
@@ -547,11 +550,28 @@ class SelfMap:
         return cls(space=space, kind="piecewise", branches=branches,
                    default=tuple(default))
 
-    @cached_property
-    def _enumeration(self) -> dict:
-        """enumerate_fixed_circles' last result, at most one entry: the
-        resolved tolerance -> (the space enumerated over, the circles)."""
-        return {}
+    def _kept(self, space: MetricSpace, eps: float, name: str, make):
+        """The record's ``name``, made by make() on first use."""
+        rec = self.__dict__.get("_last")
+        if rec is None or rec["space"] is not space or rec["eps"] != eps:
+            rec = self.__dict__["_last"] = {"space": space, "eps": eps}
+        if name not in rec:
+            rec[name] = make()
+        return rec[name]
+
+    def _images(self, space: MetricSpace, eps: float):
+        """The image table: a read-only intp row, row[i] the index of
+        T(points()[i]) in points() + extra, and extra, the distinct
+        images off the points."""
+        def table():
+            index = dict(space._index)
+            row = np.array([space.index_of(p) for p in self.table]
+                           if space.is_finite else
+                           [index.setdefault(self.apply(p, eps=eps), len(index))
+                            for p in space.points()], dtype=np.intp)
+            row.flags.writeable = False
+            return row, tuple(index)[len(space._index):]
+        return self._kept(space, eps, "images", table)
 
     @classmethod
     def identity(cls, space: MetricSpace) -> "SelfMap":
@@ -648,18 +668,11 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     (radius ~ 0) circles are included only on request; each is just a
     fixed point wearing a circle costume.
 
-    The SelfMap keeps its last enumeration, degenerate circles included,
-    with the space and tolerance it was made for, and a call on the same
-    space object at the same tolerance reads it back: the three
-    uniqueness verdicts of one map enumerate once. Any other call
-    enumerates again and takes its place, so a map holds at most one.
+    Kept in the map's record (see SelfMap), degenerate circles included.
     """
     eps = resolve_eps(eps)
-    memo = tmap._enumeration
-    if eps not in memo or memo[eps][0] is not space:
-        memo.clear()
-        memo[eps] = (space, _fixed_circles(space, tmap, eps))
-    circles = memo[eps][1]
+    circles = tmap._kept(space, eps, "circles",
+                         lambda: _fixed_circles(space, tmap, eps))
     if include_degenerate:
         return circles
     return tuple(c for c in circles if not c.degenerate)

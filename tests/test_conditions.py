@@ -11,6 +11,7 @@ import gc
 import itertools
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
+                                    _OneMap,
                                     check_c1, check_c1_dstar, check_c1_star,
                                     check_c2, check_c2_dstar, check_c2_star,
                                     check_c3, check_caristi, check_condition,
@@ -26,10 +28,13 @@ from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
                                     phi_canonical)
 from fixedcircle.errors import DomainError
 from fixedcircle.gallery import load_entry
-from fixedcircle.generators import GenConfig, random_metric_space
+from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
+                                    random_metric_space)
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
-                                     enumerate_circles, is_fixed_circle,
+                                     enumerate_circles,
+                                     enumerate_fixed_circles, is_fixed_circle,
                                      validate_metric)
+from fixedcircle.verifier import THEOREM_IDS, verify_theorem
 
 EPS = 1e-9
 
@@ -178,6 +183,64 @@ def test_analytic_reports_match_plain_loops(entry_id, k):
     phi = PhiMap("abs", abs)
     assert _exact(check_caristi(entry.space, entry.tmap, phi)) == _exact(
         _oracle("CARISTI", entry.space, entry.tmap, circle, phi=phi))
+
+
+# ---------------------------------------------------------------------------
+# One image table per map
+
+
+def test_checks_and_verdicts_apply_the_map_once_per_sample():
+    # The 12 checks and the 9 verdicts of a 96-sample piecewise map read
+    # one image table: the map is applied once at each sample, and besides
+    # only at the circle's members off the samples. The uniqueness
+    # verdicts' enumeration, which applies the map on its own, is made
+    # first.
+    samples = [k / 64 for k in range(-48, 48)]
+    space = MetricSpace.analytic("real_usual", samples)
+    circle = circle_of(space, samples[40], samples[60] - samples[40])
+    tmap = build_circle_fixing_map(space, circle)
+    enumerate_fixed_circles(space, tmap)
+    apply, calls = SelfMap.apply, []
+
+    def counted(self, x, eps=None):
+        calls.append(x)
+        return apply(self, x, eps=eps)
+    with mock.patch.object(SelfMap, "apply", counted):
+        for cid in CONDITION_IDS:
+            check_condition(cid, space, tmap, circle=circle)
+        for tid in THEOREM_IDS:
+            verify_theorem(tid, space, tmap, circle)
+
+    def among(x, points):
+        return any(x is p for p in points)
+    at_samples = [x for x in calls if among(x, samples)]
+    assert sorted(at_samples) == sorted(space.points())
+    assert all(among(x, circle.members) for x in calls
+               if not among(x, samples))
+    members = len(CONDITION_IDS + THEOREM_IDS) * len(circle.members)
+    assert len(calls) <= len(samples) + members
+
+
+def test_a_finite_map_needs_its_images_in_the_space_checked():
+    # the table does not take an unknown label as a point off the carrier
+    space = MetricSpace.finite(("p", "q", "s"),
+                               [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    other = MetricSpace.finite(("p", "q", "t"), space.matrix)
+    tmap = SelfMap.from_table(space, {"p": "s", "q": "q", "s": "p"})
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            check_condition("BANACH", other, tmap)
+    assert "images" not in tmap._last
+
+
+def test_a_constant_image_off_the_samples_is_one_point():
+    space = MetricSpace.analytic("real_usual", [k / 8 for k in range(-16, 17)])
+    tmap = SelfMap.constant(space, 0.3)
+    assert _OneMap(space, tmap).pts == [*space.points(), 0.3]
+    circle = circle_of(space, 0.0, 1.0)
+    for cid in CONDITION_IDS:
+        assert _exact(check_condition(cid, space, tmap, circle=circle)) \
+            == _exact(_oracle(cid, space, tmap, circle)), cid
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ first in each test, so the expected member sets never come from the
 code under test.
 """
 
+import dataclasses
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -445,6 +447,61 @@ def test_off_sample_images_are_exact_not_snapped():
     m = SelfMap.from_rule(space, ("reciprocal",))
     # 1/3 is not a sample; the image must be the exact value
     assert m.apply(3.0) == pytest.approx(1 / 3, abs=0)
+
+
+def _counting_apply(calls):
+    """A stand-in for SelfMap.apply that records each point applied."""
+    apply = SelfMap.apply
+
+    def counted(self, x, eps=None):
+        calls.append(x)
+        return apply(self, x, eps=eps)
+    return counted
+
+
+def test_image_table_is_made_once_per_space_object_and_tolerance():
+    # The table over points() is read back on the same space object at the
+    # same tolerance and made again on another tolerance or on an equal
+    # space that is another object. The constant image off the samples is
+    # one point after them, however many samples map to it.
+    samples = [k / 8 for k in range(-8, 9)]
+    space = MetricSpace.analytic("real_usual", samples)
+    twin = MetricSpace.analytic("real_usual", samples)
+    assert twin == space and twin is not space
+    tmap = SelfMap.piecewise(
+        space, (Branch(("on_circle", 0.0, 0.5), ("identity",)),),
+        ("constant", 0.3))
+    calls = []
+    for target, eps, fresh in [(space, EPS, True), (space, EPS, False),
+                               (space, 0.25, True), (space, 0.25, False),
+                               (twin, 0.25, True), (twin, 0.25, False),
+                               (space, 0.25, True)]:
+        calls.clear()
+        with mock.patch.object(SelfMap, "apply", _counting_apply(calls)):
+            row, extra = tmap._images(target, eps)
+        assert len(calls) == (len(samples) if fresh else 0), (eps, fresh)
+        assert extra == (0.3,)
+        every = target.points() + extra
+        assert [every[j] for j in row] == [tmap.apply(x, eps=eps)
+                                           for x in target.points()]
+        assert tmap._last["space"] is target and tmap._last["eps"] == eps
+
+
+def test_map_record_is_not_part_of_the_map():
+    space = MetricSpace.analytic("real_usual", (0.0, 1.0, 2.0))
+    tmap = SelfMap.constant(space, 0.5)
+    before = (hash(tmap), repr(tmap))
+    row, extra = tmap._images(space, EPS)
+    assert "_last" in vars(tmap)
+    fresh = dataclasses.replace(tmap)
+    assert "_last" not in vars(fresh)
+    assert fresh == tmap and (hash(tmap), repr(tmap)) == before \
+        == (hash(fresh), repr(fresh))
+    assert row.dtype == np.intp and row.tolist() == [3, 3, 3]
+    assert extra == (0.5,)
+    assert not row.flags.writeable
+    with pytest.raises(ValueError):
+        row[0] = 0
 
 
 def test_fixed_points_and_fixed_circle(path_space):

@@ -509,7 +509,8 @@ def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
     # One map asked at changing tolerances and over an equal space that
     # is another object: every answer is the plain loop's, the map is
     # applied again exactly when the (space, eps) differs from the last
-    # call's, and the map keeps one enumeration.
+    # call's, and the map keeps one record, holding that (space, eps)
+    # and its enumeration.
     twin = (MetricSpace.finite(space.points(), space.matrix)
             if space.is_finite
             else MetricSpace.analytic(space.kind, space.points()))
@@ -526,7 +527,9 @@ def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
             got = {flag: enumerate_fixed_circles(target, tmap, flag, eps)
                    for flag in (True, False, True)}
         assert bool(calls) == fresh, (target is twin, eps)
-        assert len(tmap._enumeration) == 1
+        record = tmap._last
+        assert record["space"] is target and record["eps"] == eps
+        assert "circles" in record
         for flag, expected in [(True, want), (False, tuple(
                 c for c in want if not c.degenerate))]:
             assert got[flag] == expected and repr(got[flag]) == repr(
