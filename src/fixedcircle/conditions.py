@@ -354,8 +354,7 @@ class _OneMap(_Operands):
         M = [at(p, member=not finite) for p in members]
         tail = [at(tmap.apply(p, eps=eps)) for p in pts[len(row) + len(extra):]]
         # the image of an off-sample image is never read: its slot holds 0
-        maps = row if len(pts) == len(row) else np.hstack(
-            (row, [0] * len(extra), tail)).astype(np.intp)
+        maps = np.hstack((row, [0] * len(extra), tail)).astype(np.intp)
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
         d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)

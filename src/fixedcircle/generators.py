@@ -18,7 +18,6 @@ chosen by maximizing the minimum slack, ties broken by carrier order.
 from __future__ import annotations
 
 import ast
-import functools
 import re
 from dataclasses import dataclass
 
@@ -216,10 +215,9 @@ _CHAINS = {ast.BitAnd: (lambda v: not v.any(), np.logical_and),
            ast.BitOr: (lambda v: v.all(), np.logical_or)}
 
 
-@functools.lru_cache(maxsize=64)
 def _parse_target(text: str):
     """Parse !, &, | and parentheses over condition-id atoms into an
-    evaluator, kept for the last 64 texts (a refused one raises each time).
+    evaluator.
 
     ! binds tighter than &, and & tighter than |, each left-associative:
     Python's grammar for ~, & and |, so ast parses a target once its !

@@ -29,7 +29,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -686,30 +686,32 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
 
     A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
     it, or when the metric refuses d(x, Tx) as past the float range (where
-    is_fixed_circle raises). The map is applied once per point: to the
-    points on finite and complex carriers, to the distinct members on the
-    real kinds. The radii and member windows of a center are cut from and
-    resolved on its one _center_row, by the code circle_of resolves one
-    with, and a Circle is built only for a fixed one. On n points that is
-    n sorted rows, n Python map applications and O(n^3) elementwise array
-    work in steps of O(n^2) memory; on the real kinds, O(n^2) closed-form
-    members in Python.
+    is_fixed_circle raises). On finite and complex carriers the images of
+    the points come from the map's image table; on the real kinds the map
+    is applied once per distinct member. The radii and member windows of
+    a center are cut from and resolved on its one _center_row, by the
+    code circle_of resolves one with, and a Circle is built only for a
+    fixed one. On n points that is n sorted rows, n image distances and
+    O(n^3) elementwise array work in steps of O(n^2) memory; on the real
+    kinds, O(n^2) closed-form members in Python.
     """
-    seen = {}
+    def far(x, tx) -> bool:
+        try:
+            return not tmap.space.distance(x, tx) <= eps
+        except MalformedInputError:
+            return True
 
+    @cache
     def moved(x) -> bool:
-        if x not in seen:
-            tx = tmap.apply(x, eps=eps)
-            try:
-                seen[x] = not tmap.space.distance(x, tx) <= eps
-            except MalformedInputError:
-                seen[x] = True
-        return seen[x]
+        return far(x, tmap.apply(x, eps=eps))
 
     pts = space.points()
     on_points = _on_points(space)
     if on_points:
-        moved_pts = np.array([moved(x) for x in pts], dtype=bool)
+        images, extra = tmap._images(space, eps)
+        every = pts + extra
+        moved_pts = np.array([far(x, every[j]) for x, j in zip(pts, images)],
+                             dtype=bool)
     out = []
     for center in pts:
         row = _center_row(space, center)

@@ -274,15 +274,6 @@ def test_search_rejects_malformed_targets(little, capsys, expr):
     assert capsys.readouterr().err == ""
 
 
-def test_target_is_parsed_once_and_a_bad_one_is_refused_each_time(little):
-    circle = _mid_circle(little)
-    for _ in range(2):
-        with pytest.raises(MalformedInputError):
-            search_counterexample(little, circle, "C1 & WAT")
-    assert generators._parse_target("C1 & !C2") \
-        is generators._parse_target("C1 & !C2")
-
-
 def test_search_operator_semantics(little):
     circle = _mid_circle(little)
     # tautology finds the first map immediately

@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fixedcircle import conditions, verifier
+from fixedcircle import conditions, metric_core, verifier
 from fixedcircle.errors import DomainError, InvalidMetricError
 from fixedcircle.conditions import check_condition, phi_canonical
 from fixedcircle.gallery import list_entries, load_entry
@@ -484,19 +484,21 @@ def test_enumeration_applies_the_map_once_per_point(space):
 
 
 def test_uniqueness_verdicts_share_one_enumeration():
-    # A finite map's verdicts gather its table; only the enumeration
-    # applies it, and the three uniqueness verdicts and a direct call
-    # read one enumeration.
+    # A finite map is never applied: the verdicts and the enumeration read
+    # its table as indices. The three uniqueness verdicts and a direct
+    # call read one enumeration.
     space = random_metric_space(GenConfig(seed=11, size=24))
     circle = circle_of(space, space.points()[0],
                        float(space.as_array[0, 23]))
     tmap = build_circle_fixing_map(space, circle)
     calls, counted = _counting_apply()
-    with mock.patch.object(SelfMap, "apply", counted):
+    made = mock.Mock(wraps=metric_core._fixed_circles)
+    with mock.patch.object(SelfMap, "apply", counted), \
+            mock.patch.object(metric_core, "_fixed_circles", made):
         verdicts = [verify_uniqueness(space, tmap, circle, variant)
                     for variant in ("C3", "C3_ON_STAR", "C3_DSTAR")]
         found = enumerate_fixed_circles(space, tmap)
-    assert sorted(calls) == sorted(space.points())
+    assert calls == [] and made.call_count == 1
     assert found and all(v.fixed_circles == found for v in verdicts)
     assert found == tuple(c for c in _reference_fixed_circles(space, tmap)
                           if not c.degenerate)
@@ -508,25 +510,31 @@ def test_uniqueness_verdicts_share_one_enumeration():
 def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
     # One map asked at changing tolerances and over an equal space that
     # is another object: every answer is the plain loop's, the map is
-    # applied again exactly when the (space, eps) differs from the last
-    # call's, and the map keeps one record, holding that (space, eps)
-    # and its enumeration.
+    # enumerated again exactly when the (space, eps) differs from the last
+    # call's (and applied again then, unless a finite map, whose table is
+    # read), and the map keeps one record, holding that (space, eps) and
+    # its enumeration.
     twin = (MetricSpace.finite(space.points(), space.matrix)
             if space.is_finite
             else MetricSpace.analytic(space.kind, space.points()))
     assert twin == space and twin is not space
     tmap = SelfMap.constant(space, space.points()[0])
     calls, counted = _counting_apply()
+    made = mock.Mock(wraps=metric_core._fixed_circles)
     for target, eps, fresh in [(space, EPS, True), (space, EPS, False),
                                (space, 0.25, True), (space, EPS, True),
                                (twin, EPS, True), (twin, EPS, False),
                                (space, EPS, True)]:
         want = _reference_fixed_circles(target, tmap, eps)
         calls.clear()
-        with mock.patch.object(SelfMap, "apply", counted):
+        made.reset_mock()
+        with mock.patch.object(SelfMap, "apply", counted), \
+                mock.patch.object(metric_core, "_fixed_circles", made):
             got = {flag: enumerate_fixed_circles(target, tmap, flag, eps)
                    for flag in (True, False, True)}
-        assert bool(calls) == fresh, (target is twin, eps)
+        assert made.call_count == fresh, (target is twin, eps)
+        assert bool(calls) == (fresh and not space.is_finite), \
+            (target is twin, eps)
         record = tmap._last
         assert record["space"] is target and record["eps"] == eps
         assert "circles" in record
