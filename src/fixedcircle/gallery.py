@@ -15,8 +15,9 @@ expectations mention plus a 101-point uniform grid over the mentioned
 range, so membership and enumeration claims are decidable on the
 shipped data alone.
 
-Entry ids are stable opaque tags (EX_* / PROP_*); replay order is
-natural id order.
+Each entry is declared once, by id and title on its builder
+(@_entry(id, title)); load_entry builds it from that registry. Entry ids
+are stable opaque tags (EX_* / PROP_*); replay order is natural id order.
 """
 
 from __future__ import annotations
@@ -153,116 +154,113 @@ def _real(kind: str, mentioned, lo, hi) -> MetricSpace:
 # ---------------------------------------------------------------------------
 # Entries
 
+# entry id -> (title, builder); filled by @_entry as the module loads
+_REGISTRY: dict = {}
 
-def _entry_ex_2_4() -> GalleryEntry:
+
+def _entry(entry_id: str, title: str):
+    """Register the decorated builder as the gallery entry entry_id.
+
+    The builder returns the rest of GalleryEntry in field order:
+    (space, tmap, circles, expectations[, notes]). An id is declared
+    once; a second declaration is refused before anything is registered.
+    """
+    if entry_id in _REGISTRY:
+        raise DomainError(f"gallery entry {entry_id!r} is already declared")
+
+    def register(builder):
+        _REGISTRY[entry_id] = (title, builder)
+        return builder
+    return register
+
+
+@_entry("EX_2_4", "Members sent to the center's level, everything else to 2")
+def _():
     space = _real("real_usual", (-1.0, 3.0, 1.0, 2.0), -1, 3)
-    circle = circle_of(space, 1.0, 2.0)
     tmap = SelfMap.piecewise(
         space, (Branch(("on_circle", 1.0, 2.0), ("constant", 1.0)),),
         ("constant", 2.0))
-    return GalleryEntry(
-        entry_id="EX_2_4",
-        title="Members sent to the center's level, everything else to 2",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            CircleMembersExpectation(0, (-1.0, 3.0)),
-            ConditionExpectation("C1", 0, True, margin=0.0),
-            ConditionExpectation("C2", 0, False, margin=-2.0),
-            FixedCircleExpectation(0, False),
-            EnumerationExpectation((), exact=True),
-        ))
+    return space, tmap, (circle_of(space, 1.0, 2.0),), (
+        CircleMembersExpectation(0, (-1.0, 3.0)),
+        ConditionExpectation("C1", 0, True, margin=0.0),
+        ConditionExpectation("C2", 0, False, margin=-2.0),
+        FixedCircleExpectation(0, False),
+        EnumerationExpectation((), exact=True),
+    )
 
 
-def _entry_ex_2_5() -> GalleryEntry:
+@_entry("EX_2_5", "Identity on the circle, exterior constant elsewhere")
+def _():
     space = _real("real_usual", (-2.0, 2.0, 0.0, 5.0), -2, 5)
     circle = circle_of(space, 0.0, 2.0)
     tmap = build_circle_fixing_map(space, circle, anchor=5.0)
-    return GalleryEntry(
-        entry_id="EX_2_5",
-        title="Identity on the circle, exterior constant elsewhere",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C1", 0, True, margin=0.0),
-            ConditionExpectation("C2", 0, True, margin=0.0),
-            FixedCircleExpectation(0, True),
-            ClassificationExpectation(0, "on", signed_gap=0.0),
-            VerdictExpectation("T_EXIST_C1C2", 0, True, True),
-            ConditionExpectation("ID_COND", 0, False, margin=-2.0,
-                                 derived_param=-1.0),
-        ))
+    return space, tmap, (circle,), (
+        ConditionExpectation("C1", 0, True, margin=0.0),
+        ConditionExpectation("C2", 0, True, margin=0.0),
+        FixedCircleExpectation(0, True),
+        ClassificationExpectation(0, "on", signed_gap=0.0),
+        VerdictExpectation("T_EXIST_C1C2", 0, True, True),
+        ConditionExpectation("ID_COND", 0, False, margin=-2.0,
+                             derived_param=-1.0),
+    )
 
 
-def _entry_ex_2_6() -> GalleryEntry:
+@_entry("EX_2_6", "Constant map onto the center")
+def _():
     space = _real("real_usual", (-2.0, 2.0, 0.0), -2, 2)
     circle = circle_of(space, 0.0, 2.0)
-    tmap = SelfMap.constant(space, 0.0)
-    return GalleryEntry(
-        entry_id="EX_2_6",
-        title="Constant map onto the center",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C1", 0, True, margin=0.0),
-            ConditionExpectation("C2", 0, False, margin=-2.0),
-            FixedCircleExpectation(0, False),
-            ConditionExpectation("ID_COND", 0, False, margin=0.0,
-                                 derived_param=1.0),
-            VerdictExpectation("T_EXIST_C1C2", 0, False, False),
-        ))
+    return space, SelfMap.constant(space, 0.0), (circle,), (
+        ConditionExpectation("C1", 0, True, margin=0.0),
+        ConditionExpectation("C2", 0, False, margin=-2.0),
+        FixedCircleExpectation(0, False),
+        ConditionExpectation("ID_COND", 0, False, margin=0.0,
+                             derived_param=1.0),
+        VerdictExpectation("T_EXIST_C1C2", 0, False, False),
+    )
 
 
-def _entry_ex_2_7() -> GalleryEntry:
+@_entry("EX_2_7", "Constant map onto an exterior point")
+def _():
     space = _real("real_usual", (-1.0, 1.0, 0.0, 3.0), -1, 3)
     circle = circle_of(space, 0.0, 1.0)
-    tmap = SelfMap.constant(space, 3.0)
-    return GalleryEntry(
-        entry_id="EX_2_7",
-        title="Constant map onto an exterior point",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C2", 0, True, margin=2.0),
-            ConditionExpectation("C1", 0, False, margin=-6.0),
-            ClassificationExpectation(0, "exterior", signed_gap=2.0),
-            FixedCircleExpectation(0, False),
-        ))
+    return space, SelfMap.constant(space, 3.0), (circle,), (
+        ConditionExpectation("C2", 0, True, margin=2.0),
+        ConditionExpectation("C1", 0, False, margin=-6.0),
+        ClassificationExpectation(0, "exterior", signed_gap=2.0),
+        FixedCircleExpectation(0, False),
+    )
 
 
-def _entry_ex_2_8() -> GalleryEntry:
+@_entry("EX_2_8", "Complex reciprocal on the sampled unit circle")
+def _():
     mentioned = (complex(-1, 0), complex(1, 0), complex(0, 0))
     space = MetricSpace.analytic("complex_usual",
                                  mentioned + circle_samples(0, 1))
-    circle = circle_of(space, complex(0, 0), 1.0)
     tmap = SelfMap.from_rule(space, ("reciprocal",))
-    return GalleryEntry(
-        entry_id="EX_2_8",
-        title="Complex reciprocal on the sampled unit circle",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C2", 0, True, margin=0.0),
-            ConditionExpectation("C1", 0, False, margin=-2.0),
-            FixedCircleExpectation(0, False),
-            FixedMembersExpectation(0, (complex(-1, 0), complex(1, 0))),
-        ),
-        notes=("unit-circle membership is sample-resolved; the fixed "
-               "members are exact because -1 and 1 sit in the sample set",))
+    return space, tmap, (circle_of(space, complex(0, 0), 1.0),), (
+        ConditionExpectation("C2", 0, True, margin=0.0),
+        ConditionExpectation("C1", 0, False, margin=-2.0),
+        FixedCircleExpectation(0, False),
+        FixedMembersExpectation(0, (complex(-1, 0), complex(1, 0))),
+    ), ("unit-circle membership is sample-resolved; the fixed members are "
+        "exact because -1 and 1 sit in the sample set",)
 
 
-def _entry_ex_2_11() -> GalleryEntry:
+@_entry("EX_2_11", "Identity on the circle, interior constant elsewhere")
+def _():
     space = _real("real_usual", (-2.0, 2.0, 0.0, 1.0), -2, 2)
     circle = circle_of(space, 0.0, 2.0)
     tmap = build_circle_fixing_map(space, circle, anchor=1.0)
-    return GalleryEntry(
-        entry_id="EX_2_11",
-        title="Identity on the circle, interior constant elsewhere",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C1_STAR", 0, True, margin=0.0),
-            ConditionExpectation("C2_STAR", 0, True, margin=0.0),
-            FixedCircleExpectation(0, True),
-            VerdictExpectation("T_EXIST_STAR", 0, True, True),
-        ))
+    return space, tmap, (circle,), (
+        ConditionExpectation("C1_STAR", 0, True, margin=0.0),
+        ConditionExpectation("C2_STAR", 0, True, margin=0.0),
+        FixedCircleExpectation(0, True),
+        VerdictExpectation("T_EXIST_STAR", 0, True, True),
+    )
 
 
-def _entry_ex_2_12() -> GalleryEntry:
+@_entry("EX_2_12", "Reciprocal on the unit circle, constant 5 elsewhere")
+def _():
     space = _real("real_usual", (-1.0, 1.0, 5.0, 0.0, 3.0, 2.0), -1, 5)
     circles = (circle_of(space, 0.0, 1.0), circle_of(space, 3.0, 2.0),
                circle_of(space, 2.0, 3.0))
@@ -277,145 +275,118 @@ def _entry_ex_2_12() -> GalleryEntry:
                  VerdictExpectation("T_EXIST_STAR", i, True, True)]
     rows.append(EnumerationExpectation(((0.0, 1.0), (3.0, 2.0), (2.0, 3.0)),
                                        exact=True))
-    return GalleryEntry(
-        entry_id="EX_2_12",
-        title="Reciprocal on the unit circle, constant 5 elsewhere",
-        space=space, tmap=tmap, circles=circles,
-        expectations=tuple(rows),
-        notes=("three distinct fixed circles; uniqueness is genuinely "
-               "absent under the existence hypotheses alone",))
+    return space, tmap, circles, tuple(rows), (
+        "three distinct fixed circles; uniqueness is genuinely absent "
+        "under the existence hypotheses alone",)
 
 
-def _entry_ex_2_13() -> GalleryEntry:
+@_entry("EX_2_13", "Constant map onto an interior point")
+def _():
     space = _real("real_usual", (-2.0, 2.0, 0.0, 1.0), -2, 2)
     circle = circle_of(space, 0.0, 2.0)
-    tmap = SelfMap.constant(space, 1.0)
-    return GalleryEntry(
-        entry_id="EX_2_13",
-        title="Constant map onto an interior point",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C2_STAR", 0, True, margin=1.0),
-            ConditionExpectation("C1_STAR", 0, False, margin=-4.0),
-            ClassificationExpectation(0, "interior", signed_gap=-1.0),
-            FixedCircleExpectation(0, False),
-            VerdictExpectation("T_EXIST_STAR", 0, False, False),
-        ))
+    return space, SelfMap.constant(space, 1.0), (circle,), (
+        ConditionExpectation("C2_STAR", 0, True, margin=1.0),
+        ConditionExpectation("C1_STAR", 0, False, margin=-4.0),
+        ClassificationExpectation(0, "interior", signed_gap=-1.0),
+        FixedCircleExpectation(0, False),
+        VerdictExpectation("T_EXIST_STAR", 0, False, False),
+    )
 
 
-def _entry_ex_2_14() -> GalleryEntry:
+@_entry("EX_2_14", "Members pushed radially outward fivefold")
+def _():
     space = _real("real_usual", (-1.0, 1.0, 0.0, -5.0, 5.0, 10.0), -5, 10)
-    circle = circle_of(space, 0.0, 1.0)
     tmap = SelfMap.piecewise(
         space,
         (Branch(("at_points", (-1.0,)), ("constant", -5.0)),
          Branch(("at_points", (1.0,)), ("constant", 5.0))),
         ("constant", 10.0))
-    return GalleryEntry(
-        entry_id="EX_2_14",
-        title="Members pushed radially outward fivefold",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C1_STAR", 0, True, margin=0.0),
-            ConditionExpectation("C2_STAR", 0, False, margin=-4.0),
-            FixedCircleExpectation(0, False),
-        ),
-        notes=("the default branch (everything else to 10) never enters "
-               "the member-quantified verdicts on this circle",))
+    return space, tmap, (circle_of(space, 0.0, 1.0),), (
+        ConditionExpectation("C1_STAR", 0, True, margin=0.0),
+        ConditionExpectation("C2_STAR", 0, False, margin=-4.0),
+        FixedCircleExpectation(0, False),
+    ), ("the default branch (everything else to 10) never enters the "
+        "member-quantified verdicts on this circle",)
 
 
-def _entry_ex_2_16() -> GalleryEntry:
+@_entry("EX_2_16", "Exponential-gap metric with a one-point unit circle")
+def _():
     ln2 = math.log(2.0)
     space = _real("real_exp", (ln2, 0.0, 1.0), 0, 1)
-    circle = circle_of(space, 0.0, 1.0)
     tmap = SelfMap.piecewise(
         space, (Branch(("on_circle", 0.0, 1.0), ("constant", ln2)),),
         ("constant", 1.0))
-    return GalleryEntry(
-        entry_id="EX_2_16",
-        title="Exponential-gap metric with a one-point unit circle",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            CircleMembersExpectation(0, (ln2,)),
-            ConditionExpectation("C1_DSTAR", 0, True, margin=0.0),
-            ConditionExpectation("C2_DSTAR", 0, True, margin=0.0,
-                                 derived_param=0.0),
-            FixedCircleExpectation(0, True),
-            VerdictExpectation("T_EXIST_DSTAR", 0, True, True),
-        ))
+    return space, tmap, (circle_of(space, 0.0, 1.0),), (
+        CircleMembersExpectation(0, (ln2,)),
+        ConditionExpectation("C1_DSTAR", 0, True, margin=0.0),
+        ConditionExpectation("C2_DSTAR", 0, True, margin=0.0,
+                             derived_param=0.0),
+        FixedCircleExpectation(0, True),
+        VerdictExpectation("T_EXIST_DSTAR", 0, True, True),
+    )
 
 
-def _entry_ex_2_18() -> GalleryEntry:
+@_entry("EX_2_18",
+        "Members collapsed to the center, the rest to a member value")
+def _():
     space = _real("real_usual", (-2.0, 6.0, 2.0), -2, 6)
-    circle = circle_of(space, 2.0, 4.0)
     tmap = SelfMap.piecewise(
         space, (Branch(("on_circle", 2.0, 4.0), ("constant", 2.0)),),
         ("constant", 6.0))
-    return GalleryEntry(
-        entry_id="EX_2_18",
-        title="Members collapsed to the center, the rest to a member value",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            CircleMembersExpectation(0, (-2.0, 6.0)),
-            ConditionExpectation("C1_DSTAR", 0, True, margin=0.0),
-            ConditionExpectation("C2_DSTAR", 0, False, margin=0.0,
-                                 derived_param=1.0),
-            FixedCircleExpectation(0, False),
-            EnumerationExpectation((), exact=True),
-        ),
-        notes=("the weighted displacement condition fails exactly at the "
-               "h -> 1 boundary: no admissible h below 1 exists",))
+    return space, tmap, (circle_of(space, 2.0, 4.0),), (
+        CircleMembersExpectation(0, (-2.0, 6.0)),
+        ConditionExpectation("C1_DSTAR", 0, True, margin=0.0),
+        ConditionExpectation("C2_DSTAR", 0, False, margin=0.0,
+                             derived_param=1.0),
+        FixedCircleExpectation(0, False),
+        EnumerationExpectation((), exact=True),
+    ), ("the weighted displacement condition fails exactly at the h -> 1 "
+        "boundary: no admissible h below 1 exists",)
 
 
-def _entry_ex_2_19() -> GalleryEntry:
+@_entry("EX_2_19",
+        "Magnitude-sum metric where equal center and radius pin {0}")
+def _():
     space = _real("real_abs_sum", (-1.0, 1.0, 0.5, 0.0, 2.0, 3.0), -1, 3)
     circles = (circle_of(space, 1.0, 2.0), circle_of(space, 1.0, 1.0),
                circle_of(space, 2.0, 2.0), circle_of(space, 3.0, 3.0))
     tmap = SelfMap.piecewise(
         space, (Branch(("at_points", (-1.0, 1.0)), ("constant", 0.5)),),
         ("constant", 0.0))
-    return GalleryEntry(
-        entry_id="EX_2_19",
-        title="Magnitude-sum metric where equal center and radius pin {0}",
-        space=space, tmap=tmap, circles=circles,
-        expectations=(
-            CircleMembersExpectation(0, (-1.0,)),
-            ConditionExpectation("C1_STAR", 0, False, margin=-2.0),
-            ConditionExpectation("C2_STAR", 0, True, margin=0.5),
-            FixedCircleExpectation(0, False),
-            CircleMembersExpectation(1, (0.0,)),
-            ConditionExpectation("C1_STAR", 1, True, margin=0.0),
-            ConditionExpectation("C2_STAR", 1, True, margin=0.0),
-            FixedCircleExpectation(1, True),
-            CircleMembersExpectation(2, (0.0,)),
-            FixedCircleExpectation(2, True),
-            CircleMembersExpectation(3, (0.0,)),
-            FixedCircleExpectation(3, True),
-            EnumerationExpectation(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))),
-        ),
-        notes=("every circle whose radius equals the center's magnitude "
-               "resolves to the single point 0, which the map fixes",))
+    return space, tmap, circles, (
+        CircleMembersExpectation(0, (-1.0,)),
+        ConditionExpectation("C1_STAR", 0, False, margin=-2.0),
+        ConditionExpectation("C2_STAR", 0, True, margin=0.5),
+        FixedCircleExpectation(0, False),
+        CircleMembersExpectation(1, (0.0,)),
+        ConditionExpectation("C1_STAR", 1, True, margin=0.0),
+        ConditionExpectation("C2_STAR", 1, True, margin=0.0),
+        FixedCircleExpectation(1, True),
+        CircleMembersExpectation(2, (0.0,)),
+        FixedCircleExpectation(2, True),
+        CircleMembersExpectation(3, (0.0,)),
+        FixedCircleExpectation(3, True),
+        EnumerationExpectation(((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))),
+    ), ("every circle whose radius equals the center's magnitude resolves "
+        "to the single point 0, which the map fixes",)
 
 
-def _entry_ex_2_19b() -> GalleryEntry:
+@_entry("EX_2_19B", "Constant map onto one member of the circle")
+def _():
     space = _real("real_usual", (-2.0, 2.0, 0.0), -2, 2)
     circle = circle_of(space, 0.0, 2.0)
-    tmap = SelfMap.constant(space, 2.0)
-    return GalleryEntry(
-        entry_id="EX_2_19B",
-        title="Constant map onto one member of the circle",
-        space=space, tmap=tmap, circles=(circle,),
-        expectations=(
-            ConditionExpectation("C2_DSTAR", 0, True, margin=0.0,
-                                 derived_param=0.0),
-            ConditionExpectation("C1_DSTAR", 0, False, margin=-4.0),
-            FixedCircleExpectation(0, False),
-            EnumerationExpectation((), exact=True),
-            VerdictExpectation("T_EXIST_DSTAR", 0, False, False),
-        ))
+    return space, SelfMap.constant(space, 2.0), (circle,), (
+        ConditionExpectation("C2_DSTAR", 0, True, margin=0.0,
+                             derived_param=0.0),
+        ConditionExpectation("C1_DSTAR", 0, False, margin=-4.0),
+        FixedCircleExpectation(0, False),
+        EnumerationExpectation((), exact=True),
+        VerdictExpectation("T_EXIST_DSTAR", 0, False, False),
+    )
 
 
-def _entry_ex_3_4() -> GalleryEntry:
+@_entry("EX_3_4", "One map fixing three prescribed circles at once")
+def _():
     space = _real("real_usual",
                   (-1.0, 1.0, 2.0, 6.0, 7.0, 13.0, 0.0, 4.0, 10.0, 20.0),
                   -1, 20)
@@ -429,14 +400,11 @@ def _entry_ex_3_4() -> GalleryEntry:
                  FixedCircleExpectation(i, True),
                  VerdictExpectation("T_EXIST_C1C2", i, True, True)]
     rows.append(EnumerationExpectation(((0.0, 1.0), (4.0, 2.0), (10.0, 3.0))))
-    return GalleryEntry(
-        entry_id="EX_3_4",
-        title="One map fixing three prescribed circles at once",
-        space=space, tmap=tmap, circles=circles,
-        expectations=tuple(rows))
+    return space, tmap, circles, tuple(rows)
 
 
-def _entry_prop_3_1() -> GalleryEntry:
+@_entry("PROP_3_1", "Two prescribed fixed circles on a seven-point space")
+def _():
     labels = ("x0", "x1", "a", "b", "c", "e", "alpha")
     near = {("x0", "a"), ("x0", "b"), ("x1", "c"), ("x1", "e")}
     n = len(labels)
@@ -448,38 +416,22 @@ def _entry_prop_3_1() -> GalleryEntry:
     space = MetricSpace.finite(labels, matrix)
     circles = (circle_of(space, "x0", 2.0), circle_of(space, "x1", 2.0))
     tmap = build_multi_circle_map(space, circles, anchor="alpha")
-    return GalleryEntry(
-        entry_id="PROP_3_1",
-        title="Two prescribed fixed circles on a seven-point space",
-        space=space, tmap=tmap, circles=circles,
-        expectations=(
-            CircleMembersExpectation(0, ("a", "b")),
-            CircleMembersExpectation(1, ("c", "e")),
-            ConditionExpectation("C1", 0, True, margin=0.0),
-            ConditionExpectation("C2", 0, True, margin=0.0),
-            ConditionExpectation("C1", 1, True, margin=0.0),
-            ConditionExpectation("C2", 1, True, margin=0.0),
-            FixedCircleExpectation(0, True),
-            FixedCircleExpectation(1, True),
-            ConditionExpectation("C3", 0, False, margin=-1.0,
-                                 derived_param=1.5),
-            VerdictExpectation("T_UNIQUE_C3", 0, False, False,
-                               fixed_circle_count=2),
-            EnumerationExpectation((("x0", 2.0), ("x1", 2.0)), exact=True),
-        ),
-        notes=("the two-circle construction cannot be a contraction: the "
-               "uniqueness hypotheses fail while both circles stay fixed",))
-
-
-_BUILDERS = {
-    "EX_2_4": _entry_ex_2_4, "EX_2_5": _entry_ex_2_5, "EX_2_6": _entry_ex_2_6,
-    "EX_2_7": _entry_ex_2_7, "EX_2_8": _entry_ex_2_8,
-    "EX_2_11": _entry_ex_2_11, "EX_2_12": _entry_ex_2_12,
-    "EX_2_13": _entry_ex_2_13, "EX_2_14": _entry_ex_2_14,
-    "EX_2_16": _entry_ex_2_16, "EX_2_18": _entry_ex_2_18,
-    "EX_2_19": _entry_ex_2_19, "EX_2_19B": _entry_ex_2_19b,
-    "EX_3_4": _entry_ex_3_4, "PROP_3_1": _entry_prop_3_1,
-}
+    return space, tmap, circles, (
+        CircleMembersExpectation(0, ("a", "b")),
+        CircleMembersExpectation(1, ("c", "e")),
+        ConditionExpectation("C1", 0, True, margin=0.0),
+        ConditionExpectation("C2", 0, True, margin=0.0),
+        ConditionExpectation("C1", 1, True, margin=0.0),
+        ConditionExpectation("C2", 1, True, margin=0.0),
+        FixedCircleExpectation(0, True),
+        FixedCircleExpectation(1, True),
+        ConditionExpectation("C3", 0, False, margin=-1.0,
+                             derived_param=1.5),
+        VerdictExpectation("T_UNIQUE_C3", 0, False, False,
+                           fixed_circle_count=2),
+        EnumerationExpectation((("x0", 2.0), ("x1", 2.0)), exact=True),
+    ), ("the two-circle construction cannot be a contraction: the "
+        "uniqueness hypotheses fail while both circles stay fixed",)
 
 
 def _natural_key(entry_id: str):
@@ -489,7 +441,7 @@ def _natural_key(entry_id: str):
 
 def list_entries() -> tuple[str, ...]:
     """Known entry ids in replay order."""
-    return tuple(sorted(_BUILDERS, key=_natural_key))
+    return tuple(sorted(_REGISTRY, key=_natural_key))
 
 
 def matching_entries(filter_substring: str | None) -> tuple[str, ...]:
@@ -501,11 +453,11 @@ def matching_entries(filter_substring: str | None) -> tuple[str, ...]:
 def load_entry(entry_id: str) -> GalleryEntry:
     """Build the named entry from scratch; deterministic per id."""
     try:
-        builder = _BUILDERS[entry_id]
+        title, builder = _REGISTRY[entry_id]
     except KeyError:
         raise DomainError(f"unknown gallery entry {entry_id!r}; "
                           f"known: {', '.join(list_entries())}") from None
-    return builder()
+    return GalleryEntry(entry_id, title, *builder())
 
 
 # ---------------------------------------------------------------------------

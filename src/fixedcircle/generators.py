@@ -3,11 +3,11 @@
 Random spaces are built on a dyadic integer lattice. Entries are drawn
 as integers in [1049, 2**20], repaired to a shortest-path closure while
 still integers (min-plus Floyd-Warshall is exact on ints), and scaled
-by distance_scale / 2**20 at the very end. With the default scale the
-resulting floats are dyadic rationals, so every comparison downstream
-is exact and the smallest distance (~1e-3) sits far above the default
-epsilon. Zero off-diagonal entries cannot be sampled at all, which is
-how identity of indiscernibles is enforced.
+by 2**-20 at the very end. The resulting floats are dyadic rationals,
+so every comparison downstream is exact and the smallest distance
+(~1e-3) sits far above the default epsilon. Zero off-diagonal entries
+cannot be sampled at all, which is how identity of indiscernibles is
+enforced.
 
 The map builders reproduce the standard constructive shape: identity on
 the designated circle(s), a constant anchor value elsewhere. Anchor
@@ -41,16 +41,12 @@ _RELATIONS = {"ne": ("!=", lambda d, r: abs(d - r)),
 class GenConfig:
     seed: int
     size: int
-    distance_scale: float = 1.0
 
     def __post_init__(self):
         if self.seed < 0:
             raise MalformedInputError(f"seed must be >= 0, got {self.seed}")
         if self.size < 1:
             raise MalformedInputError(f"size must be >= 1, got {self.size}")
-        if not self.distance_scale > 0:
-            raise MalformedInputError(
-                f"distance_scale must be positive, got {self.distance_scale}")
 
 
 def random_metric_space(config: GenConfig) -> MetricSpace:
@@ -68,7 +64,7 @@ def random_metric_space(config: GenConfig) -> MetricSpace:
     np.fill_diagonal(grid, 0)
     for k in range(n):
         grid = np.minimum(grid, grid[:, k][:, None] + grid[k, :][None, :])
-    matrix = grid * (config.distance_scale / 2.0 ** _LATTICE_BITS)
+    matrix = grid * 2.0 ** -_LATTICE_BITS
     labels = tuple(f"p{i}" for i in range(n))
     return MetricSpace.finite(labels, matrix.tolist())
 

@@ -28,7 +28,6 @@ re-checks any hit through verify_theorem before reporting it.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
                          batch_rows, condition_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
-from .generators import GenConfig, random_metric_space
+from .generators import GenConfig, _exhaustive_chunks, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, circle_of,
                           enumerate_circles, enumerate_fixed_circles,
                           resolve_eps, validate_metric)
@@ -228,6 +227,9 @@ def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
 # ---------------------------------------------------------------------------
 # Soundness sweep
 
+# realized circles the sweep checks per space (fewer when fewer exist)
+_CIRCLES_PER_SPACE = 3
+
 
 @dataclass(frozen=True)
 class Falsification:
@@ -300,7 +302,7 @@ def _theorem_chunk(look, nonempty: bool) -> dict:
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
                rng: np.random.Generator) -> np.ndarray:
     if n <= exhaustive_limit and n ** n <= 10 ** 6:
-        return np.array(list(itertools.product(range(n), repeat=n)), dtype=np.intp)
+        return next(_exhaustive_chunks(n, n ** n)).astype(np.intp, copy=False)
     return rng.integers(0, n, size=(maps_per_space, n), dtype=np.intp)
 
 
@@ -315,9 +317,8 @@ def _structured_maps(n: int, member: np.ndarray, anchor: int) -> np.ndarray:
 
 
 def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
-                    maps_per_space: int = 100, circles_per_space: int = 3,
-                    exhaustive_limit: int = 4, seed: int = 20250817,
-                    eps=None) -> SweepReport:
+                    maps_per_space: int = 100, exhaustive_limit: int = 4,
+                    seed: int = 20250817, eps=None) -> SweepReport:
     """Check every theorem verdict for consistency over random instances.
 
     For each seeded space, table maps are either exhausted (small
@@ -341,7 +342,7 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
         batch = _map_batch(size, maps_per_space, exhaustive_limit, rng)
 
         realized = enumerate_circles(space, eps)
-        take = min(circles_per_space, len(realized))
+        take = min(_CIRCLES_PER_SPACE, len(realized))
         picks = rng.choice(len(realized), size=take, replace=False)
         for pick in sorted(picks):
             center, radius = realized[pick]

@@ -1,15 +1,18 @@
-"""The benchmark's tracer wraps program functions by name.
+"""The benchmark reaches program functions by name.
 
-perfbench/tracing.py lists them as literal tuples; each (module,
-attribute) pair must still resolve in the package, or a traced
-benchmark run breaks. The file is read as text, never imported.
+perfbench/tracing.py lists the ones it wraps as literal tuples, and the
+workloads read attributes off the loaded modules (``P.<module>``) and
+call the verdicts perfbench/instance.py names in VERDICTS. Each name
+must still resolve in the package, or a benchmark run breaks. The files
+are read as text, never imported.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _literals():
@@ -43,3 +46,100 @@ def test_traced_names_resolve():
             assert theorem_id in verifier.THEOREM_IDS, variant
             assert hypotheses and set(hypotheses) <= set(conditions.CONDITION_IDS), \
                 variant
+
+
+def _module_of(node, aliases):
+    """The module an expression names: ``P.<module>`` or a bound local."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "P":
+        return node.attr
+    return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+
+def _module_attributes(tree):
+    """(module, attribute path) for every attribute chain read off
+    ``P.<module>`` or off a local bound to one: by assignment
+    (``mc = P.metric_core``, ``fio, gen = P.fileio, P.generators``) or as
+    the parameter a same-file function receives it in."""
+    scopes = tree.body
+    defs = {s.name: s for s in scopes if isinstance(s, ast.FunctionDef)}
+    aliases = {s: {} for s in scopes}
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and _module_of(v, {}):
+                        aliases[scope][t.id] = _module_of(v, {})
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in defs:
+                callee = defs[node.func.id]
+                for param, arg in zip(callee.args.args, node.args):
+                    module = _module_of(arg, aliases[scope])
+                    if module:
+                        aliases[callee][param.arg] = module
+    found = set()
+    for scope in scopes:
+        for node in ast.walk(scope):
+            names = []
+            while isinstance(node, ast.Attribute):
+                names.insert(0, node.attr)
+                node = node.value
+            if not isinstance(node, ast.Name):
+                continue
+            if node.id == "P" and len(names) > 1:
+                found.add((names[0], tuple(names[1:])))
+            elif node.id in aliases[scope] and names:
+                found.add((aliases[scope][node.id], tuple(names)))
+    return found
+
+
+def test_workload_attributes_resolve():
+    found = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _module_attributes(tree)
+    # reads the scan must see: direct, through an assigned local, and
+    # through a parameter
+    assert {("gallery", ("load_entry",)), ("verifier", ("soundness_sweep",)),
+            ("metric_core", ("circle_of",)),
+            ("fileio", ("dumps_document",))} <= found
+    for module, names in sorted(found):
+        obj = importlib.import_module("fixedcircle." + module)
+        for name in names:
+            assert hasattr(obj, name), (module, names)
+            obj = getattr(obj, name)
+
+
+def _value(node, known):
+    """A module-level constant built from literals, names bound earlier
+    and ``+``."""
+    if isinstance(node, ast.Name):
+        return known[node.id]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _value(node.left, known) + _value(node.right, known)
+    return ast.literal_eval(node)
+
+
+def test_instance_verdicts_resolve():
+    tree = ast.parse((PERFBENCH / "instance.py").read_text(encoding="utf-8"))
+    known = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            try:
+                known[node.targets[0].id] = _value(node.value, known)
+            except (KeyError, ValueError):
+                pass
+    verifier = importlib.import_module("fixedcircle.verifier")
+    variants = {**verifier.EXISTENCE_VARIANTS, **verifier.UNIQUENESS_VARIANTS}
+    assert len(known["VERDICTS"]) == len(verifier.THEOREM_IDS)
+    for name, variant in known["VERDICTS"]:
+        assert callable(getattr(verifier, name, None)), name
+        assert variant is None or variant in variants, (name, variant)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from fixedcircle import gallery
 from fixedcircle.errors import DomainError
 from fixedcircle.gallery import (ConditionExpectation, list_entries,
                                  load_entry, replay_all, replay_entry)
@@ -41,6 +42,17 @@ def test_entry_ids_in_natural_order():
     assert ids.index("EX_2_19") < ids.index("EX_2_19B")
     assert ids.index("EX_3_4") < ids.index("PROP_3_1")
     assert len(ids) == 15
+
+
+def test_each_id_is_declared_once_and_loads_as_itself():
+    ids = list_entries()
+    assert len(set(ids)) == len(ids)
+    for entry_id in ids:
+        assert load_entry(entry_id).entry_id == entry_id
+    before = dict(gallery._REGISTRY)
+    with pytest.raises(DomainError, match="EX_2_4"):
+        gallery._entry("EX_2_4", "A second declaration")(lambda: None)
+    assert gallery._REGISTRY == before
 
 
 def test_unknown_entry_raises():

@@ -44,14 +44,6 @@ def test_generation_is_deterministic():
     assert a.matrix != c.matrix
 
 
-def test_distance_scale():
-    base = random_metric_space(GenConfig(seed=3, size=6))
-    scaled = random_metric_space(GenConfig(seed=3, size=6,
-                                           distance_scale=10.0))
-    assert np.allclose(scaled.as_array, 10.0 * base.as_array)
-    assert validate_metric(scaled).valid
-
-
 def test_positive_distances_off_diagonal():
     space = random_metric_space(GenConfig(seed=11, size=8))
     D = space.as_array
@@ -62,8 +54,6 @@ def test_positive_distances_off_diagonal():
 def test_config_guards():
     with pytest.raises(MalformedInputError):
         GenConfig(seed=0, size=0)
-    with pytest.raises(MalformedInputError):
-        GenConfig(seed=0, size=3, distance_scale=0.0)
 
 
 def test_negative_seed_is_malformed():

@@ -594,7 +594,7 @@ def test_caristi_finite_and_analytic():
 
 def test_soundness_sweep_small_run():
     rep = soundness_sweep(space_count=30, sizes=(2, 3, 4, 5),
-                          maps_per_space=25, circles_per_space=2)
+                          maps_per_space=25)
     assert rep.sound
     assert rep.spaces_checked == 30
     assert rep.maps_checked > 0
@@ -604,9 +604,9 @@ def test_soundness_sweep_small_run():
 
 def test_sweep_is_seeded():
     a = soundness_sweep(space_count=6, sizes=(3, 4), maps_per_space=10,
-                        circles_per_space=2, seed=777)
+                        seed=777)
     b = soundness_sweep(space_count=6, sizes=(3, 4), maps_per_space=10,
-                        circles_per_space=2, seed=777)
+                        seed=777)
     assert (a.spaces_checked, a.maps_checked, a.verdicts_checked) == \
         (b.spaces_checked, b.maps_checked, b.verdicts_checked)
 
@@ -625,8 +625,7 @@ def test_sweep_reports_a_kernel_slip_as_a_disagreement():
             slipped.append(args[1][0])
         return flags
     with mock.patch.object(verifier, "theorem_flags", one_slip):
-        rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5,
-                              circles_per_space=1)
+        rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5)
     assert rep.sound and rep.falsifications == ()
     (event,) = rep.disagreements
     assert event.theorem_id == "T_EXIST_C1C2"
