@@ -10,17 +10,17 @@ so a zero denominator or a floating tie cannot flip one. Strict
 inequalities must clear the tolerance (slack > eps); a floating-point
 tie does not count as "strictly less".
 
-condition_flags reduces a batch's verdicts with .all, for the callers
-that need only verdicts: the counterexample search and, through
-verifier.theorem_flags, the soundness sweep. A check_*, or a theorem
-verdict, builds the operands of one map (_OneMap, a batch of one) and
-reads its ConditionReports off the same rules' arrays: the margin is
-the slack at the first smallest tuple, that tuple the witness,
-derived_param the extremal feasible h. The images of the points come
-from the map's image table, made once per space and tolerance; only
-members off the points are mapped anew. Analytic carriers read a
-distance between two samples from space.as_array, any other from
-space._metric_fn, the one definition of the metric the matrix holds.
+condition_flags reduces a batch's verdicts with .all for the search,
+circle_flags for the sweep's circles, which share what depends on the
+maps alone. A check_*, or a theorem verdict, builds the operands of one
+map (_OneMap, a batch of one) and reads its ConditionReports off the
+same rules' arrays: the margin is the slack at the first smallest tuple,
+that tuple the witness, derived_param the extremal feasible h. The
+images of the points come from the map's image table, made once per
+space and tolerance; only members off the points are mapped anew.
+Analytic carriers read a distance between two samples from
+space.as_array, any other from space._metric_fn, the one definition of
+the metric the matrix holds.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -117,48 +117,30 @@ def _carrier_distances(space: MetricSpace, pts: list):
     return d
 
 
-class _Operands:
-    """The operands of an (m, N) batch of table maps, each gathered on
-    first use: ``maps[k, i]`` is the image of point i under map k, and
-    ``d(a, b)`` and ``phi(a)`` give the distances and the weights at
-    index arrays. The first ``n`` points (all, by default) are the
-    carrier's, X; ``M`` holds the circle's members in circle order.
+class _Maps:
+    """The operands of an (m, N) batch of table maps that no circle
+    enters, each gathered on first use, and the flags of the rules that
+    read only them (_MAPS_ONLY): ``maps[k, i]`` is the image of point i
+    under map k, and ``d(a, b)`` gives the distances at index arrays.
+    The first ``n`` points (all, by default) are the carrier's, X.
     take(..., 1) keeps a gathered block C-ordered; a[:, idx] would not
     be, and every op on the (m, x, y) blocks would then stride badly.
     """
 
-    def __init__(self, d, maps, phi, radius, eps, M, n=None):
-        self.d, self.maps, self.phi, self.M = d, maps, phi, M
-        self.radius, self.eps = radius, eps
+    def __init__(self, d, maps, eps, n=None):
+        self.d, self.maps, self.eps = d, maps, eps
         self.X = np.arange(maps.shape[1] if n is None else n)
         self._pairs, self._flags = {}, {}
 
     @cached_property
-    def members(self):
-        """(d(x, Tx), phi(x), phi(Tx)) over the members."""
-        tx = self.maps.take(self.M, 1)
-        return self.d(self.M, tx), self.phi(self.M), self.phi(tx)
-
-    @cached_property
-    def points(self):
-        """(d(x, Tx), phi(x), phi(Tx)) over the carrier's points; without
-        a phi, d(x, Tx) alone."""
-        tx = self.maps[:, :len(self.X)]
-        disp = self.d(self.X, tx)
-        if self.phi is None:
-            return disp, None, None
-        return disp, self.phi(self.X), self.phi(tx)
-
-    @cached_property
-    def E(self):
-        """The off-circle points: |phi(y) - radius| > eps."""
-        off = np.abs(self.phi(self.X) - self.radius) > self.eps
-        return np.flatnonzero(off)
+    def disp(self):
+        """d(x, Tx) over the carrier's points."""
+        return self.d(self.X, self.maps[:, :len(self.X)])
 
     @cached_property
     def fixed(self):
         """Whether each point is fixed, and how many are, per map."""
-        fixed = self.points[0] <= self.eps
+        fixed = self.disp <= self.eps
         return fixed, fixed.sum(1)
 
     def pairs(self, key):
@@ -183,21 +165,55 @@ class _Operands:
                                 skip)
         return self._pairs[key]
 
+
+class _Operands(_Maps):
+    """One circle's weights ``phi(a)`` and members ``M`` (in circle order)
+    over ``base``, whose operands and _MAPS_ONLY flags all circles share."""
+
+    def __init__(self, base, phi, radius, M):
+        super().__init__(base.d, base.maps, base.eps, len(base.X))
+        self.base, self.phi, self.radius, self.M = base, phi, radius, M
+
+    disp = property(lambda self: self.base.disp)
+    fixed = property(lambda self: self.base.fixed)
+
+    def pairs(self, key):
+        return super().pairs(key) if key == "across" else self.base.pairs(key)
+
     def flag(self, name: str) -> np.ndarray:
         """Atom ``name`` as (m,) bools, computed on first lookup and cached
-        by rule, so C1 and C1_DSTAR share one. No operand may refer back to
-        this method: the cycle would hold every array of the batch until
-        the cyclic collector happens to run."""
+        by rule (C1 and C1_DSTAR share one), on base for _MAPS_ONLY. No
+        operand may refer back to this method: the cycle would hold every
+        array of the batch until the cyclic collector happens to run."""
         rule = _RULES[name]
-        if rule not in self._flags:
-            flags = rule(self)
+        src = self.base if name in _MAPS_ONLY else self
+        flags = src._flags.get(rule)
+        if flags is None:
+            flags = rule(src)
             if isinstance(flags, tuple):
                 ok, skip, _, _ = flags
                 if skip is not None:
                     ok |= skip
                 flags = ok.all(tuple(range(1, ok.ndim)))
-            self._flags[rule] = flags
-        return self._flags[rule]
+            src._flags[rule] = flags
+        return flags
+
+    @cached_property
+    def members(self):
+        """(d(x, Tx), phi(x), phi(Tx)) over the members."""
+        tx = self.maps.take(self.M, 1)
+        return self.d(self.M, tx), self.phi(self.M), self.phi(tx)
+
+    @cached_property
+    def points(self):
+        """(d(x, Tx), phi(x), phi(Tx)) over the carrier's points."""
+        tx = self.maps[:, :len(self.X)]
+        return self.disp, self.phi(self.X), self.phi(tx)
+
+    @cached_property
+    def E(self):
+        """The off-circle points: |phi(y) - radius| > eps."""
+        return np.flatnonzero(np.abs(self.phi(self.X) - self.radius) > self.eps)
 
 
 # A rule maps a batch's operands to (per-tuple verdicts, map axis first;
@@ -274,7 +290,7 @@ def _strict_five(key):
     and d(y, Tx) by more than the tolerance."""
     def rule(src):
         x, y, tx, ty, dxy, dtt, skip = src.pairs(key)
-        disp = src.points[0]
+        disp = src.disp
         dx = src.members[0][..., None] if key == "across" else disp.take(x, 1)
         five = np.maximum(dxy, dx)
         np.maximum(five, disp.take(y, 1), out=five)
@@ -311,6 +327,8 @@ _RULES = {
     "AT_MOST_ONE_FIXED_POINT": lambda src: src.fixed[1] <= 1,
     "SOME_FIXED_POINT": lambda src: src.fixed[1] >= 1,
 }
+_MAPS_ONLY = frozenset(("BANACH", "RHOADES", "IDENTITY", "ONE_FIXED_POINT",
+                        "AT_MOST_ONE_FIXED_POINT", "SOME_FIXED_POINT"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +381,8 @@ class _OneMap(_Operands):
             w = d(np.arange(len(pts)), c)
             weight(np.flatnonzero(~np.isfinite(w)))
             weight = w.__getitem__
-        super().__init__(d, maps[None], weight, radius, eps,
-                         np.array(M, dtype=np.intp), len(space.points()))
+        super().__init__(_Maps(d, maps[None], eps, len(space.points())),
+                         weight, radius, np.array(M, dtype=np.intp))
         self.pts, self.finite = pts, finite
         self.sampled = circle is not None and circle.resolution == "sampled"
 
@@ -561,5 +579,11 @@ def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
     mask ``member`` (member_mask of the circle). Vacuous cases come out
     True. An atom is computed on first lookup.
     """
-    return _Operands(lambda a, b: D[a, b], maps, D[:, center_idx].__getitem__,
-                     radius, eps, np.flatnonzero(member)).flag
+    return circle_flags(D, maps, (center_idx,), (radius,), eps, (member,))[0]
+
+
+def circle_flags(D, maps, centers, radii, eps, members) -> list:
+    """condition_flags for each (center, radius, member mask), one _Maps."""
+    base = _Maps(lambda a, b: D[a, b], maps, eps)
+    return [_Operands(base, D[:, c].__getitem__, r, np.flatnonzero(m)).flag
+            for c, r, m in zip(centers, radii, members)]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
-                         batch_rows, condition_flags, phi_canonical)
+                         batch_rows, circle_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, _exhaustive_chunks, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, circle_of,
@@ -259,44 +259,44 @@ class SweepReport:
         return not self.falsifications
 
 
-def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
-                  radius: float, eps: float) -> dict:
-    """Hypothesis/conclusion booleans of every theorem for a batch of
-    table maps.
+def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
+                  eps: float) -> dict:
+    """Each theorem's hypothesis and conclusion over a batch of maps.
 
     ``maps`` is an (m, n) array of image indices. Returns
     {theorem_id: (hypotheses_hold, conclusion_holds)} as boolean (m,)
-    arrays, equal to the verify_* verdicts on a finite carrier. The
-    circle's members are read from the row d(c, x), as circle_of reads
-    them; each side is its registry entry reduced over the atoms of
-    conditions.condition_flags, batch_rows maps at a time, under the
-    uniqueness rule for an empty circle.
+    arrays, equal to the verify_* verdicts on a finite carrier; given
+    equal-length sequences of k >= 1 centers and radii, as (k, m) arrays,
+    row j the j-th circle's. Members are read from the rows d(c, x), as
+    circle_of reads them; each side is its registry entry reduced over
+    the atoms of conditions.circle_flags, batch_rows maps at a time,
+    under the uniqueness rule for an empty circle.
     """
-    m, n = maps.shape
-    member = np.abs(D[center_idx] - radius) <= eps
-    nonempty = bool(member.any())
-    rows = batch_rows(n)
-    chunks = [_theorem_chunk(condition_flags(D, maps[start:start + rows],
-                                             center_idx, radius, eps, member),
-                             nonempty)
-              for start in range(0, max(m, 1), rows)]
-    if len(chunks) == 1:
-        return chunks[0]
-    return {tid: tuple(np.concatenate([c[tid][k] for c in chunks])
-                       for k in (0, 1))
-            for tid in THEOREM_IDS}
+    centers, radii = np.atleast_1d(center_idx), np.atleast_1d(radius)
+    m, rows = len(maps), batch_rows(maps.shape[1])
+    member = np.abs(D[centers] - radii[:, None]) <= eps
+    out = np.empty((len(centers), len(THEOREM_IDS), 2, m), dtype=bool)
+    for start in range(0, m, rows):
+        looks = circle_flags(D, maps[start:start + rows], centers, radii,
+                             eps, member)
+        out[..., start:start + rows] = [
+            _theorem_chunk(look, nonempty)
+            for look, nonempty in zip(looks, member.any(1))]
+    out = out[0] if np.ndim(center_idx) == 0 else out
+    return {tid: (out[..., t, 0, :], out[..., t, 1, :])
+            for t, tid in enumerate(THEOREM_IDS)}
 
 
-def _theorem_chunk(look, nonempty: bool) -> dict:
-    """theorem_flags' result over one chunk: each registry entry's two
-    sides reduced over the atom lookup."""
+def _theorem_chunk(look, nonempty: bool) -> list:
+    """theorem_flags' result over one chunk and circle: each registry
+    entry's two sides reduced over the atom lookup, in THEOREM_IDS order."""
     def side(atoms, unique):
         out = look(atoms[0])
         for atom in atoms[1:]:
             out = out & look(atom)
         return out & nonempty if unique else out    # the uniqueness rule
-    return {tid: (side(hyps, unique), side(concl, unique))
-            for tid, (hyps, concl, unique) in _THEOREMS.items()}
+    return [(side(hyps, unique), side(concl, unique))
+            for hyps, concl, unique in _THEOREMS.values()]
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
@@ -306,13 +306,17 @@ def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
     return rng.integers(0, n, size=(maps_per_space, n), dtype=np.intp)
 
 
-def _structured_maps(n: int, member: np.ndarray, anchor: int) -> np.ndarray:
-    """Identity, all constants, and the circle-fixing map: the shapes the
-    existence theorems actually fire on, which random maps almost never hit."""
-    rows = np.empty((n + 2, n), dtype=np.intp)
+def _structured_maps(D: np.ndarray, centers, radii, eps: float) -> np.ndarray:
+    """Identity, all constants, and each circle's fixing map (members
+    fixed, the rest sent to the point farthest off the circle): the shapes
+    the existence theorems fire on, which random maps almost never hit."""
+    n = len(D)
+    rows = np.empty((n + 1 + len(centers), n), dtype=np.intp)
     rows[0] = np.arange(n)
     rows[1:n + 1] = np.arange(n)[:, None]
-    rows[n + 1] = np.where(member, np.arange(n), anchor)
+    for row, ci, radius in zip(rows[n + 1:], centers, radii):
+        gap = np.abs(D[ci] - radius)
+        row[:] = np.where(gap <= eps, rows[0], gap.argmax())
     return rows
 
 
@@ -332,7 +336,6 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     t0 = time.perf_counter()
     events = {False: [], True: []}     # keyed by the re-check's consistent
     maps_checked = 0
-    verdicts = 0
     for i in range(space_count):
         size = sizes[i % len(sizes)]
         space_seed = seed * 1_000_003 + i
@@ -343,30 +346,28 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
 
         realized = enumerate_circles(space, eps)
         take = min(_CIRCLES_PER_SPACE, len(realized))
-        picks = rng.choice(len(realized), size=take, replace=False)
-        for pick in sorted(picks):
-            center, radius = realized[pick]
-            ci = space.index_of(center)
-            member = np.abs(D[ci] - radius) <= eps
-            ext = np.flatnonzero(~member)
-            anchor = int(ext[np.argmax(np.abs(D[ci, ext] - radius))]) if ext.size else ci
-            maps = np.vstack([batch, _structured_maps(size, member, anchor)])
-            flags = theorem_flags(D, maps, ci, radius, eps)
-            maps_checked += maps.shape[0]
-            for theorem_id, (hyp, concl) in flags.items():
-                verdicts += maps.shape[0]
-                bad, = (hyp & ~concl).nonzero()
-                for b in bad:
-                    tmap = SelfMap.from_indices(space, maps[b])
-                    circle = circle_of(space, center, radius, eps)
-                    verdict = verify_theorem(theorem_id, space, tmap, circle,
-                                             eps)
-                    events[verdict.consistent].append(Falsification(
-                        theorem_id=theorem_id, space=space,
-                        images=tuple(int(v) for v in maps[b]),
-                        center=center, radius=radius, verdict=verdict))
+        circles = [realized[p] for p in
+                   sorted(rng.choice(len(realized), size=take, replace=False))]
+        cis, radii = zip(*[(space.index_of(c), r) for c, r in circles])
+        # one stack, one kernel pass: circle j reads the base rows and base + j
+        maps = np.vstack([batch, _structured_maps(D, cis, radii, eps)])
+        base = maps.shape[0] - take
+        flags = theorem_flags(D, maps, cis, radii, eps)
+        maps_checked += take * (base + 1)
+        bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
+        for j, t, b in zip(*bad.nonzero()):
+            if b >= base and b != base + j:
+                continue        # another circle's fixing row
+            center, radius = circles[j]
+            tmap = SelfMap.from_indices(space, maps[b])
+            circle = circle_of(space, center, radius, eps)
+            verdict = verify_theorem(THEOREM_IDS[t], space, tmap, circle, eps)
+            events[verdict.consistent].append(Falsification(
+                theorem_id=THEOREM_IDS[t], space=space,
+                images=tuple(int(v) for v in maps[b]),
+                center=center, radius=radius, verdict=verdict))
     return SweepReport(spaces_checked=space_count, maps_checked=maps_checked,
-                       verdicts_checked=verdicts,
+                       verdicts_checked=maps_checked * len(THEOREM_IDS),
                        falsifications=tuple(events[False]),
                        disagreements=tuple(events[True]),
                        elapsed_seconds=time.perf_counter() - t0)

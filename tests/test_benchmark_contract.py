@@ -4,12 +4,15 @@ perfbench/tracing.py lists the ones it wraps as literal tuples, and the
 workloads read attributes off the loaded modules (``P.<module>``) and
 call the verdicts perfbench/instance.py names in VERDICTS. Each name
 must still resolve in the package, or a benchmark run breaks. The files
-are read as text, never imported.
+are read as text, never imported. The one-circle theorem_flags call the
+sweep workload's cross-check makes must keep its result's shape.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -143,3 +146,21 @@ def test_instance_verdicts_resolve():
     for name, variant in known["VERDICTS"]:
         assert callable(getattr(verifier, name, None)), name
         assert variant is None or variant in variants, (name, variant)
+
+
+def test_scalar_theorem_flags_call_keeps_its_shape():
+    # perfbench/sweep.py calls theorem_flags(D, maps, ci, radius, eps)
+    # with one circle and reads flags[tid][0] and [1] as (m,) bools
+    verifier = importlib.import_module("fixedcircle.verifier")
+    generators = importlib.import_module("fixedcircle.generators")
+    space = generators.random_metric_space(
+        generators.GenConfig(seed=2, size=5))
+    D = space.as_array
+    maps = np.random.default_rng(2).integers(0, 5, size=(27, 5))
+    flags = verifier.theorem_flags(D, maps.astype(np.intp), 1,
+                                   float(D[1, 3]), 1e-9)
+    assert set(flags) == set(verifier.THEOREM_IDS)
+    for tid in verifier.THEOREM_IDS:
+        hyp, concl = flags[tid]
+        for side in (hyp, concl):
+            assert side.shape == (27,) and side.dtype == bool, tid

@@ -115,6 +115,53 @@ def test_kernel_chunks_agree_with_one_chunk(n):
             assert np.array_equal(split[tid][1], whole[tid][1]), tid
 
 
+def _assert_stack_matches_one_circle_calls(D, maps, centers, radii):
+    stacked = theorem_flags(D, maps, centers, radii, EPS)
+    for j, (ci, radius) in enumerate(zip(centers, radii)):
+        alone = theorem_flags(D, maps, ci, radius, EPS)
+        for tid in THEOREM_IDS:
+            for side in (0, 1):
+                assert stacked[tid][side].shape == (len(centers), len(maps))
+                assert stacked[tid][side].dtype == bool
+                assert np.array_equal(stacked[tid][side][j],
+                                      alone[tid][side]), (tid, side, j)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_circle_stack_agrees_with_one_circle_calls(n):
+    # three realized circles, an empty one (the uniqueness rule) and a
+    # second radius around the first center, over one batch
+    space = random_metric_space(GenConfig(seed=40 + n, size=n))
+    D = space.as_array
+    rng = np.random.default_rng(n)
+    maps = np.vstack([rng.integers(0, n, size=(30, n)), np.arange(n),
+                      np.zeros(n, dtype=np.intp)]).astype(np.intp)
+    realized = enumerate_circles(space)
+    picks = [realized[k] for k in rng.choice(len(realized), size=3,
+                                             replace=False)]
+    centers = [space.index_of(c) for c, _ in picks]
+    radii = [r for _, r in picks]
+    other = [r for r in np.unique(D[centers[0]]) if r != radii[0]][-1]
+    centers += [centers[0], centers[0]]
+    radii += [float(D.max()) * 2 + 1, float(other)]
+    assert not (np.abs(D[centers[0]] - radii[3]) <= EPS).any()
+    _assert_stack_matches_one_circle_calls(D, maps, centers, radii)
+
+
+def test_circle_stack_agrees_with_one_circle_calls_across_chunks():
+    # 16 maps per chunk at 128 points: 40 maps span three chunks
+    n = 128
+    space = random_metric_space(GenConfig(seed=3, size=n))
+    D = space.as_array
+    assert conditions.batch_rows(n) == 16
+    rng = np.random.default_rng(5)
+    maps = np.vstack([rng.integers(0, n, size=(38, n)), np.arange(n),
+                      np.full(n, 7)]).astype(np.intp)
+    centers = [0, 0, 9]
+    radii = [float(D[0, 1]), float(D[0, 2]), float(D[9].max()) + 1]
+    _assert_stack_matches_one_circle_calls(D, maps, centers, radii)
+
+
 # ---------------------------------------------------------------------------
 # Whole verdicts against a plain-loop reference
 
@@ -611,31 +658,63 @@ def test_sweep_is_seeded():
         (b.spaces_checked, b.maps_checked, b.verdicts_checked)
 
 
+def _slipped_sweep(slip):
+    """A small sweep whose kernel has hyp & ~concl of T_EXIST_C1C2 forced
+    by ``slip(hyp, concl, maps, k)`` on the first space's stacked call
+    over k circles; returns the report and that call's arguments."""
+    kernel = verifier.theorem_flags
+    calls = []
+
+    def slipped(D, maps, centers, radii, eps):
+        flags = kernel(D, maps, centers, radii, eps)
+        if not calls:
+            hyp, concl = flags["T_EXIST_C1C2"]
+            slip(hyp, concl, maps, len(centers))
+            calls.append((maps, centers, radii))
+        return flags
+    with mock.patch.object(verifier, "theorem_flags", slipped):
+        rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5)
+    return rep, calls[0]
+
+
 def test_sweep_reports_a_kernel_slip_as_a_disagreement():
     # a kernel hit the per-instance verdict calls consistent is a fault of
     # the kernel, not a falsification of the theorem
-    kernel = verifier.theorem_flags
-    slipped = []
-
-    def one_slip(*args):
-        flags = kernel(*args)
-        if not slipped:
-            hyp, concl = flags["T_EXIST_C1C2"]
-            hyp[0], concl[0] = True, False
-            slipped.append(args[1][0])
-        return flags
-    with mock.patch.object(verifier, "theorem_flags", one_slip):
-        rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5)
+    def slip(hyp, concl, maps, k):
+        hyp[0, 0], concl[0, 0] = True, False
+    rep, (maps, _, _) = _slipped_sweep(slip)
     assert rep.sound and rep.falsifications == ()
     (event,) = rep.disagreements
     assert event.theorem_id == "T_EXIST_C1C2"
-    assert event.images == tuple(int(v) for v in slipped[0])
+    assert event.images == tuple(int(v) for v in maps[0])
+    assert event.verdict.consistent
+
+
+def test_sweep_skips_a_slip_on_another_circles_fixing_row():
+    # the stack ends with one fixing row per circle: circle 0's verdicts
+    # do not cover circle 1's row, circle 1's own verdicts do
+    def slip(hyp, concl, maps, k):
+        row = maps.shape[0] - k + 1
+        hyp[:2, row], concl[:2, row] = True, False
+    rep, (maps, centers, radii) = _slipped_sweep(slip)
+    assert len(centers) == 3
+    assert rep.sound and rep.falsifications == ()
+    (event,) = rep.disagreements
+    assert event.theorem_id == "T_EXIST_C1C2"
+    assert event.images == tuple(int(v) for v in maps[-2])
+    assert (event.space.index_of(event.center), event.radius) == \
+        (centers[1], radii[1])
     assert event.verdict.consistent
 
 
 def test_structured_maps_rows():
-    member = np.array([True, False, True, False])
-    rows = _structured_maps(4, member, 3)
+    # the circle (1, 1.0) has members 0 and 2; 3 is the farthest off it
+    D = np.zeros((4, 4))
+    D[1] = [1.0, 0.0, 1.0, 3.0]
+    rows = _structured_maps(D, [1], [1.0], EPS)
     assert rows.dtype == np.intp
     assert rows.tolist() == [[0, 1, 2, 3], [0, 0, 0, 0], [1, 1, 1, 1],
                              [2, 2, 2, 2], [3, 3, 3, 3], [0, 3, 2, 3]]
+    # one fixing row per circle, in order: (1, 3.0) has the member 3
+    rows = _structured_maps(D, [1, 1], [1.0, 3.0], EPS)
+    assert rows[-2:].tolist() == [[0, 3, 2, 3], [1, 1, 1, 3]]
