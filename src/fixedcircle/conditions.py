@@ -97,9 +97,11 @@ def phi_canonical(space: MetricSpace, center) -> PhiMap:
 
 def _pointwise(fn, points, nin):
     """fn over the points at nin index arrays, elementwise, as floats;
-    only the values asked for are computed."""
+    only the values asked for are computed. A value past the float range
+    is refused by value (as_array, PhiMap.at), so numpy's warning is off."""
     each, points = np.frompyfunc(fn, nin, 1), np.array(points, dtype=object)
-    return lambda *idx: each(*(points[i] for i in idx)).astype(float)
+    return np.errstate(over="ignore")(
+        lambda *idx: each(*(points[i] for i in idx)).astype(float))
 
 
 def _carrier_distances(space: MetricSpace, pts: list):
@@ -112,7 +114,8 @@ def _carrier_distances(space: MetricSpace, pts: list):
         out = None if "as_array" in vars(space) else fn(a, b)
         if out is None or not np.isfinite(out[~off]).all():
             out = space.as_array[np.where(off, 0, a), np.where(off, 0, b)]
-            out[off] = fn(np.where(off, a, 0)[off], np.where(off, b, 0)[off])
+            if off.any():
+                out[off] = fn(np.where(off, a, 0)[off], np.where(off, b, 0)[off])
         return out
     return d
 
@@ -379,7 +382,8 @@ class _OneMap(_Operands):
         weight = phi and _pointwise(phi.at, pts, 1)
         if c is not None:   # d(x, c) at every point; phi.at refuses inf
             w = d(np.arange(len(pts)), c)
-            weight(np.flatnonzero(~np.isfinite(w)))
+            if not np.isfinite(w).all():
+                weight(np.flatnonzero(~np.isfinite(w)))
             weight = w.__getitem__
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
                          weight, radius, np.array(M, dtype=np.intp))

@@ -293,20 +293,26 @@ class SearchResult:
 
 def _exhaustive_chunks(n: int, chunk: int):
     """Every table map in itertools.product(range(n), repeat=n) order, as
-    (<= chunk, n) image arrays. Candidate k is k written in base n, most
-    significant digit first; the chunk start stays a Python int and only
-    the in-chunk offsets ride in int64, so a huge n**n cannot overflow."""
-    total = n ** n
-    for start in range(0, total, chunk):
-        carry = np.arange(min(chunk, total - start), dtype=np.int64)
-        maps = np.empty((carry.size, n), dtype=np.int64)
-        rest = start
-        for j in range(n - 1, -1, -1):
+    (<= chunk, n) image arrays. Candidate i is i written in base n, most
+    significant digit first. A chunk is whole blocks of n**k candidates,
+    k the largest with n**k <= chunk: a block's low k digits are one
+    table, made once, and its high n - k digits one row, decoded from the
+    block number, which stays a Python int so a huge n**n cannot wrap."""
+    k = next(k for k in range(n, -1, -1) if n ** k <= chunk)
+    step, total = n ** k, n ** n
+    low = np.indices((n,) * k, dtype=np.int64).reshape(k, step).T
+    per = chunk // step * step
+    for start in range(0, total, per):
+        blocks = min(per, total - start) // step
+        maps = np.empty((blocks, step, n), dtype=np.int64)
+        maps[:, :, n - k:] = low
+        carry, rest = np.arange(blocks, dtype=np.int64), start // step
+        for j in range(n - k - 1, -1, -1):
             rest, digit = divmod(rest, n)
-            carry = carry + digit
-            maps[:, j] = carry % n
+            carry += digit
+            maps[:, :, j] = (carry % n)[:, None]
             carry //= n
-        yield maps
+        yield maps.reshape(-1, n)
 
 
 def _sampled_chunks(n: int, budget: int, chunk: int, seed: int):
@@ -329,13 +335,13 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     first hit in evaluation order wins, so results are reproducible. A
     negative budget or seed is refused.
 
-    Candidates are drawn and evaluated in chunks, through
-    conditions.condition_flags, with the target evaluated over boolean
-    arrays; conditions.batch_rows sizes the chunks, so the largest pair
-    block stays under a fixed number of entries. The first true index of
-    a chunk is the hit, so the found map and the evaluated count are
-    those of a one-by-one scan, and the seeded stream is the one a
-    one-by-one draw takes.
+    Candidates are judged through conditions.condition_flags in chunks
+    of at most conditions.batch_rows maps, so the largest pair block
+    stays under a fixed number of entries: whole blocks of |X|**k
+    consecutive maps when exhausting, batch_rows draws when sampling.
+    The first true index of a chunk is the hit, so the found map and the
+    evaluated count are those of a one-by-one scan, and the seeded
+    stream is the one a one-by-one draw takes.
     """
     eps = resolve_eps(eps)
     if not space.is_finite:

@@ -3,10 +3,15 @@ behavior, report precision, exit codes, and byte determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import fixedcircle
 from fixedcircle import fileio
 from fixedcircle.cli import main
 from fixedcircle.errors import MalformedInputError
@@ -317,6 +322,30 @@ def test_cli_validate_overflowing_samples_exit_2(tmp_path, capsys, kind,
     assert code == 2
     assert not caught, [str(w.message) for w in caught]
     assert err.startswith("error: ") and "overflows" in err
+
+
+def test_cli_check_overflowing_samples_prints_only_the_error(tmp_path):
+    # numpy's overflow warning in the pointwise metric must not reach
+    # stderr ahead of the refusal; a fresh interpreter shows what a user
+    # sees, with the default warning filters
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({**_LINE, "carrier": {
+        **_LINE["carrier"], "samples": [1e308, -1e308, 0.0]}}),
+        encoding="utf-8")
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"rule": {"type": "piecewise", "branches": [],
+                                       "default": "identity"}}),
+                  encoding="utf-8")
+    src = Path(fixedcircle.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "fixedcircle.cli", "check", str(sp), str(mp),
+         "--conditions", "BANACH", "--center", "0", "--radius", "1"],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode == 2
+    assert run.stderr == ("error: the real_usual metric overflows on the "
+                          "sample set\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -483,19 +483,52 @@ def test_chunked_search_property(n, data, tree, budget, seed, chunk):
         assert _chunked_search(space, circle, tree, budget, seed) == want
 
 
+def _assert_chunks_are_bounded_and_own_buffers(got, chunk):
+    assert all(0 < len(maps) <= chunk for maps in got)
+    assert all(maps.dtype == np.int64 for maps in got)
+    assert not any(np.shares_memory(a, b) for a, b in zip(got, got[1:]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("chunk", [1, 5, 7, 10 ** 4])
 def test_exhaustive_chunks_follow_product_order(n, chunk):
-    got = np.vstack(list(generators._exhaustive_chunks(n, chunk)))
-    assert got.tolist() == [list(t) for t in
-                            itertools.product(range(n), repeat=n)]
+    got = list(generators._exhaustive_chunks(n, chunk))
+    _assert_chunks_are_bounded_and_own_buffers(got, chunk)
+    assert np.vstack(got).tolist() == [list(t) for t in
+                                       itertools.product(range(n), repeat=n)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_exhaustive_chunks_follow_product_order_on_and_between_powers(n):
+    # chunk sizes on a power of n and either side of one, so a chunk is
+    # whole blocks of n**k candidates with k = 0, 1, batch_rows' k or n
+    want = [list(t) for t in itertools.product(range(n), repeat=n)]
+    for chunk in (1, n - 1, n, n + 1, n * n - 1, conditions.batch_rows(n),
+                  n ** n, n ** n + 1):
+        got = list(generators._exhaustive_chunks(n, chunk))
+        _assert_chunks_are_bounded_and_own_buffers(got, chunk)
+        assert np.vstack(got).tolist() == want, chunk
+
+
+def test_exhaustive_chunks_match_the_index_table_at_seven_points():
+    n, chunk = 7, conditions.batch_rows(7)
+    got = list(generators._exhaustive_chunks(n, chunk))
+    _assert_chunks_are_bounded_and_own_buffers(got, chunk)
+    want = np.indices((n,) * n).reshape(n, -1).T
+    assert np.array_equal(np.vstack(got), want)
 
 
 def test_exhaustive_chunks_past_int64():
-    # 20**20 candidates do not fit in an int64; decoding must not wrap
-    first = next(generators._exhaustive_chunks(20, 6))
-    product = itertools.product(range(20), repeat=20)
-    assert first.tolist() == [list(t) for t in itertools.islice(product, 6)]
+    # 20**20 candidates do not fit in an int64; decoding must not wrap.
+    # A chunk of 401 takes two whole blocks of 20**2 candidates
+    for chunk, rows in ((6, 6), (401, 400)):
+        got = list(itertools.islice(generators._exhaustive_chunks(20, chunk),
+                                    3))
+        _assert_chunks_are_bounded_and_own_buffers(got, chunk)
+        assert [len(maps) for maps in got] == [rows] * 3
+        product = itertools.product(range(20), repeat=20)
+        assert np.vstack(got).tolist() == [
+            list(t) for t in itertools.islice(product, 3 * rows)]
 
 
 @pytest.mark.parametrize("n", [5, 7, 8, 9, 12])

@@ -115,6 +115,14 @@ def test_kernel_chunks_agree_with_one_chunk(n):
             assert np.array_equal(split[tid][1], whole[tid][1]), tid
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_map_batch_is_every_table_map_in_product_order(n):
+    maps = verifier._map_batch(n, 5, 6, np.random.default_rng(0))
+    assert maps.dtype == np.intp
+    assert maps.tolist() == [list(t) for t in
+                             itertools.product(range(n), repeat=n)]
+
+
 def _assert_stack_matches_one_circle_calls(D, maps, centers, radii):
     stacked = theorem_flags(D, maps, centers, radii, EPS)
     for j, (ci, radius) in enumerate(zip(centers, radii)):
