@@ -12,15 +12,17 @@ tie does not count as "strictly less".
 
 condition_flags reduces a batch's verdicts with .all for the search,
 circle_flags for the sweep's circles, which share what depends on the
-maps alone. A check_*, or a theorem verdict, builds the operands of one
-map (_OneMap, a batch of one) and reads its ConditionReports off the
-same rules' arrays: the margin is the slack at the first smallest tuple,
-that tuple the witness, derived_param the extremal feasible h. The
-images of the points come from the map's image table, made once per
-space and tolerance; only members off the points are mapped anew.
-Analytic carriers read a distance between two samples from
-space.as_array, any other from space._metric_fn, the one definition of
-the metric the matrix holds.
+maps alone. Its map rows may lie on several spaces of one size, each
+row then reading its own space's distances and its own circle's weights
+and members, the members padded per row. A check_*, or a theorem
+verdict, builds the operands of one map (_OneMap, a batch of one) and
+reads its ConditionReports off the same rules' arrays: the margin is
+the slack at the first smallest tuple, that tuple the witness,
+derived_param the extremal feasible h. The images of the points come
+from the map's image table, made once per space and tolerance; only
+members off the points are mapped anew. Analytic carriers read a
+distance between two samples from space.as_array, any other from
+space._metric_fn, the one definition of the metric the matrix holds.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; the Caristi checker also accepts a user-supplied one.
@@ -125,6 +127,9 @@ class _Maps:
     enters, each gathered on first use, and the flags of the rules that
     read only them (_MAPS_ONLY): ``maps[k, i]`` is the image of point i
     under map k, and ``d(a, b)`` gives the distances at index arrays.
+    Index arrays read off maps carry its axis first, and d broadcasts
+    them with point indices; the carrier's pairs give x and y a leading
+    1, which d widens to the map axis when rows lie on several spaces.
     The first ``n`` points (all, by default) are the carrier's, X.
     take(..., 1) keeps a gathered block C-ordered; a[:, idx] would not
     be, and every op on the (m, x, y) blocks would then stride badly.
@@ -148,40 +153,57 @@ class _Maps:
 
     def pairs(self, key):
         """(x, y, Tx, Ty, d(x, y), d(Tx, Ty), pairs of the block outside
-        the set or None) over members x off-circle points ("across") or
-        pairs of the carrier. For a batch BANACH's "all" is the (m, n, n)
-        block of every pair, those other than x < y skipped: one gather
-        without index arrays. For one map, and for RHOADES, whose three
-        gathers over the block would do twice the work, it is the list
-        of x < y pairs."""
+        the set or None) over pairs of the carrier (or, on _Operands,
+        members x off-circle points: "across"). For a batch BANACH's
+        "all" is the (m, n, n) block of every pair, those other than
+        x < y skipped: one gather without index arrays. For one map, and
+        for RHOADES, whose three gathers over the block would do twice
+        the work, it is the list of x < y pairs."""
         if key not in self._pairs:
             skip = None
-            if key == "across":
-                x, y = self.M[:, None], self.E[None, :]
-            elif key == "all" and len(self.maps) > 1:
+            if key == "all" and len(self.maps) > 1:
                 x, y = self.X[:, None], self.X[None, :]
                 skip = x >= y
             else:
                 x, y = np.triu_indices(len(self.X), 1)
             tx, ty = self.maps.take(x, 1), self.maps.take(y, 1)
-            self._pairs[key] = (x, y, tx, ty, self.d(x, y), self.d(tx, ty),
-                                skip)
+            self._pairs[key] = (x, y, tx, ty, self.d(x[None], y[None]),
+                                self.d(tx, ty), skip)
         return self._pairs[key]
 
 
-class _Operands(_Maps):
-    """One circle's weights ``phi(a)`` and members ``M`` (in circle order)
-    over ``base``, whose operands and _MAPS_ONLY flags all circles share."""
+def _row_take(a, idx):
+    """a[r, idx[r]] for each row r of a; a (1, K) idx is every row's."""
+    return a.take(idx[0], 1) if len(idx) == 1 else np.take_along_axis(a, idx, 1)
 
-    def __init__(self, base, phi, radius, M):
+
+class _Operands(_Maps):
+    """One circle's weights ``phi(a)``, radius and members ``M`` over
+    ``base``, whose operands and _MAPS_ONLY flags all circles share: M
+    is (1, |M|) (one map's in circle order), or (m, K) with the mask
+    ``skip`` of each row's padding, which member rules skip as BANACH
+    does pairs outside x < y. phi and radius may be a row's circle's."""
+
+    def __init__(self, base, phi, radius, M, skip=None):
         super().__init__(base.d, base.maps, base.eps, len(base.X))
-        self.base, self.phi, self.radius, self.M = base, phi, radius, M
+        self.base, self.phi, self.radius = base, phi, radius
+        self.M, self.skip = M, skip
 
     disp = property(lambda self: self.base.disp)
     fixed = property(lambda self: self.base.fixed)
 
     def pairs(self, key):
-        return super().pairs(key) if key == "across" else self.base.pairs(key)
+        if key != "across":
+            return self.base.pairs(key)
+        if key not in self._pairs:
+            (E, off_skip), x = self.off, self.M[:, :, None]
+            y, tx = E[None, :], _row_take(self.maps, self.M)
+            tx, ty = tx[:, :, None], self.maps.take(y, 1)
+            skip = None if off_skip is None else \
+                self.skip[:, :, None] | off_skip[:, None, :]
+            self._pairs[key] = (x, y, tx, ty, self.d(x, y), self.d(tx, ty),
+                                skip)
+        return self._pairs[key]
 
     def flag(self, name: str) -> np.ndarray:
         """Atom ``name`` as (m,) bools, computed on first lookup and cached
@@ -204,7 +226,7 @@ class _Operands(_Maps):
     @cached_property
     def members(self):
         """(d(x, Tx), phi(x), phi(Tx)) over the members."""
-        tx = self.maps.take(self.M, 1)
+        tx = _row_take(self.maps, self.M)
         return self.d(self.M, tx), self.phi(self.M), self.phi(tx)
 
     @cached_property
@@ -214,15 +236,19 @@ class _Operands(_Maps):
         return self.disp, self.phi(self.X), self.phi(tx)
 
     @cached_property
-    def E(self):
-        """The off-circle points: |phi(y) - radius| > eps."""
-        return np.flatnonzero(np.abs(self.phi(self.X) - self.radius) > self.eps)
+    def off(self):
+        """The off-circle points E, |phi(y) - radius| > eps on some row,
+        and where phi has rows the (m, |E|) mask of a row's others."""
+        off = np.atleast_2d(np.abs(self.phi(self.X) - self.radius) > self.eps)
+        E = np.flatnonzero(off.any(0))
+        return E, ~off[:, E] if len(off) > 1 else None
 
 
 # A rule maps a batch's operands to (per-tuple verdicts, map axis first;
 # the block's tuples outside the condition's set, or None; the point
 # index arrays naming each tuple; a function giving the per-tuple slack
-# and h or ratio, or None). A fixed-set atom's rule gives (m,) bools.
+# and h or ratio, or None). A fixed-count atom's rule gives (m,) bools;
+# FIXED_CIRCLE and NO_FIXED_OFF_CIRCLE give verdicts and skip alone.
 
 
 def _margin(over, slack_of):
@@ -230,8 +256,8 @@ def _margin(over, slack_of):
     function of the radius and (d(x, Tx), phi(x), phi(Tx))."""
     def rule(src):
         slack = slack_of(src.radius, *getattr(src, over))
-        where = (src.M if over == "members" else src.X,)
-        return (slack >= -src.eps, None, where, lambda: (slack, None))
+        where, skip = (src.M, src.skip) if over == "members" else (src.X, None)
+        return (slack >= -src.eps, skip, (where,), lambda: (slack, None))
     return rule
 
 
@@ -253,7 +279,7 @@ def _c2_dstar(src):
         return (np.where(moved, (disp + phiT) - radius, phiT - radius),
                 np.divide(radius - phiT, disp, out=np.zeros_like(disp),
                           where=moved))
-    return (ok, None, (src.M,), detail)
+    return (ok, src.skip, (src.M,), detail)
 
 
 def _id_cond(src):
@@ -323,8 +349,10 @@ _RULES = {
     "BANACH": _contraction("all"),
     "CARISTI": _margin("points", _gain),
     "RHOADES": _strict_five("upper"),
-    "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps).all(1),
-    "NO_FIXED_OFF_CIRCLE": lambda src: ~src.fixed[0].take(src.E, 1).any(1),
+    "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps, src.skip,
+                                 None, None),
+    "NO_FIXED_OFF_CIRCLE": lambda src: (~src.fixed[0].take(src.off[0], 1),
+                                        src.off[1], None, None),
     "IDENTITY": lambda src: src.fixed[1] == len(src.X),
     "ONE_FIXED_POINT": lambda src: src.fixed[1] == 1,
     "AT_MOST_ONE_FIXED_POINT": lambda src: src.fixed[1] <= 1,
@@ -379,14 +407,14 @@ class _OneMap(_Operands):
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
         d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)
-        weight = phi and _pointwise(phi.at, pts, 1)
+        weight = phi and c is None and _pointwise(phi.at, pts, 1)
         if c is not None:   # d(x, c) at every point; phi.at refuses inf
             w = d(np.arange(len(pts)), c)
             if not np.isfinite(w).all():
-                weight(np.flatnonzero(~np.isfinite(w)))
+                _pointwise(phi.at, pts, 1)(np.flatnonzero(~np.isfinite(w)))
             weight = w.__getitem__
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
-                         weight, radius, np.array(M, dtype=np.intp))
+                         weight, radius, np.array([M], dtype=np.intp))
         self.pts, self.finite = pts, finite
         self.sampled = circle is not None and circle.resolution == "sampled"
 
@@ -402,7 +430,7 @@ def _report(condition_id: str, src: _OneMap) -> ConditionReport:
     caveat = src.sampled if condition_id in _MEMBER_IDS else not src.finite
     # One map's pair sets are lists (skip is None): the tuples are the
     # block's entries in order.
-    block = ok.shape[1:]
+    block = ok.shape
     slack, param = detail()
     ok, slack = ok[0].ravel(), slack[0].ravel()
     if slack.size == 0 and condition_id in _EMPTY_NOTES:
@@ -583,11 +611,33 @@ def condition_flags(D: np.ndarray, maps: np.ndarray, center_idx: int,
     mask ``member`` (member_mask of the circle). Vacuous cases come out
     True. An atom is computed on first lookup.
     """
-    return circle_flags(D, maps, (center_idx,), (radius,), eps, (member,))[0]
+    return circle_flags(D[None], [0], maps, [[center_idx]], [[radius]], eps,
+                        [[member]])[0]
 
 
-def circle_flags(D, maps, centers, radii, eps, members) -> list:
-    """condition_flags for each (center, radius, member mask), one _Maps."""
-    base = _Maps(lambda a, b: D[a, b], maps, eps)
-    return [_Operands(base, D[:, c].__getitem__, r, np.flatnonzero(m)).flag
-            for c, r, m in zip(centers, radii, members)]
+def circle_flags(D, s, maps, centers, radii, eps, members) -> list:
+    """condition_flags for each circle slot, over one _Maps. ``D`` is an
+    (S, n, n) stack, row r of ``maps`` a map on D[s[r]] (every row on
+    D[s[0]] if s has one entry), and slot j's circle on space t has
+    center centers[j][t], radius radii[j][t] and member mask
+    members[j][t]."""
+    if len(s) == 1:     # one space, read as one matrix: no per-row copies
+        t, D1 = s[0], D[s[0]]
+        base = _Maps(lambda a, b: D1[a, b], maps, eps)
+        return [_Operands(base, D1[:, c[t]].__getitem__, r[t],
+                          np.flatnonzero(m[t])[None]).flag
+                for c, r, m in zip(centers, radii, members)]
+
+    def d(a, b):        # a row's space along its index arrays
+        if a.shape[0] == b.shape[0] == 1:   # the carrier's pairs: per row,
+            return D[:, a[0], b[0]].take(s, 0)  # a copy of its space's
+        return D[s.reshape(-1, *[1] * (max(a.ndim, b.ndim) - 1)), a, b]
+    base, looks, at = _Maps(d, maps, eps), [], (s * D.shape[1])[:, None]
+    for c, r, m in zip(centers, radii, members):
+        col = D[np.arange(len(D)), :, c].ravel()        # each space's d(x, c)
+        count = m.sum(1)        # each space's members, padded to the most
+        M = np.argsort(~m, 1, kind="stable")[:, :count.take(s).max()]
+        looks.append(_Operands(
+            base, lambda a, col=col: col.take(at + a), r.take(s)[:, None],
+            M.take(s, 0), (np.arange(M.shape[1]) >= count[:, None])[s]).flag)
+    return looks

@@ -28,13 +28,14 @@ re-checks any hit through verify_theorem before reporting it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionReport, PhiMap, _OneMap, _report,
-                         batch_rows, circle_flags, phi_canonical)
+from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _OneMap,
+                         _report, batch_rows, circle_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
 from .generators import GenConfig, _exhaustive_chunks, random_metric_space
 from .metric_core import (Circle, MetricSpace, SelfMap, circle_of,
@@ -61,6 +62,8 @@ _THEOREMS = {
     "T_CARISTI": (("CARISTI",), ("SOME_FIXED_POINT",), False),
 }
 THEOREM_IDS = tuple(_THEOREMS)
+_ATOMS = tuple(dict.fromkeys(a for *sides, _ in _THEOREMS.values()
+                             for side in sides for a in side))
 
 # On an analytic carrier the map is seen on the sample window only, where
 # two conclusions are not refutable as stated: T_BANACH's fixed point may
@@ -260,7 +263,7 @@ class SweepReport:
 
 
 def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
-                  eps: float) -> dict:
+                  eps: float, space=None) -> dict:
     """Each theorem's hypothesis and conclusion over a batch of maps.
 
     ``maps`` is an (m, n) array of image indices. Returns
@@ -271,32 +274,34 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
     circle_of reads them; each side is its registry entry reduced over
     the atoms of conditions.circle_flags, batch_rows maps at a time,
     under the uniqueness rule for an empty circle.
+
+    With ``space``, D is an (S, n, n) stack, row r of maps a map on
+    D[space[r]], and the centers and radii (k, S) arrays of each space's
+    k circles: the sweep's one call per size group (see circle_flags).
     """
     centers, radii = np.atleast_1d(center_idx), np.atleast_1d(radius)
     m, rows = len(maps), batch_rows(maps.shape[1])
-    member = np.abs(D[centers] - radii[:, None]) <= eps
+    if space is None:
+        D, space = D[None], np.zeros(m, dtype=np.intp)
+        centers, radii = centers[:, None], radii[:, None]
+    member = np.abs(D[np.arange(len(D)), centers] - radii[..., None]) <= eps
     out = np.empty((len(centers), len(THEOREM_IDS), 2, m), dtype=bool)
     for start in range(0, m, rows):
-        looks = circle_flags(D, maps[start:start + rows], centers, radii,
-                             eps, member)
-        out[..., start:start + rows] = [
-            _theorem_chunk(look, nonempty)
-            for look, nonempty in zip(looks, member.any(1))]
+        cut = slice(start, start + rows)
+        s = space[cut]
+        s = s[:1] if (s == s[0]).all() else s
+        looks = circle_flags(D, s, maps[cut], centers, radii, eps, member)
+        # each atom's (k, maps) bools; a _MAPS_ONLY one's (maps,) serve all
+        atom = {a: looks[0](a) if a in _MAPS_ONLY else
+                np.array([look(a) for look in looks]) for a in _ATOMS}
+        nonempty = member.any(-1)[:, s]
+        for t, (hyps, concl, unique) in enumerate(_THEOREMS.values()):
+            for h, side in enumerate((hyps, concl)):
+                side = functools.reduce(np.logical_and, map(atom.get, side))
+                out[:, t, h, cut] = side & nonempty if unique else side
     out = out[0] if np.ndim(center_idx) == 0 else out
     return {tid: (out[..., t, 0, :], out[..., t, 1, :])
             for t, tid in enumerate(THEOREM_IDS)}
-
-
-def _theorem_chunk(look, nonempty: bool) -> list:
-    """theorem_flags' result over one chunk and circle: each registry
-    entry's two sides reduced over the atom lookup, in THEOREM_IDS order."""
-    def side(atoms, unique):
-        out = look(atoms[0])
-        for atom in atoms[1:]:
-            out = out & look(atom)
-        return out & nonempty if unique else out    # the uniqueness rule
-    return [(side(hyps, unique), side(concl, unique))
-            for hyps, concl, unique in _THEOREMS.values()]
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
@@ -328,44 +333,59 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     For each seeded space, table maps are either exhausted (small
     carriers) or sampled, a handful of structured maps is stirred in,
     and all nine theorems are evaluated against a selection of realized
-    circles. Any consistent=false hit is re-verified through the
-    per-instance path: a Falsification if that verdict is inconsistent
-    too, a disagreement between the two paths otherwise.
+    circles. Every space is drawn first; the spaces of one size (and
+    number of circles) then share one theorem_flags pass over their
+    stacked maps, batch_rows rows at a time. Any consistent=false hit
+    is re-verified, in space order, through the per-instance path: a
+    Falsification if that verdict is inconsistent too, a disagreement
+    between the two paths otherwise.
     """
     eps = resolve_eps(eps)
     t0 = time.perf_counter()
-    events = {False: [], True: []}     # keyed by the re-check's consistent
+    groups = {}     # (size, k) -> [(number, space, k centers, radii, maps)]
     maps_checked = 0
     for i in range(space_count):
         size = sizes[i % len(sizes)]
         space_seed = seed * 1_000_003 + i
         space = random_metric_space(GenConfig(seed=space_seed, size=size))
-        D = space.as_array
         rng = np.random.default_rng(space_seed ^ 0x5EED)
         batch = _map_batch(size, maps_per_space, exhaustive_limit, rng)
 
         realized = enumerate_circles(space, eps)
         take = min(_CIRCLES_PER_SPACE, len(realized))
-        circles = [realized[p] for p in
-                   sorted(rng.choice(len(realized), size=take, replace=False))]
-        cis, radii = zip(*[(space.index_of(c), r) for c, r in circles])
-        # one stack, one kernel pass: circle j reads the base rows and base + j
-        maps = np.vstack([batch, _structured_maps(D, cis, radii, eps)])
-        base = maps.shape[0] - take
-        flags = theorem_flags(D, maps, cis, radii, eps)
-        maps_checked += take * (base + 1)
+        cis, radii = zip(*[(space.index_of(c), r) for c, r in (
+            realized[p] for p in
+            sorted(rng.choice(len(realized), size=take, replace=False)))])
+        # circle j reads the base rows and base + j of the space's stack
+        maps = np.vstack([batch, _structured_maps(space.as_array, cis, radii,
+                                                  eps)])
+        maps_checked += take * (len(batch) + size + 2)
+        groups.setdefault((size, take), []).append((i, space, cis, radii,
+                                                    maps))
+    events, hits = {False: [], True: []}, []   # keyed by consistent
+    for group in groups.values():       # one stacked kernel pass each
+        number, spaces, cis, radii, maps = zip(*group)
+        rows, k = len(maps[0]), len(cis[0])     # per space
+        flags = theorem_flags(np.stack([sp.as_array for sp in spaces]),
+                              np.concatenate(maps), np.array(cis).T,
+                              np.array(radii).T, eps,
+                              np.repeat(np.arange(len(group)), rows))
         bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
-        for j, t, b in zip(*bad.nonzero()):
-            if b >= base and b != base + j:
-                continue        # another circle's fixing row
-            center, radius = circles[j]
-            tmap = SelfMap.from_indices(space, maps[b])
-            circle = circle_of(space, center, radius, eps)
-            verdict = verify_theorem(THEOREM_IDS[t], space, tmap, circle, eps)
-            events[verdict.consistent].append(Falsification(
-                theorem_id=THEOREM_IDS[t], space=space,
-                images=tuple(int(v) for v in maps[b]),
-                center=center, radius=radius, verdict=verdict))
+        for j, t, row in zip(*bad.nonzero()):
+            g, b = divmod(row, rows)
+            if b < rows - k or b == rows - k + j:   # not another's fixing map
+                hits.append((number[g], j, t, b, spaces[g], cis[g][j],
+                             radii[g][j], maps[g][b]))
+    for _, _, t, _, space, ci, radius, images in sorted(
+            hits, key=lambda hit: hit[:4]):      # in space order
+        center = space.points()[ci]
+        tmap = SelfMap.from_indices(space, images)
+        circle = circle_of(space, center, radius, eps)
+        verdict = verify_theorem(THEOREM_IDS[t], space, tmap, circle, eps)
+        events[verdict.consistent].append(Falsification(
+            theorem_id=THEOREM_IDS[t], space=space,
+            images=tuple(int(v) for v in images),
+            center=center, radius=radius, verdict=verdict))
     return SweepReport(spaces_checked=space_count, maps_checked=maps_checked,
                        verdicts_checked=maps_checked * len(THEOREM_IDS),
                        falsifications=tuple(events[False]),

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from fixedcircle import fileio
 from fixedcircle.cli import main
@@ -74,6 +75,7 @@ def test_theorem_soundness_sweep():
                              maps_per_space=100, exhaustive_limit=4)
     ok = (report.spaces_checked == 1000
           and not report.falsifications
+          and report.disagreements == ()
           and report.maps_checked >= 100_000
           and report.elapsed_seconds < 60.0)
     _verdict("soundness sweep finds zero falsifications",
@@ -81,7 +83,19 @@ def test_theorem_soundness_sweep():
                  f"{report.maps_checked} maps, "
                  f"{report.verdicts_checked} verdicts, "
                  f"{len(report.falsifications)} falsified, "
+                 f"{len(report.disagreements)} kernel disagreements, "
                  f"{report.elapsed_seconds:.1f}s (budget 60s)")
+
+
+@pytest.mark.parametrize("seed", [20250817, 7, 123])
+def test_soundness_sweep_counts_are_pinned(seed):
+    report = soundness_sweep(space_count=1000, seed=seed)
+    counts = (report.maps_checked, report.verdicts_checked,
+              len(report.falsifications), len(report.disagreements))
+    _verdict(f"soundness sweep counts at seed {seed}",
+             counts == (323_436, 2_910_924, 0, 0),
+             "maps, verdicts, falsifications, disagreements = "
+             f"{counts}")
 
 
 def _advertised_pair(space, tmap, circle):

@@ -666,19 +666,100 @@ def test_sweep_is_seeded():
         (b.spaces_checked, b.maps_checked, b.verdicts_checked)
 
 
-def _slipped_sweep(slip):
+def _assert_sweep_calls_match_one_space_calls(**sweep):
+    """Each stacked theorem_flags call a sweep makes equals, on every
+    (space, circle, map) row, the one-space call on that space's rows."""
+    kernel, calls = verifier.theorem_flags, []
+
+    def recorded(D, maps, centers, radii, eps, space):
+        flags = kernel(D, maps, centers, radii, eps, space)
+        calls.append((D, maps, centers, radii, space, flags))
+        return flags
+    with mock.patch.object(verifier, "theorem_flags", recorded):
+        rep = soundness_sweep(**sweep)
+    assert rep.sound and rep.disagreements == ()
+    for D, maps, centers, radii, space, flags in calls:
+        _assert_stack_matches_one_space_calls(D, maps, centers, radii, space,
+                                              flags)
+    assert sum(len(D) for D, *_ in calls) == sweep["space_count"]
+    return calls
+
+
+def _assert_stack_matches_one_space_calls(D, maps, centers, radii, space,
+                                          flags):
+    for t in range(len(D)):
+        rows = space == t
+        alone = theorem_flags(D[t], maps[rows], centers[:, t], radii[:, t],
+                              EPS)
+        for tid in THEOREM_IDS:
+            for side in (0, 1):
+                assert np.array_equal(flags[tid][side][:, rows],
+                                      alone[tid][side]), (tid, side, t)
+
+
+def test_stacked_call_matches_one_space_calls_with_uneven_circles():
+    # one slot's circles have 3 members (the discrete metric), 1 or none
+    # (the uniqueness rule), another's 1 or 3, over chunks of 10 maps
+    # that cross the spaces' boundaries at 20 and 45
+    n = 4
+    D = np.stack([np.ones((n, n)) - np.eye(n)]
+                 + [random_metric_space(GenConfig(seed=s, size=n)).as_array
+                    for s in (8, 9)])
+    centers = np.array([[0, 1, 2], [3, 0, 1]])
+    radii = np.array([[1.0, D[1, 1, 2], 9.0], [1.0, D[1, 0, 3], 0.0]])
+    rng = np.random.default_rng(4)
+    maps = rng.integers(0, n, size=(62, n)).astype(np.intp)
+    maps[[0, 20, 45]] = np.arange(n)
+    space = np.repeat([0, 1, 2], [20, 25, 17])
+    with mock.patch.object(conditions, "_PAIR_BLOCK", 10 * n * n):
+        flags = theorem_flags(D, maps, centers, radii, EPS, space)
+    _assert_stack_matches_one_space_calls(D, maps, centers, radii, space,
+                                          flags)
+
+
+def test_grouped_sweep_matches_one_space_calls_across_sizes():
+    # sizes 1 (one realized circle), 2, 3 and 5 in groups of three
+    # spaces; chunks of 40 maps at 5 points, 111 at 3, 250 at 2 and 1000
+    # at 1, so that in every group some chunk spans several spaces
+    with mock.patch.object(conditions, "_PAIR_BLOCK", 40 * 5 * 5):
+        calls = _assert_sweep_calls_match_one_space_calls(
+            space_count=12, sizes=(1, 2, 3, 5), maps_per_space=100, seed=11)
+    assert sorted(len(maps[0]) for _, maps, *_ in calls) == [1, 2, 3, 5]
+    assert [len(centers) for _, maps, centers, *_ in calls
+            if maps.shape[1] == 1] == [1]
+    for D, maps, *_, space, _ in calls:
+        rows = conditions.batch_rows(maps.shape[1])
+        assert any(len(set(space[k:k + rows])) > 1
+                   for k in range(0, len(maps), rows))
+
+
+def test_grouped_sweep_matches_one_space_calls_at_128_points():
+    # 16 maps per chunk at 128 points: the chunk across the two spaces'
+    # boundary holds rows of both
+    calls = _assert_sweep_calls_match_one_space_calls(
+        space_count=2, sizes=(128,), maps_per_space=40, seed=5)
+    ((D, maps, *_, space, _),) = calls
+    assert conditions.batch_rows(128) == 16 and len(D) == 2
+    boundary = int(np.flatnonzero(space == 1)[0])
+    assert boundary % 16 != 0
+
+
+def _slipped_sweep(slip, at=0):
     """A small sweep whose kernel has hyp & ~concl of T_EXIST_C1C2 forced
-    by ``slip(hyp, concl, maps, k)`` on the first space's stacked call
-    over k circles; returns the report and that call's arguments."""
+    by ``slip(hyp, concl, maps, k)`` on the rows of space ``at`` of its
+    first size group's stacked call over k circle slots; returns the
+    report and that space's (maps, centers, radii)."""
     kernel = verifier.theorem_flags
     calls = []
 
-    def slipped(D, maps, centers, radii, eps):
-        flags = kernel(D, maps, centers, radii, eps)
+    def slipped(D, maps, centers, radii, eps, space):
+        flags = kernel(D, maps, centers, radii, eps, space)
         if not calls:
+            rows = np.flatnonzero(space == at)
+            cut = slice(rows[0], rows[-1] + 1)
             hyp, concl = flags["T_EXIST_C1C2"]
-            slip(hyp, concl, maps, len(centers))
-            calls.append((maps, centers, radii))
+            slip(hyp[:, cut], concl[:, cut], maps[cut], len(centers))
+            calls.append((maps[cut], centers[:, at], radii[:, at]))
         return flags
     with mock.patch.object(verifier, "theorem_flags", slipped):
         rep = soundness_sweep(space_count=3, sizes=(3,), maps_per_space=5)
@@ -712,6 +793,24 @@ def test_sweep_skips_a_slip_on_another_circles_fixing_row():
     assert event.images == tuple(int(v) for v in maps[-2])
     assert (event.space.index_of(event.center), event.radius) == \
         (centers[1], radii[1])
+    assert event.verdict.consistent
+
+
+def test_sweep_maps_a_slip_back_to_its_space_circle_and_map():
+    # a slip on the last space of the size group, on one map row and one
+    # circle slot, names that space, that map and that circle
+    def slip(hyp, concl, maps, k):
+        hyp[2, 3], concl[2, 3] = True, False
+    rep, (maps, centers, radii) = _slipped_sweep(slip, at=2)
+    assert rep.sound and rep.falsifications == ()
+    (event,) = rep.disagreements
+    first, drawn = (random_metric_space(GenConfig(
+        seed=20250817 * 1_000_003 + i, size=3)) for i in (0, 2))
+    assert not np.array_equal(first.as_array, drawn.as_array)
+    assert np.array_equal(event.space.as_array, drawn.as_array)
+    assert event.images == tuple(int(v) for v in maps[3])
+    assert (event.space.index_of(event.center), event.radius) == \
+        (centers[2], radii[2])
     assert event.verdict.consistent
 
 
