@@ -3,54 +3,54 @@
 Exact checkers for circle-fixing conditions on finite and sampled
 analytic metric spaces, theorem-level verdicts with falsification
 detection, seeded instance generators, a worked-example gallery, and a
-CLI with structured reports.
+CLI with structured reports. Public names resolve lazily: ``import
+fixedcircle`` loads no submodule, and a name's first use loads its own.
 """
 
-from .conditions import (CONDITION_IDS, ConditionReport, PhiMap,
-                         check_banach, check_c1, check_c1_dstar,
-                         check_c1_star, check_c2, check_c2_dstar,
-                         check_c2_star, check_c3, check_c3_dstar,
-                         check_caristi, check_condition,
-                         check_identity_condition, check_rhoades,
-                         phi_canonical)
-from .errors import (AnchorSearchError, ConstraintViolationError,
-                     DomainError, FixedCircleError, InvalidMetricError,
-                     MalformedInputError)
-from .gallery import (GalleryEntry, GalleryReport, list_entries, load_entry,
-                      replay_all, replay_entry)
-from .generators import (AnchorConstraint, AnchorPoint, GenConfig,
-                         SearchResult, build_circle_fixing_map,
-                         build_multi_circle_map, choose_anchor,
-                         random_metric_space, search_counterexample)
-from .metric_core import (ANALYTIC_KINDS, Branch, Circle, MetricSpace,
-                          SelfMap, ValidationReport, Violation, circle_of,
-                          circle_samples, classify_images, enumerate_circles,
-                          fixed_points, is_fixed_circle, validate_metric)
-from .verifier import (THEOREM_IDS, Falsification, SweepReport,
-                       TheoremVerdict, enumerate_fixed_circles,
-                       soundness_sweep, verify_banach, verify_caristi,
-                       verify_existence, verify_identity_theorem,
-                       verify_theorem, verify_uniqueness)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANALYTIC_KINDS", "AnchorConstraint", "AnchorPoint", "AnchorSearchError",
-    "Branch", "CONDITION_IDS", "Circle", "ConditionReport",
-    "ConstraintViolationError", "DomainError", "Falsification",
-    "FixedCircleError", "GalleryEntry", "GalleryReport", "GenConfig",
-    "InvalidMetricError", "MalformedInputError", "MetricSpace", "PhiMap",
-    "SearchResult", "SelfMap", "SweepReport", "THEOREM_IDS",
-    "TheoremVerdict", "ValidationReport", "Violation",
-    "build_circle_fixing_map", "build_multi_circle_map", "check_banach",
-    "check_c1", "check_c1_dstar", "check_c1_star", "check_c2",
-    "check_c2_dstar", "check_c2_star", "check_c3", "check_c3_dstar",
-    "check_caristi", "check_condition", "check_identity_condition",
-    "check_rhoades", "choose_anchor", "circle_of", "circle_samples",
-    "classify_images", "enumerate_circles", "enumerate_fixed_circles",
-    "fixed_points", "is_fixed_circle", "list_entries", "load_entry",
-    "phi_canonical", "random_metric_space", "replay_all", "replay_entry",
-    "search_counterexample", "soundness_sweep", "validate_metric",
-    "verify_banach", "verify_caristi", "verify_existence",
-    "verify_identity_theorem", "verify_theorem", "verify_uniqueness",
-]
+# Owning module -> the public names it contributes.
+_EXPORTS = {
+    "conditions": ("ConditionReport", "PhiMap", "check_banach", "check_c1",
+                   "check_c1_dstar", "check_c1_star", "check_c2",
+                   "check_c2_dstar", "check_c2_star", "check_c3",
+                   "check_c3_dstar", "check_caristi", "check_condition",
+                   "check_identity_condition", "check_rhoades",
+                   "phi_canonical"),
+    "errors": ("AnchorSearchError", "ConstraintViolationError", "DomainError",
+               "FixedCircleError", "InvalidMetricError",
+               "MalformedInputError"),
+    "gallery": ("GalleryEntry", "GalleryReport", "list_entries", "load_entry",
+                "replay_all", "replay_entry"),
+    "generators": ("AnchorConstraint", "AnchorPoint", "GenConfig",
+                   "SearchResult", "build_circle_fixing_map",
+                   "build_multi_circle_map", "choose_anchor",
+                   "random_metric_space", "search_counterexample"),
+    "metric_core": ("ANALYTIC_KINDS", "Branch", "Circle", "MetricSpace",
+                    "SelfMap", "ValidationReport", "Violation", "circle_of",
+                    "circle_samples", "classify_images", "enumerate_circles",
+                    "enumerate_fixed_circles", "fixed_points",
+                    "is_fixed_circle", "validate_metric"),
+    "registry": ("CONDITION_IDS", "THEOREM_IDS"),
+    "verifier": ("Falsification", "SweepReport", "TheoremVerdict",
+                 "soundness_sweep", "verify_banach", "verify_caristi",
+                 "verify_existence", "verify_identity_theorem",
+                 "verify_theorem", "verify_uniqueness"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items()
+          for name in names}
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("." + _OWNER[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -22,14 +22,11 @@ import sys
 import time
 
 from . import fileio
-from .conditions import CONDITION_IDS, check_condition
 from .errors import FixedCircleError, MalformedInputError
-from .gallery import load_entry, matching_entries, replay_all
-from .generators import search_counterexample
-from .metric_core import (DEFAULT_EPSILON, MetricSpace, circle_of,
-                          resolve_eps, validate_metric)
-from .verifier import (THEOREM_IDS, circle_caveats, enumerate_fixed_circles,
-                       verify_theorem)
+from .metric_core import (DEFAULT_EPSILON, MetricSpace, circle_caveats,
+                          circle_of, enumerate_fixed_circles, resolve_eps,
+                          validate_metric)
+from .registry import CONDITION_IDS, THEOREM_IDS
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
@@ -70,6 +67,7 @@ _MEMBER_VACUITY = "member-quantified conditions are vacuous"
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (exit_code, its own RunReport fields);
 # main resolves the tolerance and adds it, the command and the wall time.
+# A handler imports the engine it runs, so a call loads only its own.
 
 
 def _cmd_validate(args, eps) -> tuple[int, dict]:
@@ -81,6 +79,7 @@ def _cmd_validate(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_check(args, eps) -> tuple[int, dict]:
+    from .conditions import check_condition
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     center = fileio.point_from_text(args.center, space)
@@ -100,6 +99,7 @@ def _cmd_check(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_verify(args, eps) -> tuple[int, dict]:
+    from .verifier import verify_theorem
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
@@ -131,6 +131,7 @@ def _cmd_enumerate(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_search(args, eps) -> tuple[int, dict]:
+    from .generators import search_counterexample
     space, space_digest = _load_space(args.space)
     center = fileio.point_from_text(args.center, space)
     circle = circle_of(space, center, args.radius, eps)
@@ -143,6 +144,7 @@ def _cmd_search(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_gallery(args, eps) -> tuple[int, dict]:
+    from .gallery import load_entry, matching_entries, replay_all
     report = replay_all(args.filter)
     rows = [{"entry": r.entry_id, "index": r.index, "kind": r.kind,
              "passed": r.passed, "detail": r.detail}

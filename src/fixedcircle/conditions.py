@@ -39,9 +39,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps
-
-CONDITION_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR",
-                 "ID_COND", "C3", "C3_DSTAR", "BANACH", "CARISTI", "RHOADES")
+from .registry import CONDITION_IDS
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,17 @@ survives the float round trip.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
-from .conditions import ConditionReport
 from .errors import MalformedInputError
-from .generators import SearchResult
 from .metric_core import Branch, Circle, MetricSpace, SelfMap, ValidationReport
-from .verifier import TheoremVerdict
+
+if TYPE_CHECKING:
+    from .conditions import ConditionReport
+    from .generators import SearchResult
+    from .verifier import TheoremVerdict
 
 SCHEMA_VERSION = 1
 
@@ -251,6 +253,7 @@ def dumps_document(doc: dict) -> str:
 
 
 def digest(doc: dict) -> str:
+    import hashlib      # maps libcrypto; only calls that read a file need it
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 

@@ -332,6 +332,19 @@ class Circle:
     empty: bool
 
 
+def circle_caveats(circle: Circle, empty_note: str) -> list[str]:
+    """Caveats a circle puts on any report about it; ``empty_note`` says
+    what an empty circle makes vacuous."""
+    out = []
+    if circle.resolution == "sampled":
+        out.append("sampled-resolution verdict")
+    if circle.empty:
+        out.append("empty circle: " + empty_note)
+    if circle.degenerate:
+        out.append("degenerate circle (radius ~ 0)")
+    return out
+
+
 def circle_of(space: MetricSpace, center, radius, eps=None) -> Circle:
     """Resolve the circle with the given center and radius.
 

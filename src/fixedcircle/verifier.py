@@ -15,7 +15,7 @@ subset of the fixed-point set (every one-point circle around a fixed
 point, for instance) do not contradict the theorems and do not count
 against consistency.
 
-Each theorem is written once, in the registry _THEOREMS: the condition
+Each theorem is written once, in registry.THEOREMS: the condition
 ids its hypotheses AND and the fixed-set atoms of
 conditions.condition_flags its conclusion ANDs, with the uniqueness
 rule for an empty circle and, in _SAMPLE_WINDOW, the relaxed conclusions
@@ -37,32 +37,13 @@ import numpy as np
 from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _OneMap,
                          _report, batch_rows, circle_flags, phi_canonical)
 from .errors import DomainError, InvalidMetricError
-from .generators import GenConfig, _exhaustive_chunks, random_metric_space
-from .metric_core import (Circle, MetricSpace, SelfMap, circle_of,
-                          enumerate_circles, enumerate_fixed_circles,
-                          resolve_eps, validate_metric)
+from .metric_core import (Circle, MetricSpace, SelfMap, circle_caveats,
+                          circle_of, enumerate_circles,
+                          enumerate_fixed_circles, resolve_eps,
+                          validate_metric)
+from .registry import THEOREM_IDS, THEOREMS
 
-
-# The theorem registry, in THEOREM_IDS order: theorem id -> (condition
-# ids the hypotheses AND, fixed-set atoms the conclusion ANDs, whether
-# the uniqueness rule holds). That rule: an empty circle cannot anchor
-# the uniqueness argument (no member plays the fixed reference point),
-# so there both sides are false and the vacuous hypotheses are reported
-# as not asserted.
-_UNIQUE = ("FIXED_CIRCLE", "NO_FIXED_OFF_CIRCLE")
-_THEOREMS = {
-    "T_EXIST_C1C2": (("C1", "C2"), ("FIXED_CIRCLE",), False),
-    "T_EXIST_STAR": (("C1_STAR", "C2_STAR"), ("FIXED_CIRCLE",), False),
-    "T_EXIST_DSTAR": (("C1_DSTAR", "C2_DSTAR"), ("FIXED_CIRCLE",), False),
-    "T_IDENTITY": (("ID_COND",), ("IDENTITY", "FIXED_CIRCLE"), False),
-    "T_UNIQUE_C3": (("C1", "C2", "C3"), _UNIQUE, True),
-    "T_UNIQUE_C3_STARVARIANT": (("C1_STAR", "C2_STAR", "C3"), _UNIQUE, True),
-    "T_UNIQUE_C3_DSTAR": (("C1_DSTAR", "C2_DSTAR", "C3_DSTAR"), _UNIQUE, True),
-    "T_BANACH": (("BANACH",), ("ONE_FIXED_POINT",), False),
-    "T_CARISTI": (("CARISTI",), ("SOME_FIXED_POINT",), False),
-}
-THEOREM_IDS = tuple(_THEOREMS)
-_ATOMS = tuple(dict.fromkeys(a for *sides, _ in _THEOREMS.values()
+_ATOMS = tuple(dict.fromkeys(a for *sides, _ in THEOREMS.values()
                              for side in sides for a in side))
 
 # On an analytic carrier the map is seen on the sample window only, where
@@ -79,10 +60,10 @@ _SAMPLE_WINDOW = {
 }
 
 # variant -> (theorem id, hypothesis condition ids)
-EXISTENCE_VARIANTS = {v: (tid, _THEOREMS[tid][0]) for v, tid in (
+EXISTENCE_VARIANTS = {v: (tid, THEOREMS[tid][0]) for v, tid in (
     ("C1C2", "T_EXIST_C1C2"), ("STAR", "T_EXIST_STAR"),
     ("DSTAR", "T_EXIST_DSTAR"))}
-UNIQUENESS_VARIANTS = {v: (tid, _THEOREMS[tid][0]) for v, tid in (
+UNIQUENESS_VARIANTS = {v: (tid, THEOREMS[tid][0]) for v, tid in (
     ("C3", "T_UNIQUE_C3"), ("C3_ON_STAR", "T_UNIQUE_C3_STARVARIANT"),
     ("C3_DSTAR", "T_UNIQUE_C3_DSTAR"))}
 
@@ -106,19 +87,6 @@ def _require_valid(space: MetricSpace, eps: float):
             "first: " + repr(report.violations[0]), report=report)
 
 
-def circle_caveats(circle: Circle, empty_note: str) -> list[str]:
-    """Caveats a circle puts on any report about it; ``empty_note`` says
-    what an empty circle makes vacuous."""
-    out = []
-    if circle.resolution == "sampled":
-        out.append("sampled-resolution verdict")
-    if circle.empty:
-        out.append("empty circle: " + empty_note)
-    if circle.degenerate:
-        out.append("degenerate circle (radius ~ 0)")
-    return out
-
-
 def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
              circle: Circle | None = None, phi: PhiMap | None = None,
              eps=None) -> TheoremVerdict:
@@ -127,7 +95,7 @@ def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
     circle carries the circle's caveats."""
     eps = resolve_eps(eps)
     _require_valid(space, eps)
-    hypotheses, conclusion, unique = _THEOREMS[theorem_id]
+    hypotheses, conclusion, unique = THEOREMS[theorem_id]
     src = _OneMap(space, tmap, circle, phi, eps)
     reports = tuple(_report(cid, src) for cid in hypotheses)
     hyp = all(r.holds for r in reports)
@@ -295,7 +263,7 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
         atom = {a: looks[0](a) if a in _MAPS_ONLY else
                 np.array([look(a) for look in looks]) for a in _ATOMS}
         nonempty = member.any(-1)[:, s]
-        for t, (hyps, concl, unique) in enumerate(_THEOREMS.values()):
+        for t, (hyps, concl, unique) in enumerate(THEOREMS.values()):
             for h, side in enumerate((hyps, concl)):
                 side = functools.reduce(np.logical_and, map(atom.get, side))
                 out[:, t, h, cut] = side & nonempty if unique else side
@@ -307,6 +275,7 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
                rng: np.random.Generator) -> np.ndarray:
     if n <= exhaustive_limit and n ** n <= 10 ** 6:
+        from .generators import _exhaustive_chunks
         return next(_exhaustive_chunks(n, n ** n)).astype(np.intp, copy=False)
     return rng.integers(0, n, size=(maps_per_space, n), dtype=np.intp)
 
@@ -340,6 +309,7 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     Falsification if that verdict is inconsistent too, a disagreement
     between the two paths otherwise.
     """
+    from .generators import GenConfig, random_metric_space
     eps = resolve_eps(eps)
     t0 = time.perf_counter()
     groups = {}     # (size, k) -> [(number, space, k centers, radii, maps)]
