@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 # Owning module -> the public names it contributes.
 _EXPORTS = {
     "conditions": ("ConditionReport", "PhiMap", "check_banach", "check_c1",
-                   "check_c1_dstar", "check_c1_star", "check_c2",
-                   "check_c2_dstar", "check_c2_star", "check_c3",
-                   "check_c3_dstar", "check_caristi", "check_condition",
+                   "check_c1_star", "check_c2", "check_c2_dstar",
+                   "check_c2_star", "check_c3", "check_c3_dstar",
+                   "check_caristi", "check_condition", "check_conditions",
                    "check_identity_condition", "check_rhoades",
                    "phi_canonical"),
     "errors": ("AnchorSearchError", "ConstraintViolationError", "DomainError",

@@ -26,7 +26,7 @@ from .errors import FixedCircleError, MalformedInputError
 from .metric_core import (DEFAULT_EPSILON, MetricSpace, circle_caveats,
                           circle_of, enumerate_fixed_circles, resolve_eps,
                           validate_metric)
-from .registry import CONDITION_IDS, THEOREM_IDS
+from .registry import CONDITION_IDS, THEOREM_IDS, THEOREM_READS
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
@@ -79,7 +79,7 @@ def _cmd_validate(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_check(args, eps) -> tuple[int, dict]:
-    from .conditions import check_condition
+    from .conditions import check_conditions
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     center = fileio.point_from_text(args.center, space)
@@ -88,9 +88,8 @@ def _cmd_check(args, eps) -> tuple[int, dict]:
                  if c.strip()]
     if not requested:
         raise MalformedInputError("--conditions lists no condition ids")
-    rows = [fileio.condition_row(
-        check_condition(cid, space, tmap, circle=circle, eps=eps))
-        for cid in requested]
+    rows = [fileio.condition_row(r) for r in check_conditions(
+        requested, space, tmap, circle=circle, eps=eps)]
     all_hold = all(r["holds"] for r in rows)
     return (_EXIT_OK if all_hold else _EXIT_NEGATIVE), dict(
         inputs={"space": space_digest, "map": map_digest,
@@ -103,14 +102,14 @@ def _cmd_verify(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
-    circle = None
+    circle, needs_circle = None, bool(THEOREM_READS[args.theorem])
     if args.center is not None and args.radius is not None:
         center = fileio.point_from_text(args.center, space)
         inputs["circle"] = {"center": fileio.point_to_json(center),
                             "radius": fileio.round12(args.radius)}
-        if args.theorem != "T_BANACH":
+        if needs_circle:
             circle = circle_of(space, center, args.radius, eps)
-    elif args.theorem != "T_BANACH":
+    elif needs_circle:
         raise MalformedInputError(
             f"theorem {args.theorem} needs --center and --radius")
     verdict = verify_theorem(args.theorem, space, tmap, circle, eps)
@@ -151,20 +150,23 @@ def _cmd_gallery(args, eps) -> tuple[int, dict]:
             for r in report.results]
     payload = {"results": rows,
                "entries": list(matching_entries(args.filter))}
-    if args.export is not None:
+    if args.export is not None:     # an OS refusal is an input error
         import os
-        os.makedirs(args.export, exist_ok=True)
-        exported = []
-        for entry_id in payload["entries"]:
-            entry = load_entry(entry_id)
-            for suffix, doc in (("space", fileio.space_to_doc(entry.space)),
-                                ("map", fileio.map_to_doc(entry.tmap))):
-                name = f"{entry_id}.{suffix}.json"
+        docs = {}
+        for entry in map(load_entry, payload["entries"]):
+            docs[f"{entry.entry_id}.space.json"] = fileio.space_to_doc(
+                entry.space)
+            docs[f"{entry.entry_id}.map.json"] = fileio.map_to_doc(entry.tmap)
+        try:
+            os.makedirs(args.export, exist_ok=True)
+            for name, doc in docs.items():
                 with open(os.path.join(args.export, name), "w",
                           encoding="utf-8") as fh:
                     fh.write(fileio.dumps_document(doc))
-                exported.append(name)
-        payload["exported"] = exported
+        except OSError as err:
+            raise MalformedInputError(f"cannot export to {args.export}: "
+                                      f"{err.strerror}") from None
+        payload["exported"] = list(docs)
     return (_EXIT_OK if report.ok else _EXIT_NEGATIVE), dict(
         inputs={}, payload=payload)
 

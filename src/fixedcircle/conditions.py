@@ -6,26 +6,28 @@ quantifies over (members, (member, off-circle) pairs, pairs of points,
 or every point) and, on request, each tuple's slack and, for C2_DSTAR,
 C3 and BANACH, its h or ratio. Existential parameters are eliminated
 analytically, never grid-searched, and the verdicts are division-free,
-so a zero denominator or a floating tie cannot flip one. Strict
-inequalities must clear the tolerance (slack > eps); a floating-point
-tie does not count as "strictly less".
+so a zero denominator or a floating tie cannot flip one. The strict
+inequalities of C3_DSTAR, RHOADES and ID_COND must clear the tolerance
+(slack > eps); those of C2_DSTAR (radius - d(Tx, c) < d(x, Tx)) and of
+the contraction in C3 and BANACH (d(Tx, Ty) < d(x, y)) need not.
 
 condition_flags reduces a batch's verdicts with .all for the search,
 circle_flags for the sweep's circles, which share what depends on the
 maps alone. Its map rows may lie on several spaces of one size, each
 row then reading its own space's distances and its own circle's weights
-and members, the members padded per row. A check_*, or a theorem
-verdict, builds the operands of one map (_OneMap, a batch of one) and
-reads its ConditionReports off the same rules' arrays: the margin is
-the slack at the first smallest tuple, that tuple the witness,
-derived_param the extremal feasible h. The images of the points come
-from the map's image table, made once per space and tolerance; only
-members off the points are mapped anew. Analytic carriers read a
-distance between two samples from space.as_array, any other from
-space._metric_fn, the one definition of the metric the matrix holds.
+and members, the members padded per row. check_conditions, or a theorem
+verdict, builds the operands of one map (_OneMap, a batch of one) from
+what its ids read (registry.READS) and reads its ConditionReports off
+the same rules' arrays: the margin is the slack at the first smallest
+tuple, that tuple the witness, derived_param the extremal feasible h.
+The images of the points come from the map's image table, made once
+per space and tolerance; only members off the points are mapped anew.
+Analytic carriers read a distance between two samples from
+space.as_array, any other from space._metric_fn, the one definition of
+the metric the matrix holds.
 
 The weight function phi is canonical when it is the distance to the
-circle's center; the Caristi checker also accepts a user-supplied one.
+circle's center; CARISTI alone also reads a user-supplied one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps
-from .registry import CONDITION_IDS
+from .registry import CONDITION_IDS, READS
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,12 @@ class _Operands(_Maps):
         tx = self.maps[:, :len(self.X)]
         return self.disp, self.phi(self.X), self.phi(tx)
 
+    # points as CARISTI reads them: under its own weight where a _OneMap
+    # holds one (own), else phi's
+    own = None
+    weighed = property(lambda self: self.points if self.own is None
+                       else self.own)
+
     @cached_property
     def off(self):
         """The off-circle points E, |phi(y) - radius| > eps on some row,
@@ -345,7 +353,7 @@ _RULES = {
     "C3": _contraction("across"),
     "C3_DSTAR": _strict_five("across"),
     "BANACH": _contraction("all"),
-    "CARISTI": _margin("points", _gain),
+    "CARISTI": _margin("weighed", _gain),
     "RHOADES": _strict_five("upper"),
     "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps, src.skip,
                                  None, None),
@@ -356,8 +364,7 @@ _RULES = {
     "AT_MOST_ONE_FIXED_POINT": lambda src: src.fixed[1] <= 1,
     "SOME_FIXED_POINT": lambda src: src.fixed[1] >= 1,
 }
-_MAPS_ONLY = frozenset(("BANACH", "RHOADES", "IDENTITY", "ONE_FIXED_POINT",
-                        "AT_MOST_ONE_FIXED_POINT", "SOME_FIXED_POINT"))
+_MAPS_ONLY = frozenset(a for a, reads in READS.items() if reads is None)
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +382,18 @@ _EMPTY_NOTES = {
 
 class _OneMap(_Operands):
     """The operands of one map over the carrier's points, then the images
-    (its image table), members, members' images and weight center off
+    (its image table), members, members' images and weight centers off
     them. An image or a center takes an equal sample's index, a member
     only that of the very sample it is, so a witness names the member
-    itself. phi defaults to the canonical weight at ``center``, by
-    default the circle's."""
+    itself. A canonical weight (phi, or CARISTI's own) is read off the
+    distances to its center."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None,
-                 center=None):
+                 weight=None):
         eps = resolve_eps(eps)
         radius, members = None, ()
         if circle is not None:
-            center, radius, members = circle.center, circle.radius, circle.members
-        if phi is None and center is not None:
-            phi = phi_canonical(space, center)    # rejects an off-carrier center
+            radius, members = circle.radius, circle.members
         row, extra = tmap._images(space, eps)
         pts, finite = [*space.points(), *extra], space.is_finite
 
@@ -403,18 +408,38 @@ class _OneMap(_Operands):
         # the image of an off-sample image is never read: its slot holds 0
         maps = np.hstack((row, [0] * len(extra), tail)).astype(np.intp)
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
+        cw = at(weight._center[1]) if weight and weight._center[0] is space \
+            else None
         d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)
-        weight = phi and c is None and _pointwise(phi.at, pts, 1)
-        if c is not None:   # d(x, c) at every point; phi.at refuses inf
-            w = d(np.arange(len(pts)), c)
-            if not np.isfinite(w).all():
-                _pointwise(phi.at, pts, 1)(np.flatnonzero(~np.isfinite(w)))
-            weight = w.__getitem__
+
+        def read(w, c):
+            if c is None:
+                return w and _pointwise(w.at, pts, 1)
+            v = d(np.arange(len(pts)), c)   # d(x, c); w.at refuses inf
+            if not np.isfinite(v).all():
+                _pointwise(w.at, pts, 1)(np.flatnonzero(~np.isfinite(v)))
+            return v.__getitem__
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
-                         weight, radius, np.array([M], dtype=np.intp))
+                         read(phi, c), radius,
+                         np.array([M], dtype=np.intp))
         self.pts, self.finite = pts, finite
+        if weight is not None:     # CARISTI's own, read in phi's place
+            w, tx = read(weight, cw), self.maps[:, :len(self.X)]
+            self.own = self.disp, w(self.X), w(tx)
         self.sampled = circle is not None and circle.resolution == "sampled"
+
+
+def _source(reads, space, tmap, circle, phi, eps) -> _OneMap:
+    """One map's operands for rules that read ``reads`` (registry.READS):
+    a given phi is CARISTI's own weight, the canonical one all others'."""
+    own = phi if "weight" in reads else None
+    canonical = None
+    if "circle" in reads or "center" in reads or \
+            "weight" in reads and own is None:
+        canonical = phi_canonical(space, circle.center)
+    return _OneMap(space, tmap, circle if "circle" in reads else None,
+                   canonical, eps, own)
 
 
 def _report(condition_id: str, src: _OneMap) -> ConditionReport:
@@ -453,31 +478,62 @@ def _report(condition_id: str, src: _OneMap) -> ConditionReport:
                            derived, int(slack.size), caveat, False, notes)
 
 
+# The DomainError of an id lacking what its rule reads, by READS.
+_LACKS = {"circle": "a circle", "center": "a circle to fix the center",
+          "weight": "a phi or a circle for the canonical one"}
+
+
+def check_conditions(condition_ids, space: MetricSpace, tmap: SelfMap,
+                     circle: Circle | None = None, phi: PhiMap | None = None,
+                     eps=None) -> list[ConditionReport]:
+    """The reports on several condition ids (any case), in id order, read
+    off one operand source. Every id is checked against registry.READS
+    first: a circle-local id needs a circle; CARISTI reads phi, and no
+    other id does, by default the canonical weight at the circle's
+    center."""
+    ids = []
+    for given in condition_ids:
+        cid = given.upper()
+        if cid not in CONDITION_IDS:
+            raise DomainError(f"unknown condition id {given!r}")
+        lacks = circle is None and READS[cid]
+        if lacks and not (lacks == "weight" and phi is not None):
+            raise DomainError(f"{cid} needs {_LACKS[lacks]}")
+        ids.append(cid)
+    src = _source({READS[cid] for cid in ids}, space, tmap, circle, phi, eps)
+    return [_report(cid, src) for cid in ids]
+
+
+def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
+                    circle: Circle | None = None, phi: PhiMap | None = None,
+                    eps=None) -> ConditionReport:
+    """check_conditions of one id."""
+    return check_conditions([condition_id], space, tmap, circle, phi, eps)[0]
+
+
+# One name per condition, each its id's check_condition, kept because the
+# benchmark's tracer wraps them; tracing by id (ROADMAP item 2) frees them.
+
+
 def check_c1(space: MetricSpace, tmap: SelfMap, circle: Circle,
-             eps=None, _cid="C1") -> ConditionReport:
+             eps=None) -> ConditionReport:
     """d(x, Tx) <= phi(x) - phi(Tx) for members x, canonical phi."""
-    return _report(_cid, _OneMap(space, tmap, circle, eps=eps))
-
-
-def check_c1_dstar(space, tmap, circle, eps=None) -> ConditionReport:
-    """Same inequality as C1; reported under its own id so theorem
-    verdicts can cite the hypothesis they actually used."""
-    return check_c1(space, tmap, circle, eps, _cid="C1_DSTAR")
+    return check_condition("C1", space, tmap, circle, eps=eps)
 
 
 def check_c2(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) >= radius for members x."""
-    return _report("C2", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C2", space, tmap, circle, eps=eps)
 
 
 def check_c1_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(x, Tx) <= phi(x) + phi(Tx) - 2 radius for members x."""
-    return _report("C1_STAR", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C1_STAR", space, tmap, circle, eps=eps)
 
 
 def check_c2_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, center) <= radius for members x."""
-    return _report("C2_STAR", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C2_STAR", space, tmap, circle, eps=eps)
 
 
 def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
@@ -487,7 +543,7 @@ def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) 
     passes with room); margin is the slack of the defining inequality
     at h -> 1.
     """
-    return _report("C2_DSTAR", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C2_DSTAR", space, tmap, circle, eps=eps)
 
 
 def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
@@ -499,7 +555,8 @@ def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
     ratio over moved points, +inf for the identity map; margin is
     derived_param - 1.
     """
-    return _report("ID_COND", _OneMap(space, tmap, eps=eps, center=center))
+    phi = phi_canonical(space, center)
+    return _report("ID_COND", _OneMap(space, tmap, phi=phi, eps=eps))
 
 
 def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
@@ -509,26 +566,26 @@ def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> Con
     derived_param is the contraction ratio actually attained (max over
     pairs), margin the slack at h -> 1.
     """
-    return _report("C3", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C3", space, tmap, circle, eps=eps)
 
 
 def check_c3_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
     """d(Tx, Ty) < max of the five point-image distances, members x
     against off-circle y; strict, so margin must clear the tolerance."""
-    return _report("C3_DSTAR", _OneMap(space, tmap, circle, eps=eps))
+    return check_condition("C3_DSTAR", space, tmap, circle, eps=eps)
 
 
 def check_rhoades(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
     """The globally quantified strict five-term condition, all pairs x != y
     (Rhoades 1977, "A comparison of various definitions of contractive
     mappings", Trans. AMS 226)."""
-    return _report("RHOADES", _OneMap(space, tmap, eps=eps))
+    return check_condition("RHOADES", space, tmap, eps=eps)
 
 
 def check_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport:
     """d(Tx, Ty) <= h d(x, y) over all pairs, some h in [0, 1);
     derived_param is the attained Lipschitz ratio."""
-    return _report("BANACH", _OneMap(space, tmap, eps=eps))
+    return check_condition("BANACH", space, tmap, eps=eps)
 
 
 def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> ConditionReport:
@@ -538,39 +595,7 @@ def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> C
     Lower semicontinuity of phi is an assumption recorded in the notes;
     it is not checkable on finite data.
     """
-    return _report("CARISTI", _OneMap(space, tmap, phi=phi, eps=eps))
-
-
-def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
-                    circle: Circle | None = None, phi: PhiMap | None = None,
-                    eps=None) -> ConditionReport:
-    """Dispatch a check by id. Circle-local conditions require a circle;
-    CARISTI defaults phi to the canonical weight at the circle's center."""
-    cid = condition_id.upper()
-    if cid not in CONDITION_IDS:
-        raise DomainError(f"unknown condition id {condition_id!r}")
-    circle_local = {
-        "C1": check_c1, "C2": check_c2, "C1_STAR": check_c1_star,
-        "C2_STAR": check_c2_star, "C1_DSTAR": check_c1_dstar,
-        "C2_DSTAR": check_c2_dstar, "C3": check_c3, "C3_DSTAR": check_c3_dstar,
-    }
-    if cid in circle_local:
-        if circle is None:
-            raise DomainError(f"{cid} needs a circle")
-        return circle_local[cid](space, tmap, circle, eps)
-    if cid == "ID_COND":
-        if circle is None:
-            raise DomainError("ID_COND needs a circle to fix the center")
-        return check_identity_condition(space, tmap, circle.center, eps)
-    if cid == "BANACH":
-        return check_banach(space, tmap, eps)
-    if cid == "RHOADES":
-        return check_rhoades(space, tmap, eps)
-    if phi is None:
-        if circle is None:
-            raise DomainError("CARISTI needs a phi or a circle for the canonical one")
-        phi = phi_canonical(space, circle.center)
-    return check_caristi(space, tmap, phi, eps)
+    return check_condition("CARISTI", space, tmap, phi=phi, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ ids its hypotheses AND and the fixed-set atoms of
 conditions.condition_flags its conclusion ANDs, with the uniqueness
 rule for an empty circle and, in _SAMPLE_WINDOW, the relaxed conclusions
 of analytic carriers beside it. verify_theorem reads one entry off the
-operands of one map: the hypothesis ConditionReports and the
-conclusion atoms. The soundness sweep reads the same entries over
+operands of one map that its rules read: the hypothesis ConditionReports
+and the conclusion atoms. The soundness sweep reads the same entries over
 seeded random spaces and bulk table maps through theorem_flags, and
 re-checks any hit through verify_theorem before reporting it.
 """
@@ -34,14 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _OneMap,
-                         _report, batch_rows, circle_flags, phi_canonical)
+from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _report,
+                         _source, batch_rows, circle_flags)
 from .errors import DomainError, InvalidMetricError
 from .metric_core import (Circle, MetricSpace, SelfMap, circle_caveats,
                           circle_of, enumerate_circles,
                           enumerate_fixed_circles, resolve_eps,
                           validate_metric)
-from .registry import THEOREM_IDS, THEOREMS
+from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS
 
 _ATOMS = tuple(dict.fromkeys(a for *sides, _ in THEOREMS.values()
                              for side in sides for a in side))
@@ -87,21 +87,28 @@ def _require_valid(space: MetricSpace, eps: float):
             "first: " + repr(report.violations[0]), report=report)
 
 
-def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
-             circle: Circle | None = None, phi: PhiMap | None = None,
-             eps=None) -> TheoremVerdict:
-    """The registry entry's verdict on one map, its hypothesis reports
-    and conclusion atoms read off one operand source. A verdict about a
-    circle carries the circle's caveats."""
+def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
+                   circle: Circle | None = None, eps=None,
+                   phi: PhiMap | None = None) -> TheoremVerdict:
+    """The verdict of any theorem in THEOREM_IDS, by id: its registry
+    entry's hypothesis reports and conclusion atoms, read off one operand
+    source of what its rules read (THEOREM_READS). All but T_BANACH need
+    a circle; T_CARISTI reads only a phi, by default the canonical weight
+    at the circle's center, so it carries no circle caveats either."""
+    if theorem_id not in THEOREM_IDS:
+        raise DomainError(f"unknown theorem id {theorem_id!r}")
+    reads = THEOREM_READS[theorem_id]
+    if circle is None and (reads - {"weight"} if phi is not None else reads):
+        raise DomainError(f"{theorem_id} needs a circle")
     eps = resolve_eps(eps)
     _require_valid(space, eps)
     hypotheses, conclusion, unique = THEOREMS[theorem_id]
-    src = _OneMap(space, tmap, circle, phi, eps)
+    src = _source(reads, space, tmap, circle, phi, eps)
     reports = tuple(_report(cid, src) for cid in hypotheses)
     hyp = all(r.holds for r in reports)
     concl = all(src.flag(atom)[0] for atom in conclusion)
-    caveats = [] if circle is None else circle_caveats(
-        circle, "conclusion is vacuous")
+    caveats = circle_caveats(circle, "conclusion is vacuous") \
+        if "circle" in reads else []
     if not space.is_finite and theorem_id in _SAMPLE_WINDOW:
         relaxed, caveat, unmet = _SAMPLE_WINDOW[theorem_id]
         caveats += [caveat] if concl or not unmet else [caveat, unmet]
@@ -120,6 +127,11 @@ def _verdict(theorem_id: str, space: MetricSpace, tmap: SelfMap,
                           tuple(caveats), found)
 
 
+# One name per verdict kind, each its verify_theorem call, kept with the
+# variant tables because the benchmark pins them; tracing by id (ROADMAP
+# item 2) frees them.
+
+
 def _variant_theorem(table: dict, kind: str, variant: str) -> str:
     try:
         return table[variant][0]
@@ -130,15 +142,15 @@ def _variant_theorem(table: dict, kind: str, variant: str) -> str:
 def verify_existence(space: MetricSpace, tmap: SelfMap, circle: Circle,
                      variant: str, eps=None) -> TheoremVerdict:
     """Hypotheses C1+C2 / C1*+C2* / C1**+C2**; conclusion: fixed circle."""
-    return _verdict(_variant_theorem(EXISTENCE_VARIANTS, "existence", variant),
-                    space, tmap, circle, eps=eps)
+    return verify_theorem(_variant_theorem(EXISTENCE_VARIANTS, "existence",
+                                           variant), space, tmap, circle, eps)
 
 
 def verify_identity_theorem(space: MetricSpace, tmap: SelfMap, circle: Circle,
                             eps=None) -> TheoremVerdict:
     """Hypothesis: the h>1 displacement bound over the whole carrier.
     Conclusion: the map is pointwise the identity and fixes the circle."""
-    return _verdict("T_IDENTITY", space, tmap, circle, eps=eps)
+    return verify_theorem("T_IDENTITY", space, tmap, circle, eps)
 
 
 def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
@@ -150,8 +162,8 @@ def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
     member to play the fixed reference point), so its vacuously-true
     hypotheses are reported as not holding, with a caveat.
     """
-    return _verdict(_variant_theorem(UNIQUENESS_VARIANTS, "uniqueness",
-                                     variant), space, tmap, circle, eps=eps)
+    return verify_theorem(_variant_theorem(UNIQUENESS_VARIANTS, "uniqueness",
+                                           variant), space, tmap, circle, eps)
 
 
 def verify_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> TheoremVerdict:
@@ -162,7 +174,7 @@ def verify_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> TheoremVerdict
     the sample window), so the conclusion there is "at most one fixed
     sample", flagged.
     """
-    return _verdict("T_BANACH", space, tmap, eps=eps)
+    return verify_theorem("T_BANACH", space, tmap, eps=eps)
 
 
 def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
@@ -173,26 +185,7 @@ def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
     refutation of existence, so the verdict reports whether a fixed
     sample was found and never counts its absence as a falsification.
     """
-    return _verdict("T_CARISTI", space, tmap, phi=phi, eps=eps)
-
-
-def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
-                   circle: Circle | None = None, eps=None) -> TheoremVerdict:
-    """The verdict of any theorem in THEOREM_IDS, by id.
-
-    Every theorem but T_BANACH needs a circle; T_CARISTI takes the
-    canonical weight at the circle's center.
-    """
-    if theorem_id not in THEOREM_IDS:
-        raise DomainError(f"unknown theorem id {theorem_id!r}")
-    if theorem_id == "T_BANACH":
-        return verify_banach(space, tmap, eps)
-    if circle is None:
-        raise DomainError(f"{theorem_id} needs a circle")
-    if theorem_id == "T_CARISTI":
-        return verify_caristi(space, tmap, phi_canonical(space, circle.center),
-                              eps)
-    return _verdict(theorem_id, space, tmap, circle, eps=eps)
+    return verify_theorem("T_CARISTI", space, tmap, eps=eps, phi=phi)
 
 
 # ---------------------------------------------------------------------------

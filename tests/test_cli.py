@@ -401,6 +401,39 @@ def test_cli_check_degenerate_caveat(files, capsys):
     assert any("degenerate" in c for c in caveats)
 
 
+def test_cli_check_reads_every_id_off_one_source(files, capsys, monkeypatch):
+    # all twelve ids, in mixed case and with spaces, give the twelve
+    # single-id rows of the golden file in order, off one operand source
+    from fixedcircle import conditions
+    from fixedcircle.registry import CONDITION_IDS
+    from test_golden_reports import DATA, _digest
+    built, reports = [], []
+    source, check = conditions._OneMap, conditions.check_conditions
+
+    class Counted(source):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def recorded(*args, **kwargs):
+        got = check(*args, **kwargs)
+        reports.extend(got)
+        return got
+    monkeypatch.setattr(conditions, "_OneMap", Counted)
+    monkeypatch.setattr(conditions, "check_conditions", recorded)
+    ids = " , ".join(c.lower() if i % 2 else c.title()
+                     for i, c in enumerate(CONDITION_IDS))
+    sp, mp = files["EX_2_5"]
+    code, out = _run(capsys, "check", sp, mp, "--center", "0",
+                     "--radius", "2", "--conditions", f" {ids} ")
+    assert code == 1 and len(built) == 1
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    assert [_digest(fileio.condition_row(r), [r]) for r in reports] == [
+        golden[f"EX_2_5 circle 0 check {cid}"] for cid in CONDITION_IDS]
+    assert json.loads(out)["conditions"] == json.loads(
+        fileio.dumps_document([fileio.condition_row(r) for r in reports]))
+
+
 def test_cli_verify(files, capsys):
     sp, mp = files["EX_2_5"]
     code, out = _run(capsys, "verify", sp, mp, "--theorem", "T_EXIST_C1C2",
@@ -560,6 +593,17 @@ def test_cli_bad_epsilon_variable_exits_2(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert repr(raw) in err
+
+
+def test_cli_gallery_export_it_cannot_write_exits_2(capsys, tmp_path):
+    # a file where the folder should be is an input error, not a crash
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["gallery", "--filter", "EX_2_5", "--export", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and str(taken) in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_gallery_takes_no_epsilon(capsys, monkeypatch):

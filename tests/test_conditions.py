@@ -19,15 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
-                                    _OneMap,
-                                    check_c1, check_c1_dstar, check_c1_star,
+                                    _OneMap, check_banach,
+                                    check_c1, check_c1_star,
                                     check_c2, check_c2_dstar, check_c2_star,
-                                    check_c3, check_caristi, check_condition,
+                                    check_c3, check_c3_dstar, check_caristi,
+                                    check_condition, check_conditions,
                                     check_identity_condition, check_rhoades,
                                     condition_flags, member_mask,
                                     phi_canonical)
 from fixedcircle.errors import DomainError
-from fixedcircle.gallery import load_entry
+from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
                                     random_metric_space)
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
@@ -391,7 +392,7 @@ def test_identity_map_satisfies_weak_conditions(seed):
     ident = SelfMap.identity(space)
     assert check_c1(space, ident, circle).holds
     assert check_c2(space, ident, circle).holds
-    assert check_c1_dstar(space, ident, circle).holds
+    assert check_condition("C1_DSTAR", space, ident, circle=circle).holds
     assert check_c2_dstar(space, ident, circle).holds
     phi = phi_canonical(space, circle.center)
     assert check_caristi(space, ident, phi).holds
@@ -498,3 +499,86 @@ def test_condition_flags_frees_its_arrays_without_the_collector():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# One operand source per request
+
+
+def _requests():
+    """(name, space, map, circle): every gallery circle, then seeded
+    finite spaces of 2-10 points, up to three circles spread over the
+    centers and three maps each."""
+    for entry_id in list_entries():
+        entry = load_entry(entry_id)
+        for k, circle in enumerate(entry.circles):
+            yield f"{entry_id} circle {k}", entry.space, entry.tmap, circle
+    rng = np.random.default_rng(18)
+    for size in range(2, 11):
+        space = _space_from_seed(size, size)
+        circles = enumerate_circles(space)
+        for center, radius in circles[::len(circles) // 3 + 1]:
+            for _ in range(3):
+                tmap = SelfMap.from_indices(space, rng.integers(0, size, size))
+                yield (f"n={size} {center} {radius} {tmap.table}", space,
+                       tmap, circle_of(space, center, radius))
+
+
+def test_one_request_reads_each_ids_own_report():
+    for name, space, tmap, circle in _requests():
+        got = check_conditions(CONDITION_IDS, space, tmap, circle=circle)
+        want = [check_condition(cid, space, tmap, circle=circle)
+                for cid in CONDITION_IDS]
+        assert [_exact(r) for r in got] == [_exact(r) for r in want], name
+
+
+def test_a_user_phi_is_read_by_caristi_alone():
+    # C1, ID_COND and the other weighted rules read the canonical weight
+    # in a request that hands CARISTI a weight of its own
+    for name, space, tmap, circle in itertools.islice(_requests(), 0, None, 7):
+        c = circle.center
+        phi = PhiMap("shifted", lambda x: 2 * space.distance(x, c) + 1)
+        got = check_conditions(("C1", "CARISTI", "ID_COND", "C3"), space,
+                               tmap, circle=circle, phi=phi)
+        want = [check_condition("C1", space, tmap, circle=circle),
+                check_caristi(space, tmap, phi),
+                check_condition("ID_COND", space, tmap, circle=circle),
+                check_condition("C3", space, tmap, circle=circle)]
+        assert [_exact(r) for r in got] == [_exact(r) for r in want], name
+
+
+def test_a_request_is_checked_before_any_source_is_built():
+    space = _space_from_seed(3, 4)
+    tmap = SelfMap.identity(space)
+    with mock.patch("fixedcircle.conditions._OneMap") as built:
+        for ids in (("BANACH", "C9"), ("BANACH", "C1"), ("ID_COND",),
+                    ("CARISTI",)):
+            with pytest.raises(DomainError):
+                check_conditions(ids, space, tmap)
+            with pytest.raises(DomainError):    # ids read once
+                check_conditions(iter(ids), space, tmap)
+    assert not built.called
+    assert check_conditions((), space, tmap) == []
+    phi = PhiMap("one", lambda x: 1.0)
+    rep, = check_conditions(("caristi",), space, tmap, phi=phi)
+    assert rep.holds and rep.condition_id == "CARISTI"
+
+
+_PINNED = {"C1": check_c1, "C2": check_c2, "C1_STAR": check_c1_star,
+           "C2_STAR": check_c2_star, "C2_DSTAR": check_c2_dstar,
+           "C3": check_c3, "C3_DSTAR": check_c3_dstar}
+
+
+def test_each_pinned_checker_is_its_ids_check():
+    for name, space, tmap, circle in itertools.islice(_requests(), 0, None, 5):
+        def by_id(cid):
+            return _exact(check_condition(cid, space, tmap, circle=circle))
+        for cid, fn in _PINNED.items():
+            assert _exact(fn(space, tmap, circle)) == by_id(cid), (name, cid)
+        assert _exact(check_identity_condition(space, tmap, circle.center)) \
+            == by_id("ID_COND"), name
+        assert _exact(check_banach(space, tmap)) == by_id("BANACH"), name
+        assert _exact(check_rhoades(space, tmap)) == by_id("RHOADES"), name
+        phi = phi_canonical(space, circle.center)
+        assert _exact(check_caristi(space, tmap, phi)) == by_id("CARISTI"), \
+            name
