@@ -235,12 +235,6 @@ class _Operands(_Maps):
         tx = self.maps[:, :len(self.X)]
         return self.disp, self.phi(self.X), self.phi(tx)
 
-    # points as CARISTI reads them: under its own weight where a _OneMap
-    # holds one (own), else phi's
-    own = None
-    weighed = property(lambda self: self.points if self.own is None
-                       else self.own)
-
     @cached_property
     def off(self):
         """The off-circle points E, |phi(y) - radius| > eps on some row,
@@ -353,7 +347,7 @@ _RULES = {
     "C3": _contraction("across"),
     "C3_DSTAR": _strict_five("across"),
     "BANACH": _contraction("all"),
-    "CARISTI": _margin("weighed", _gain),
+    "CARISTI": _margin("points", _gain),
     "RHOADES": _strict_five("upper"),
     "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps, src.skip,
                                  None, None),
@@ -382,14 +376,12 @@ _EMPTY_NOTES = {
 
 class _OneMap(_Operands):
     """The operands of one map over the carrier's points, then the images
-    (its image table), members, members' images and weight centers off
+    (its image table), members, members' images and weight center off
     them. An image or a center takes an equal sample's index, a member
     only that of the very sample it is, so a witness names the member
-    itself. A canonical weight (phi, or CARISTI's own) is read off the
-    distances to its center."""
+    itself. A canonical phi is read off the distances to its center."""
 
-    def __init__(self, space, tmap, circle=None, phi=None, eps=None,
-                 weight=None):
+    def __init__(self, space, tmap, circle=None, phi=None, eps=None):
         eps = resolve_eps(eps)
         radius, members = None, ()
         if circle is not None:
@@ -408,38 +400,28 @@ class _OneMap(_Operands):
         # the image of an off-sample image is never read: its slot holds 0
         maps = np.hstack((row, [0] * len(extra), tail)).astype(np.intp)
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
-        cw = at(weight._center[1]) if weight and weight._center[0] is space \
-            else None
         d = (lambda a, b: space.as_array[a, b]) if finite \
             else _carrier_distances(space, pts)
-
-        def read(w, c):
-            if c is None:
-                return w and _pointwise(w.at, pts, 1)
-            v = d(np.arange(len(pts)), c)   # d(x, c); w.at refuses inf
-            if not np.isfinite(v).all():
-                _pointwise(w.at, pts, 1)(np.flatnonzero(~np.isfinite(v)))
-            return v.__getitem__
+        weight = phi and c is None and _pointwise(phi.at, pts, 1)
+        if c is not None:   # d(x, c) at every point; phi.at refuses inf
+            w = d(np.arange(len(pts)), c)
+            if not np.isfinite(w).all():
+                _pointwise(phi.at, pts, 1)(np.flatnonzero(~np.isfinite(w)))
+            weight = w.__getitem__
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
-                         read(phi, c), radius,
-                         np.array([M], dtype=np.intp))
+                         weight, radius, np.array([M], dtype=np.intp))
         self.pts, self.finite = pts, finite
-        if weight is not None:     # CARISTI's own, read in phi's place
-            w, tx = read(weight, cw), self.maps[:, :len(self.X)]
-            self.own = self.disp, w(self.X), w(tx)
         self.sampled = circle is not None and circle.resolution == "sampled"
 
 
 def _source(reads, space, tmap, circle, phi, eps) -> _OneMap:
-    """One map's operands for rules that read ``reads`` (registry.READS):
-    a given phi is CARISTI's own weight, the canonical one all others'."""
-    own = phi if "weight" in reads else None
-    canonical = None
-    if "circle" in reads or "center" in reads or \
-            "weight" in reads and own is None:
-        canonical = phi_canonical(space, circle.center)
-    return _OneMap(space, tmap, circle if "circle" in reads else None,
-                   canonical, eps, own)
+    """One map's operands for rules that read ``reads`` (registry.READS),
+    under the weight phi, by default the canonical weight at the circle's
+    center where a rule reads one."""
+    if phi is None and reads - {None}:
+        phi = phi_canonical(space, circle.center)
+    return _OneMap(space, tmap, circle if "circle" in reads else None, phi,
+                   eps)
 
 
 def _report(condition_id: str, src: _OneMap) -> ConditionReport:
@@ -478,19 +460,14 @@ def _report(condition_id: str, src: _OneMap) -> ConditionReport:
                            derived, int(slack.size), caveat, False, notes)
 
 
-# The DomainError of an id lacking what its rule reads, by READS.
-_LACKS = {"circle": "a circle", "center": "a circle to fix the center",
-          "weight": "a phi or a circle for the canonical one"}
-
-
 def check_conditions(condition_ids, space: MetricSpace, tmap: SelfMap,
                      circle: Circle | None = None, phi: PhiMap | None = None,
                      eps=None) -> list[ConditionReport]:
     """The reports on several condition ids (any case), in id order, read
     off one operand source. Every id is checked against registry.READS
-    first: a circle-local id needs a circle; CARISTI reads phi, and no
-    other id does, by default the canonical weight at the circle's
-    center."""
+    first: a circle-local id needs a circle; CARISTI reads phi, by default
+    the canonical weight at the circle's center. No other id reads a
+    given phi: beside one, CARISTI's report comes off a source of its own."""
     ids = []
     for given in condition_ids:
         cid = given.upper()
@@ -498,10 +475,22 @@ def check_conditions(condition_ids, space: MetricSpace, tmap: SelfMap,
             raise DomainError(f"unknown condition id {given!r}")
         lacks = circle is None and READS[cid]
         if lacks and not (lacks == "weight" and phi is not None):
-            raise DomainError(f"{cid} needs {_LACKS[lacks]}")
+            raise DomainError(f"{cid} needs " + {
+                "circle": "a circle", "center": "a circle to fix the center",
+                "weight": "a phi or a circle for the canonical one"}[lacks])
         ids.append(cid)
-    src = _source({READS[cid] for cid in ids}, space, tmap, circle, phi, eps)
-    return [_report(cid, src) for cid in ids]
+    if not ids:
+        return []
+    reads = {READS[cid] for cid in ids}
+    if phi is not None and "weight" in reads:
+        weighed = _source({"weight"}, space, tmap, circle, phi, eps)
+        rest = reads - {"weight"}
+        src = _source(rest, space, tmap, circle, None, eps) \
+            if rest - {None} else weighed
+    else:
+        src = weighed = _source(reads, space, tmap, circle, None, eps)
+    return [_report(cid, weighed if READS[cid] == "weight" else src)
+            for cid in ids]
 
 
 def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,
@@ -537,35 +526,26 @@ def check_c2_star(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -
 
 
 def check_c2_dstar(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
-    """h d(x, Tx) + d(Tx, center) >= radius for members x, some h in [0, 1).
-
-    derived_param is the smallest h that would work (0 when every member
-    passes with room); margin is the slack of the defining inequality
-    at h -> 1.
-    """
+    """h d(x, Tx) + d(Tx, center) >= radius for members x, some h in [0, 1);
+    derived_param is the least h that works (0 when every member passes
+    with room), margin the slack at h -> 1."""
     return check_condition("C2_DSTAR", space, tmap, circle, eps=eps)
 
 
 def check_identity_condition(space: MetricSpace, tmap: SelfMap, center,
                              eps=None) -> ConditionReport:
-    """d(x, Tx) <= (phi(x) - phi(Tx)) / h over ALL carrier points, some h > 1.
-
-    On a metric valid within eps this holds exactly when the map moves
-    nothing. derived_param reports the best available h: the minimum
-    ratio over moved points, +inf for the identity map; margin is
-    derived_param - 1.
-    """
-    phi = phi_canonical(space, center)
-    return _report("ID_COND", _OneMap(space, tmap, phi=phi, eps=eps))
+    """d(x, Tx) <= (phi(x) - phi(Tx)) / h over ALL carrier points, some h > 1,
+    which on a metric valid within eps holds exactly when the map moves
+    nothing. derived_param is the best h, the least ratio over moved
+    points (+inf for the identity map); margin is derived_param - 1."""
+    return _report("ID_COND", _OneMap(space, tmap, None,
+                                      phi_canonical(space, center), eps))
 
 
 def check_c3(space: MetricSpace, tmap: SelfMap, circle: Circle, eps=None) -> ConditionReport:
-    """d(Tx, Ty) <= h d(x, y), members x against off-circle y, some h in [0, 1).
-
-    A pair at zero distance must have images at zero distance.
-    derived_param is the contraction ratio actually attained (max over
-    pairs), margin the slack at h -> 1.
-    """
+    """d(Tx, Ty) <= h d(x, y), members x against off-circle y, some h in [0, 1),
+    a pair at zero distance needing images at zero distance; derived_param
+    is the ratio attained (max over pairs), margin the slack at h -> 1."""
     return check_condition("C3", space, tmap, circle, eps=eps)
 
 
@@ -590,11 +570,8 @@ def check_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> ConditionReport
 
 def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> ConditionReport:
     """d(x, Tx) <= phi(x) - phi(Tx) over all carrier points, user phi
-    (Caristi 1976, Trans. AMS 215).
-
-    Lower semicontinuity of phi is an assumption recorded in the notes;
-    it is not checkable on finite data.
-    """
+    (Caristi 1976, Trans. AMS 215); phi's lower semicontinuity, not
+    checkable on finite data, is an assumption recorded in the notes."""
     return check_condition("CARISTI", space, tmap, phi=phi, eps=eps)
 
 

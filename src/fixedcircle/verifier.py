@@ -94,10 +94,13 @@ def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
     entry's hypothesis reports and conclusion atoms, read off one operand
     source of what its rules read (THEOREM_READS). All but T_BANACH need
     a circle; T_CARISTI reads only a phi, by default the canonical weight
-    at the circle's center, so it carries no circle caveats either."""
+    at the circle's center, so it carries no circle caveats either. No
+    other theorem takes a phi."""
     if theorem_id not in THEOREM_IDS:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
     reads = THEOREM_READS[theorem_id]
+    if phi is not None and "weight" not in reads:
+        raise DomainError(f"{theorem_id} reads no phi")
     if circle is None and (reads - {"weight"} if phi is not None else reads):
         raise DomainError(f"{theorem_id} needs a circle")
     eps = resolve_eps(eps)
@@ -156,35 +159,24 @@ def verify_identity_theorem(space: MetricSpace, tmap: SelfMap, circle: Circle,
 def verify_uniqueness(space: MetricSpace, tmap: SelfMap, circle: Circle,
                       variant: str, eps=None) -> TheoremVerdict:
     """Existence hypotheses plus a contraction; conclusion: the circle is
-    fixed and the fixed-point set is exactly its member set.
-
-    An empty circle cannot anchor the uniqueness argument (there is no
-    member to play the fixed reference point), so its vacuously-true
-    hypotheses are reported as not holding, with a caveat.
-    """
+    fixed and the fixed-point set is exactly its member set. On an empty
+    circle, which cannot anchor the argument, both are false, with a
+    caveat (the uniqueness rule of registry.THEOREMS)."""
     return verify_theorem(_variant_theorem(UNIQUENESS_VARIANTS, "uniqueness",
                                            variant), space, tmap, circle, eps)
 
 
 def verify_banach(space: MetricSpace, tmap: SelfMap, eps=None) -> TheoremVerdict:
-    """Global contraction; conclusion: exactly one fixed point.
-
-    Exact on finite carriers. On analytic carriers only the uniqueness
-    half is refutable from samples (the fixed point itself may sit off
-    the sample window), so the conclusion there is "at most one fixed
-    sample", flagged.
-    """
+    """Global contraction; conclusion: exactly one fixed point, on an
+    analytic carrier at most one fixed sample, flagged (_SAMPLE_WINDOW)."""
     return verify_theorem("T_BANACH", space, tmap, eps=eps)
 
 
 def verify_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap,
                    eps=None) -> TheoremVerdict:
-    """Caristi displacement bound; conclusion: a fixed point exists.
-
-    Exact on finite carriers. On analytic carriers there is no finite
-    refutation of existence, so the verdict reports whether a fixed
-    sample was found and never counts its absence as a falsification.
-    """
+    """Caristi displacement bound; conclusion: a fixed point exists. On an
+    analytic carrier the absence of a fixed sample is noted, never counted
+    as a falsification (_SAMPLE_WINDOW)."""
     return verify_theorem("T_CARISTI", space, tmap, eps=eps, phi=phi)
 
 

@@ -545,6 +545,15 @@ def test_a_user_phi_is_read_by_caristi_alone():
                 check_condition("ID_COND", space, tmap, circle=circle),
                 check_condition("C3", space, tmap, circle=circle)]
         assert [_exact(r) for r in got] == [_exact(r) for r in want], name
+    # beside the canonical weight a user phi takes a second source; alone,
+    # or beside ids reading no weight, it takes the request's only one
+    with mock.patch("fixedcircle.conditions._OneMap",
+                    wraps=_OneMap) as built:
+        for ids, sources in ((("C1", "CARISTI"), 2), (("CARISTI",), 1),
+                             (("BANACH", "CARISTI", "RHOADES"), 1)):
+            built.reset_mock()
+            check_conditions(ids, space, tmap, circle=circle, phi=phi)
+            assert built.call_count == sources, ids
 
 
 def test_a_request_is_checked_before_any_source_is_built():
@@ -557,8 +566,8 @@ def test_a_request_is_checked_before_any_source_is_built():
                 check_conditions(ids, space, tmap)
             with pytest.raises(DomainError):    # ids read once
                 check_conditions(iter(ids), space, tmap)
+        assert check_conditions((), space, tmap) == []
     assert not built.called
-    assert check_conditions((), space, tmap) == []
     phi = PhiMap("one", lambda x: 1.0)
     rep, = check_conditions(("caristi",), space, tmap, phi=phi)
     assert rep.holds and rep.condition_id == "CARISTI"

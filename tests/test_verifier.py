@@ -675,6 +675,12 @@ def test_theorems_needing_a_circle_refuse_none():
                 verify_theorem(tid, space, ident)
     with pytest.raises(DomainError):
         verify_existence(space, ident, None, "C1C2")
+    phi = phi_canonical(space, "p")
+    assert verify_theorem("T_CARISTI", space, ident, phi=phi).consistent
+    for tid in set(THEOREM_IDS) - {"T_CARISTI"}:    # only CARISTI reads phi
+        with pytest.raises(DomainError, match="reads no phi"):
+            verify_theorem(tid, space, ident, circle_of(space, "p", 1.0),
+                           phi=phi)
 
 
 # ---------------------------------------------------------------------------
