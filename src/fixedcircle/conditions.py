@@ -27,7 +27,7 @@ space.as_array, any other from space._metric_fn, the one definition of
 the metric the matrix holds.
 
 The weight function phi is canonical when it is the distance to the
-circle's center; CARISTI alone also reads a user-supplied one.
+circle's center; CARISTI alone reads a user's (registry.check_request).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedInputError
 from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps
-from .registry import CONDITION_IDS, READS
+from .registry import CONDITION_IDS, READS, check_request
 
 
 @dataclass(frozen=True)
@@ -156,12 +156,14 @@ class _Maps:
         the set or None) over pairs of the carrier (or, on _Operands,
         members x off-circle points: "across"). For a batch BANACH's
         "all" is the (m, n, n) block of every pair, those other than
-        x < y skipped: one gather without index arrays. For one map, and
-        for RHOADES, whose three gathers over the block would do twice
-        the work, it is the list of x < y pairs."""
+        x < y skipped: one gather without index arrays. For RHOADES, whose
+        three gathers over the block would do twice the work, it is the
+        list of x < y pairs ("upper"), which serves one map's "all" too."""
+        if key == "all" and len(self.maps) == 1:
+            key = "upper"
         if key not in self._pairs:
             skip = None
-            if key == "all" and len(self.maps) > 1:
+            if key == "all":
                 x, y = self.X[:, None], self.X[None, :]
                 skip = x >= y
             else:
@@ -417,7 +419,7 @@ class _OneMap(_Operands):
 def _source(reads, space, tmap, circle, phi, eps) -> _OneMap:
     """One map's operands for rules that read ``reads`` (registry.READS),
     under the weight phi, by default the canonical weight at the circle's
-    center where a rule reads one."""
+    center where a rule reads one: a checked request's one source."""
     if phi is None and reads - {None}:
         phi = phi_canonical(space, circle.center)
     return _OneMap(space, tmap, circle if "circle" in reads else None, phi,
@@ -464,33 +466,21 @@ def check_conditions(condition_ids, space: MetricSpace, tmap: SelfMap,
                      circle: Circle | None = None, phi: PhiMap | None = None,
                      eps=None) -> list[ConditionReport]:
     """The reports on several condition ids (any case), in id order, read
-    off one operand source. Every id is checked against registry.READS
-    first: a circle-local id needs a circle; CARISTI reads phi, by default
-    the canonical weight at the circle's center. No other id reads a
-    given phi: beside one, CARISTI's report comes off a source of its own."""
+    off one operand source. The request is checked first, by
+    registry.check_request: a given phi is read by CARISTI, alone or
+    beside ids reading no weight (BANACH, RHOADES); without one, CARISTI
+    reads the canonical weight at the circle's center."""
     ids = []
     for given in condition_ids:
-        cid = given.upper()
-        if cid not in CONDITION_IDS:
+        ids.append(given.upper())
+        if ids[-1] not in CONDITION_IDS:
             raise DomainError(f"unknown condition id {given!r}")
-        lacks = circle is None and READS[cid]
-        if lacks and not (lacks == "weight" and phi is not None):
-            raise DomainError(f"{cid} needs " + {
-                "circle": "a circle", "center": "a circle to fix the center",
-                "weight": "a phi or a circle for the canonical one"}[lacks])
-        ids.append(cid)
     if not ids:
         return []
     reads = {READS[cid] for cid in ids}
-    if phi is not None and "weight" in reads:
-        weighed = _source({"weight"}, space, tmap, circle, phi, eps)
-        rest = reads - {"weight"}
-        src = _source(rest, space, tmap, circle, None, eps) \
-            if rest - {None} else weighed
-    else:
-        src = weighed = _source(reads, space, tmap, circle, None, eps)
-    return [_report(cid, weighed if READS[cid] == "weight" else src)
-            for cid in ids]
+    check_request("+".join(ids), reads, circle, phi)
+    src = _source(reads, space, tmap, circle, phi, eps)
+    return [_report(cid, src) for cid in ids]
 
 
 def check_condition(condition_id: str, space: MetricSpace, tmap: SelfMap,

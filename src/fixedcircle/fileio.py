@@ -115,29 +115,32 @@ def _image_from_str(text, space: MetricSpace) -> tuple:
 
 def space_to_doc(space: MetricSpace) -> dict:
     if space.is_finite:
-        return {"carrier": {"type": "finite",
-                            "labels": list(space.carrier.labels)},
+        return {"carrier": {"type": "finite", "labels": list(space.pts)},
                 "metric": {"type": "matrix",
                            "values": [[float(v) for v in row]
                                       for row in space.as_array]}}
-    return {"carrier": {"type": "analytic", "kind": space.carrier.kind,
-                        "samples": [point_to_json(s)
-                                    for s in space.carrier.samples]},
+    return {"carrier": {"type": "analytic", "kind": space.kind,
+                        "samples": [point_to_json(s) for s in space.pts]},
             "metric": {"type": "named"}}
 
 
-def _expect(doc, key, where):
+def _expect(doc, key, where, kind=object):
+    """doc[key], refused when missing or, for ``kind`` list or dict, when
+    not a JSON array or object."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedInputError(f"{where}: missing required key {key!r}")
+    if not isinstance(doc[key], kind):
+        noun = "array" if kind is list else "object"
+        raise MalformedInputError(f"{where}: {key!r} must be a JSON {noun}")
     return doc[key]
 
 
 def _malformed_as(where: str):
     """Report what a wrongly typed field raises while a document is read
-    (ValueError/TypeError: a non-numeric distance or sample, labels that
-    are not a list, images that are not an object; OverflowError: an
-    integer past the float range) as MalformedInputError, the input error
-    every caller expects."""
+    (ValueError/TypeError: a non-numeric distance, sample or radius;
+    OverflowError: an integer past the float range) as
+    MalformedInputError, the input error every caller expects. A field of
+    the wrong JSON type is refused first, by _expect."""
     def wrap(read):
         @functools.wraps(read)
         def reader(*args):
@@ -158,18 +161,19 @@ def space_from_doc(doc: dict) -> MetricSpace:
     if ctype == "finite":
         if mtype != "matrix":
             raise MalformedInputError(
-                "finite carriers take a matrix metric, got "
-                f"{mtype!r}")
-        labels = _expect(carrier, "labels", "carrier")
-        values = _expect(metric, "values", "metric")
-        return MetricSpace.finite(tuple(labels), values)
+                f"finite carriers take a matrix metric, got {mtype!r}")
+        labels = _expect(carrier, "labels", "carrier", list)
+        values = _expect(metric, "values", "metric", list)
+        if not all(isinstance(row, list) for row in values):
+            raise MalformedInputError("metric: 'values' must hold arrays")
+        return MetricSpace.finite(labels, values)
     if ctype == "analytic":
         if mtype != "named":
             raise MalformedInputError(
                 f"analytic carriers take the named metric, got {mtype!r}")
         kind = _expect(carrier, "kind", "carrier")
         samples = [point_from_json(s)
-                   for s in _expect(carrier, "samples", "carrier")]
+                   for s in _expect(carrier, "samples", "carrier", list)]
         return MetricSpace.analytic(kind, samples)
     raise MalformedInputError(f"unknown carrier type {ctype!r}")
 
@@ -201,12 +205,8 @@ def map_to_doc(tmap: SelfMap) -> dict:
 def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
     rule = _expect(doc, "rule", "map document")
     rtype = _expect(rule, "type", "rule")
-    if rtype == "table":
-        if not space.is_finite:
-            raise MalformedInputError(
-                "table maps require a finite carrier")
-        images = _expect(rule, "images", "rule")
-        return SelfMap.from_table(space, dict(images))
+    if rtype == "table":    # from_table refuses an analytic carrier
+        return SelfMap.from_table(space, _expect(rule, "images", "rule", dict))
     if rtype != "piecewise":
         raise MalformedInputError(f"unknown rule type {rtype!r}")
     default = _image_from_str(_expect(rule, "default", "rule"), space)
@@ -219,7 +219,7 @@ def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
                                                          f"branch {i}")),
                     float(_expect(node, "radius", f"branch {i}")))
         elif "at_points" in b:
-            pts = _expect(b["at_points"], "points", f"branch {i}")
+            pts = _expect(b["at_points"], "points", f"branch {i}", list)
             pred = ("at_points", tuple(point_from_json(p) for p in pts))
         else:
             raise MalformedInputError(

@@ -1,8 +1,9 @@
 """Metric spaces, circles, and self-maps.
 
-A space is either finite (point labels plus a distance matrix) or
-analytic: one of four named metrics observed through a finite sample
-set. The named kinds are
+A space is its points, its kind and its matrix: finite (kind None,
+point labels and a distance matrix) or analytic (one of four named
+metrics, observed through a finite sample set: its points). The named
+kinds are
 
     real_usual     d(x, y) = |x - y|            on the reals
     real_exp       d(x, y) = |e^x - e^y|        on the reals
@@ -63,36 +64,16 @@ def resolve_eps(eps) -> float:
 
 
 @dataclass(frozen=True)
-class FiniteCarrier:
-    """A finite point set; points are opaque string labels."""
-
-    labels: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class AnalyticCarrier:
-    """One of the named metrics, observed through finitely many samples.
-
-    The carrier itself is the whole real line (or complex plane); the
-    samples are the points that scans and enumerations range over.
-    Off-sample points remain legal arguments everywhere.
-    """
-
-    kind: str
-    samples: tuple
-
-
-@dataclass(frozen=True)
 class MetricSpace:
-    """A metric space with either a finite or an analytic carrier.
-
-    ``matrix`` holds the distance table for finite carriers and is None
-    for analytic ones, where the distance comes from the carrier kind.
-    Use the ``finite`` / ``analytic`` constructors rather than the raw
-    dataclass: they normalize input and catch malformed data early.
+    """A metric space: its points ``pts`` (a finite carrier's labels, or
+    the samples scans range over on an analytic one, whose off-sample
+    points remain legal arguments everywhere), its ``kind`` (None when
+    finite) and its distance table ``matrix`` (None when analytic). Build
+    one with ``finite`` or ``analytic``, which normalize and check input.
     """
 
-    carrier: FiniteCarrier | AnalyticCarrier
+    pts: tuple
+    kind: str | None = None
     matrix: tuple[tuple[float, ...], ...] | None = None
 
     @classmethod
@@ -103,16 +84,15 @@ class MetricSpace:
         if n != len(labels):
             raise MalformedInputError(
                 f"{len(labels)} labels but {n} matrix rows")
-        for row in rows:
-            if len(row) != n:
-                raise MalformedInputError("distance matrix is not square")
-            for v in row:
-                if not math.isfinite(v) or v < 0:
-                    raise MalformedInputError(
-                        f"distance entries must be finite and >= 0, got {v}")
+        if any(len(row) != n for row in rows):
+            raise MalformedInputError("distance matrix is not square")
+        for v in itertools.chain(*rows):
+            if not 0 <= v < math.inf:
+                raise MalformedInputError(
+                    f"distance entries must be finite and >= 0, got {v}")
         if len(set(labels)) != n:
             raise MalformedInputError("duplicate point labels")
-        return cls(carrier=FiniteCarrier(labels), matrix=tuple(rows))
+        return cls(labels, matrix=tuple(rows))
 
     @classmethod
     def analytic(cls, kind: str, samples: Iterable, eps=None) -> "MetricSpace":
@@ -135,21 +115,15 @@ class MetricSpace:
         for p in pts:
             if all(fn(p, q) > eps for q in kept):
                 kept.append(p)
-        return cls(carrier=AnalyticCarrier(kind, tuple(kept)))
+        return cls(tuple(kept), kind)
 
     @property
     def is_finite(self) -> bool:
-        return isinstance(self.carrier, FiniteCarrier)
-
-    @property
-    def kind(self) -> str | None:
-        return None if self.is_finite else self.carrier.kind
+        return self.kind is None
 
     def points(self) -> tuple:
         """Carrier labels, or the sample set for analytic carriers."""
-        if self.is_finite:
-            return self.carrier.labels
-        return self.carrier.samples
+        return self.pts
 
     @cached_property
     def _index(self) -> dict:
@@ -171,19 +145,19 @@ class MetricSpace:
         """
         if self.is_finite:
             return np.asarray(self.matrix, dtype=float)
-        fn, s = self._metric_fn, self.carrier.samples
+        fn, s = self._metric_fn, self.pts
         m = np.fromiter((fn(x, y) for x in s for y in s), dtype=float,
                         count=len(s) ** 2).reshape(len(s), len(s))
         if not np.isfinite(m).all():
             raise MalformedInputError(
-                f"the {self.carrier.kind} metric overflows on the sample set")
+                f"the {self.kind} metric overflows on the sample set")
         return m
 
     @cached_property
     def _metric_fn(self):
         """The scalar metric every distance on an analytic carrier is
         read from; None on a finite one."""
-        return None if self.is_finite else _METRIC_FNS[self.carrier.kind]
+        return None if self.is_finite else _METRIC_FNS[self.kind]
 
     @cached_property
     def _validations(self) -> dict:
@@ -195,7 +169,7 @@ class MetricSpace:
         carrier holds finite numbers only."""
         if self.is_finite:
             return point in self._index
-        if self.carrier.kind == "complex_usual":
+        if self.kind == "complex_usual":
             return isinstance(point, (int, float, complex)) and cmath.isfinite(point)
         return (isinstance(point, (int, float)) and not isinstance(point, bool)
                 and math.isfinite(point))
@@ -204,10 +178,6 @@ class MetricSpace:
         if self.is_finite:
             return self.as_array[self.index_of(x), self.index_of(y)]
         return self._metric_fn(x, y)
-
-
-def _d_real_usual(x, y):
-    return abs(x - y)
 
 
 def _d_real_exp(x, y):
@@ -222,19 +192,20 @@ def _d_real_abs_sum(x, y):
     return 0.0 if x == y else abs(x) + abs(y)
 
 
-def _d_complex_usual(x, y):
+def _d_usual(x, y):
+    """|x - y| on the reals or the complex plane, where it may overflow."""
     try:
         return abs(x - y)
     except OverflowError:
         raise MalformedInputError(
-            f"complex metric overflows at x={x!r}, y={y!r}") from None
+            f"metric overflows at x={x!r}, y={y!r}") from None
 
 
 _METRIC_FNS = {
-    "real_usual": _d_real_usual,
+    "real_usual": _d_usual,
     "real_exp": _d_real_exp,
     "real_abs_sum": _d_real_abs_sum,
-    "complex_usual": _d_complex_usual,
+    "complex_usual": _d_usual,
 }
 
 
@@ -380,7 +351,7 @@ def _center_row(space: MetricSpace, center) -> np.ndarray:
     so have no matrix row."""
     if space.kind == "complex_usual":
         return np.array([space._metric_fn(s, center)
-                         for s in space.carrier.samples], dtype=float)
+                         for s in space.pts], dtype=float)
     return space.as_array[space.index_of(center)]
 
 
@@ -525,6 +496,9 @@ class SelfMap:
         missing = [p for p in pts if p not in images]
         if missing:
             raise MalformedInputError(f"map is not total, missing {missing[:5]}")
+        extra = [p for p in images if p not in space._index]
+        if extra:
+            raise DomainError(f"images of points off the carrier: {extra[:5]}")
         tab = []
         for p in pts:
             img = images[p]
@@ -551,9 +525,9 @@ class SelfMap:
             if b.predicate[0] not in ("on_circle", "at_points"):
                 raise MalformedInputError(f"unknown predicate {b.predicate[0]!r}")
             if b.predicate[0] == "on_circle" and not (
-                    space.contains(b.predicate[1]) and math.isfinite(b.predicate[2])):
-                raise MalformedInputError(
-                    f"on_circle needs a carrier center and a finite radius: {b.predicate!r}")
+                    space.contains(b.predicate[1]) and 0 <= b.predicate[2] < math.inf):
+                raise MalformedInputError("on_circle needs a carrier center and "
+                                          f"a finite radius >= 0: {b.predicate!r}")
             _check_image(space, b.image)
         _check_image(space, default)
         if space.is_finite:

@@ -1,21 +1,35 @@
-"""Condition ids, what each rule reads and the theorem registry: data,
-importable without numpy or the kernels, so the command line builds its
-parser and its circle rule from them."""
+"""Condition ids, what each rule reads, the rule of a single-map request
+and the theorem registry: importable without numpy or the kernels, so
+the command line builds its parser and its circle rule from them."""
+
+from .errors import DomainError
 
 CONDITION_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR",
                  "ID_COND", "C3", "C3_DSTAR", "BANACH", "CARISTI", "RHOADES")
 
 # What the rule of each condition id and conclusion atom reads besides
 # the space and the map: "circle" (its members and radius, and the
-# canonical weight at its center), "center" (that weight alone),
-# "weight" (a user phi, else that weight) or None. Without a phi, each
-# of the first three needs a circle.
+# canonical weight at its center), "weight" (a phi: a user's, else that
+# canonical one) or None.
 READS = {**dict.fromkeys(("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR",
-                          "C2_DSTAR", "C3", "C3_DSTAR", "FIXED_CIRCLE",
-                          "NO_FIXED_OFF_CIRCLE"), "circle"),
-         "ID_COND": "center", "CARISTI": "weight",
+                          "C2_DSTAR", "ID_COND", "C3", "C3_DSTAR",
+                          "FIXED_CIRCLE", "NO_FIXED_OFF_CIRCLE"), "circle"),
+         "CARISTI": "weight",
          **dict.fromkeys(("BANACH", "RHOADES", "IDENTITY", "ONE_FIXED_POINT",
                           "AT_MOST_ONE_FIXED_POINT", "SOME_FIXED_POINT"))}
+
+
+def check_request(name: str, reads, circle, phi) -> None:
+    """Refuse a single-map request, ``name`` in the message, whose rules
+    read ``reads`` (READS values): it takes a phi only when "weight" is
+    all they read, and needs a circle when one reads "circle", or
+    "weight" with no phi given."""
+    reads = set(reads) - {None}
+    if phi is not None and reads != {"weight"}:
+        raise DomainError(f"{name} reads no phi")
+    if circle is None and phi is None and reads:
+        raise DomainError(f"{name} needs a circle")
+
 
 # The theorem registry, in THEOREM_IDS order: theorem id -> (condition
 # ids the hypotheses AND, fixed-set atoms the conclusion ANDs, whether
@@ -38,6 +52,7 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 # What each theorem's rules, hypotheses and conclusion, read (READS), None
-# left out: empty for T_BANACH alone, the one theorem needing no circle.
+# left out: empty for T_BANACH alone, the one theorem needing no circle
+# (without a phi, every read needs one).
 THEOREM_READS = {tid: frozenset(READS[a] for a in hyps + concl) - {None}
                  for tid, (hyps, concl, _) in THEOREMS.items()}

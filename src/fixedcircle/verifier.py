@@ -41,7 +41,7 @@ from .metric_core import (Circle, MetricSpace, SelfMap, circle_caveats,
                           circle_of, enumerate_circles,
                           enumerate_fixed_circles, resolve_eps,
                           validate_metric)
-from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS
+from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS, check_request
 
 _ATOMS = tuple(dict.fromkeys(a for *sides, _ in THEOREMS.values()
                              for side in sides for a in side))
@@ -92,17 +92,14 @@ def verify_theorem(theorem_id: str, space: MetricSpace, tmap: SelfMap,
                    phi: PhiMap | None = None) -> TheoremVerdict:
     """The verdict of any theorem in THEOREM_IDS, by id: its registry
     entry's hypothesis reports and conclusion atoms, read off one operand
-    source of what its rules read (THEOREM_READS). All but T_BANACH need
-    a circle; T_CARISTI reads only a phi, by default the canonical weight
-    at the circle's center, so it carries no circle caveats either. No
-    other theorem takes a phi."""
+    source of what its rules read (THEOREM_READS), once check_request
+    passes it: all but T_BANACH need a circle; T_CARISTI reads only a
+    phi, by default the canonical weight at the circle's center, so it
+    carries no circle caveats, and no other theorem takes one."""
     if theorem_id not in THEOREM_IDS:
         raise DomainError(f"unknown theorem id {theorem_id!r}")
     reads = THEOREM_READS[theorem_id]
-    if phi is not None and "weight" not in reads:
-        raise DomainError(f"{theorem_id} reads no phi")
-    if circle is None and (reads - {"weight"} if phi is not None else reads):
-        raise DomainError(f"{theorem_id} needs a circle")
+    check_request(theorem_id, reads, circle, phi)
     eps = resolve_eps(eps)
     _require_valid(space, eps)
     hypotheses, conclusion, unique = THEOREMS[theorem_id]

@@ -218,6 +218,10 @@ _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
         "metric": {"type": "matrix",
                    "values": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}}
 
+_LINE = {"carrier": {"type": "analytic", "kind": "real_usual",
+                     "samples": [0.0, 1.0, 2.0]},
+         "metric": {"type": "named"}}
+
 
 @pytest.mark.parametrize("space,tmap", [
     ({"carrier": {"type": "finite", "labels": ["a", "b"]},
@@ -243,9 +247,34 @@ _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
     (_ABC, {"rule": {"type": "piecewise", "default": "identity",
                      "branches": [{"at_points": {"points": [_HUGE]},
                                    "image": "identity"}]}}),
+    # a string or a list of strings is not read as the array or object
+    # it would coerce to
+    ({**_ABC, "carrier": {"type": "finite", "labels": "abc"}}, None),
+    ({**_ABC, "metric": {"type": "matrix",
+                         "values": ["011", "101", "110"]}}, None),
+    ({**_LINE, "carrier": {**_LINE["carrier"], "samples": "012"}}, None),
+    (_ABC, {"rule": {"type": "piecewise", "default": "identity",
+                     "branches": [{"at_points": {"points": "ab"},
+                                   "image": "constant:c"}]}}),
+    (_ABC, {"rule": {"type": "table", "images": ["ab", "ba", "cc"]}}),
+    # map rules that could never apply
+    (_ABC, {"rule": {"type": "table",
+                     "images": {"a": "a", "b": "b", "c": "c", "zz": "a"}}}),
+    (_ABC, {"rule": {"type": "piecewise", "default": "identity",
+                     "branches": [{"on_circle": {"center": "a",
+                                                 "radius": -1.0},
+                                   "image": "constant:b"}]}}),
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": [{"on_circle": {"center": 0.0,
+                                                  "radius": -1.0},
+                                    "image": "constant:1.0"}]}}),
 ], ids=["non_numeric_entry", "labels_not_a_list", "non_numeric_sample",
         "images_not_an_object", "image_not_a_string", "huge_entry",
-        "huge_sample", "huge_on_circle_radius", "huge_at_points_point"])
+        "huge_sample", "huge_on_circle_radius", "huge_at_points_point",
+        "labels_a_string", "value_rows_strings", "samples_a_string",
+        "at_points_a_string", "images_a_list_of_strings",
+        "image_of_an_off_carrier_point", "negative_radius_finite",
+        "negative_radius_analytic"])
 def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     sp = tmp_path / "space.json"
     sp.write_text(json.dumps(space), encoding="utf-8")
@@ -273,11 +302,6 @@ def test_cli_unparseable_files_exit_2(tmp_path, capsys, raw, says):
     err = capsys.readouterr().err
     assert err.startswith("error: space file: ") and "Traceback" not in err
     assert says in err and err.count("\n") == 1
-
-
-_LINE = {"carrier": {"type": "analytic", "kind": "real_usual",
-                     "samples": [0.0, 1.0, 2.0]},
-         "metric": {"type": "named"}}
 
 
 @pytest.mark.parametrize("space,tmap", [

@@ -533,27 +533,63 @@ def test_one_request_reads_each_ids_own_report():
 
 
 def test_a_user_phi_is_read_by_caristi_alone():
-    # C1, ID_COND and the other weighted rules read the canonical weight
-    # in a request that hands CARISTI a weight of its own
+    # a user phi beside ids reading the canonical weight is refused before
+    # any source is built; beside ids reading no weight, CARISTI reads it
     for name, space, tmap, circle in itertools.islice(_requests(), 0, None, 7):
         c = circle.center
         phi = PhiMap("shifted", lambda x: 2 * space.distance(x, c) + 1)
-        got = check_conditions(("C1", "CARISTI", "ID_COND", "C3"), space,
-                               tmap, circle=circle, phi=phi)
-        want = [check_condition("C1", space, tmap, circle=circle),
-                check_caristi(space, tmap, phi),
-                check_condition("ID_COND", space, tmap, circle=circle),
-                check_condition("C3", space, tmap, circle=circle)]
+        with mock.patch("fixedcircle.conditions._OneMap") as built:
+            for ids in (("C1", "CARISTI", "ID_COND", "C3"), ("C1", "CARISTI")):
+                with pytest.raises(DomainError, match="reads no phi"):
+                    check_conditions(ids, space, tmap, circle=circle, phi=phi)
+        assert not built.called, name
+        got = check_conditions(("BANACH", "CARISTI", "RHOADES"), space, tmap,
+                               circle=circle, phi=phi)
+        want = [check_banach(space, tmap), check_caristi(space, tmap, phi),
+                check_rhoades(space, tmap)]
         assert [_exact(r) for r in got] == [_exact(r) for r in want], name
-    # beside the canonical weight a user phi takes a second source; alone,
-    # or beside ids reading no weight, it takes the request's only one
+    # alone, or beside ids reading no weight, it takes the request's only
+    # source
     with mock.patch("fixedcircle.conditions._OneMap",
                     wraps=_OneMap) as built:
-        for ids, sources in ((("C1", "CARISTI"), 2), (("CARISTI",), 1),
-                             (("BANACH", "CARISTI", "RHOADES"), 1)):
+        for ids in (("CARISTI",), ("BANACH", "CARISTI", "RHOADES")):
             built.reset_mock()
             check_conditions(ids, space, tmap, circle=circle, phi=phi)
-            assert built.call_count == sources, ids
+            assert built.call_count == 1, ids
+
+
+def test_a_phi_no_rule_reads_is_refused():
+    space = _space_from_seed(3, 4)
+    tmap = SelfMap.identity(space)
+    phi = PhiMap("one", lambda x: 1.0)
+    with pytest.raises(DomainError, match="BANACH reads no phi"):
+        check_conditions(["BANACH"], space, tmap, phi=phi)
+    with pytest.raises(DomainError, match="T_BANACH reads no phi"):
+        verify_theorem("T_BANACH", space, tmap, phi=phi)
+
+
+def test_every_request_builds_one_source():
+    phi = PhiMap("one", lambda x: 1.0)
+    for name, space, tmap, circle in itertools.islice(_requests(), 0, None, 9):
+        with mock.patch("fixedcircle.conditions._OneMap",
+                        wraps=_OneMap) as built:
+            for ids, given in ((CONDITION_IDS, None), (("ID_COND",), None),
+                               (("CARISTI",), phi)):
+                built.reset_mock()
+                check_conditions(ids, space, tmap, circle=circle, phi=given)
+                assert built.call_count == 1, (name, ids)
+            for tid in THEOREM_IDS:
+                built.reset_mock()
+                verify_theorem(tid, space, tmap, circle,
+                               phi=phi if tid == "T_CARISTI" else None)
+                assert built.call_count == 1, (name, tid)
+
+
+def test_one_map_gathers_one_pair_list():
+    # BANACH ("all") and RHOADES ("upper") read one x < y list of one map
+    space = _space_from_seed(3, 5)
+    src = _OneMap(space, SelfMap.identity(space))
+    assert src.pairs("all") is src.pairs("upper")
 
 
 def test_a_request_is_checked_before_any_source_is_built():

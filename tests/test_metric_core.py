@@ -398,6 +398,36 @@ def test_from_table_requires_total_on_carrier(path_space):
         SelfMap.from_table(path_space, {"p": "q"})
     with pytest.raises(DomainError):
         SelfMap.from_table(path_space, {"p": "z", "q": "p", "s": "p"})
+    # an image listed for a point off the carrier is refused, not dropped
+    with pytest.raises(DomainError, match="zz"):
+        SelfMap.from_table(path_space, {"p": "p", "q": "q", "s": "s",
+                                        "zz": "p"})
+
+
+def test_on_circle_branches_refuse_a_negative_radius(path_space):
+    line = MetricSpace.analytic("real_usual", (0.0, 1.0))
+    for space, center in ((path_space, "p"), (line, 0.0)):
+        with pytest.raises(MalformedInputError, match="radius >= 0"):
+            SelfMap.piecewise(space, (Branch(("on_circle", center, -1.0),
+                                             ("identity",)),), ("identity",))
+
+
+def test_spaces_are_equal_exactly_when_points_kind_and_matrix_are():
+    D = [[0, 1], [1, 0]]
+    a = MetricSpace.finite(("x", "y"), D)
+    assert (a.pts, a.kind, a.matrix) == (("x", "y"), None, ((0.0, 1.0),
+                                                             (1.0, 0.0)))
+    assert a == MetricSpace.finite(["x", "y"], D)
+    assert hash(a) == hash(MetricSpace.finite(["x", "y"], D))
+    assert a != MetricSpace.finite(("x", "z"), D)
+    assert a != MetricSpace.finite(("x", "y"), [[0, 2], [2, 0]])
+    line = MetricSpace.analytic("real_usual", (0.0, 1.0))
+    assert (line.pts, line.kind, line.matrix) == ((0.0, 1.0), "real_usual",
+                                                  None)
+    assert line == MetricSpace.analytic("real_usual", [0, 1])
+    assert hash(line) == hash(MetricSpace.analytic("real_usual", [0, 1]))
+    assert line != MetricSpace.analytic("real_exp", (0.0, 1.0))
+    assert line.is_finite is False and a.is_finite is True
 
 
 def test_table_maps_reject_analytic_carriers():
