@@ -26,7 +26,7 @@ from .errors import FixedCircleError, MalformedInputError
 from .metric_core import (DEFAULT_EPSILON, MetricSpace, circle_caveats,
                           circle_of, enumerate_fixed_circles, resolve_eps,
                           validate_metric)
-from .registry import CONDITION_IDS, THEOREM_IDS, THEOREM_READS
+from .registry import CONDITION_IDS, THEOREM_IDS, THEOREM_READS, needs_circle
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
@@ -102,14 +102,14 @@ def _cmd_verify(args, eps) -> tuple[int, dict]:
     space, space_digest = _load_space(args.space)
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
-    circle, needs_circle = None, bool(THEOREM_READS[args.theorem])
+    circle, needed = None, needs_circle(THEOREM_READS[args.theorem])
     if args.center is not None and args.radius is not None:
         center = fileio.point_from_text(args.center, space)
         inputs["circle"] = {"center": fileio.point_to_json(center),
                             "radius": fileio.round12(args.radius)}
-        if needs_circle:
+        if needed:
             circle = circle_of(space, center, args.radius, eps)
-    elif needs_circle:
+    elif needed:
         raise MalformedInputError(
             f"theorem {args.theorem} needs --center and --radius")
     verdict = verify_theorem(args.theorem, space, tmap, circle, eps)

@@ -60,16 +60,15 @@ def point_to_json(p):
     return float(p)
 
 
-def point_from_json(v):
+def point_from_json(v, what: str):
+    """A label, a number or an [re, im] pair; ``what`` names the field."""
     if isinstance(v, str):
         return v
-    if isinstance(v, list):
-        if len(v) != 2:
-            raise MalformedInputError(
-                f"complex point must be a [re, im] pair, got {v!r}")
+    if isinstance(v, list) and len(v) == 2 and {*map(type, v)} <= {int, float}:
         return complex(float(v[0]), float(v[1]))
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise MalformedInputError(f"not a point encoding: {v!r}")
+    if type(v) not in (int, float):
+        raise MalformedInputError(f"{what} is not a label, a number or an "
+                                  f"[re, im] pair of numbers: {v!r}")
     return float(v)
 
 
@@ -125,12 +124,13 @@ def space_to_doc(space: MetricSpace) -> dict:
 
 
 def _expect(doc, key, where, kind=object):
-    """doc[key], refused when missing or, for ``kind`` list or dict, when
-    not a JSON array or object."""
+    """doc[key], refused when missing or, for ``kind`` list, dict or
+    float, when not a JSON array, object or number (an int or a float)."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedInputError(f"{where}: missing required key {key!r}")
-    if not isinstance(doc[key], kind):
-        noun = "array" if kind is list else "object"
+    if not (type(doc[key]) in (int, float) if kind is float
+            else isinstance(doc[key], kind)):
+        noun = {list: "array", dict: "object", float: "number"}[kind]
         raise MalformedInputError(f"{where}: {key!r} must be a JSON {noun}")
     return doc[key]
 
@@ -163,16 +163,20 @@ def space_from_doc(doc: dict) -> MetricSpace:
             raise MalformedInputError(
                 f"finite carriers take a matrix metric, got {mtype!r}")
         labels = _expect(carrier, "labels", "carrier", list)
+        if not all(isinstance(label, str) for label in labels):
+            raise MalformedInputError("carrier: 'labels' must hold strings")
         values = _expect(metric, "values", "metric", list)
-        if not all(isinstance(row, list) for row in values):
-            raise MalformedInputError("metric: 'values' must hold arrays")
+        if not all(isinstance(row, list) and {*map(type, row)} <= {int, float}
+                   for row in values):
+            raise MalformedInputError(
+                "metric: 'values' must hold arrays of numbers")
         return MetricSpace.finite(labels, values)
     if ctype == "analytic":
         if mtype != "named":
             raise MalformedInputError(
                 f"analytic carriers take the named metric, got {mtype!r}")
         kind = _expect(carrier, "kind", "carrier")
-        samples = [point_from_json(s)
+        samples = [point_from_json(s, "carrier: a sample")
                    for s in _expect(carrier, "samples", "carrier", list)]
         return MetricSpace.analytic(kind, samples)
     raise MalformedInputError(f"unknown carrier type {ctype!r}")
@@ -214,13 +218,14 @@ def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
     for i, b in enumerate(rule.get("branches", ())):
         image = _image_from_str(_expect(b, "image", f"branch {i}"), space)
         if "on_circle" in b:
-            node = b["on_circle"]
-            pred = ("on_circle", point_from_json(_expect(node, "center",
-                                                         f"branch {i}")),
-                    float(_expect(node, "radius", f"branch {i}")))
+            node, where = b["on_circle"], f"branch {i}"
+            pred = ("on_circle", point_from_json(
+                _expect(node, "center", where), f"{where}: the center"),
+                    float(_expect(node, "radius", where, float)))
         elif "at_points" in b:
             pts = _expect(b["at_points"], "points", f"branch {i}", list)
-            pred = ("at_points", tuple(point_from_json(p) for p in pts))
+            pred = ("at_points", tuple(point_from_json(
+                p, f"branch {i}: a point") for p in pts))
         else:
             raise MalformedInputError(
                 f"branch {i}: needs an on_circle or at_points predicate")

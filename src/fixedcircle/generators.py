@@ -50,23 +50,24 @@ class GenConfig:
 
 
 def random_metric_space(config: GenConfig) -> MetricSpace:
-    """Seeded random finite metric space, always valid.
+    """Seeded random finite metric space, always valid: the one-seed case
+    of _lattice."""
+    return MetricSpace.finite(tuple(f"p{i}" for i in range(config.size)),
+                              _lattice([config.seed], config.size)[0].tolist())
 
-    Symmetric integer entries, zero diagonal, then the shortest-path
-    closure: the repaired matrix satisfies the triangle inequality by
-    construction and keeps every off-diagonal entry positive.
-    """
-    n = config.size
-    rng = np.random.default_rng(config.seed)
-    grid = rng.integers(_LATTICE_MIN, 2 ** _LATTICE_BITS, size=(n, n),
-                        endpoint=True, dtype=np.int64)
-    grid = np.minimum(grid, grid.T)
-    np.fill_diagonal(grid, 0)
+
+def _lattice(seeds, n: int) -> np.ndarray:
+    """The (len(seeds), n, n) stack of random_metric_space's matrices:
+    each seed's stream draws its entries, then one closure runs over the
+    stack, in place, as step k leaves row and column k as they are."""
+    grid = np.array([np.random.default_rng(seed).integers(
+        _LATTICE_MIN, 2 ** _LATTICE_BITS, size=(n, n), endpoint=True,
+        dtype=np.int64) for seed in seeds])
+    grid = np.minimum(grid, grid.transpose(0, 2, 1))
+    grid[:, range(n), range(n)] = 0
     for k in range(n):
-        grid = np.minimum(grid, grid[:, k][:, None] + grid[k, :][None, :])
-    matrix = grid * 2.0 ** -_LATTICE_BITS
-    labels = tuple(f"p{i}" for i in range(n))
-    return MetricSpace.finite(labels, matrix.tolist())
+        np.minimum(grid, grid[:, :, k, None] + grid[:, None, k], out=grid)
+    return grid * 2.0 ** -_LATTICE_BITS
 
 
 @dataclass(frozen=True)

@@ -415,15 +415,21 @@ def _mk_circle(space: MetricSpace, center, radius: float, row,
                   degenerate=radius <= eps, empty=len(members) == 0)
 
 
-def _radii(row: np.ndarray, eps: float) -> list:
-    """The radii one center attains, ascending, cut into clusters: a
-    cluster starts more than eps above the smallest distance of the one
-    before, and its smallest distance represents it."""
-    out = []
-    for r in np.sort(row).tolist():
-        if not out or r - out[-1] > eps:
-            out.append(r)
-    return out
+def _radii(rows: np.ndarray, eps: float):
+    """Each row's radii, cut into clusters: one starts more than eps above
+    the smallest distance, its representative, of the one before. Returns
+    the sorted rows and the mask of the representatives: cut at each gap
+    > eps, and scanned on a row with a gap in (0, eps], where rules part."""
+    srt = np.sort(rows, axis=-1)
+    gap = np.diff(srt, axis=-1, prepend=-np.inf)
+    keep = gap > eps
+    for at in map(tuple, np.argwhere(((gap > 0) & ~keep).any(-1))):
+        last, cut = -math.inf, []
+        for r in srt[at].tolist():
+            cut.append(r - last > eps)
+            last = r if cut[-1] else last
+        keep[at] = cut
+    return srt, keep
 
 
 def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
@@ -432,13 +438,14 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     Centers run over the carrier/sample points in order; for each, the
     radii are the distances the center actually attains in its
     _center_row, the row circle_of resolves members on, ascending,
-    deduplicated within the tolerance (the representative is the
-    smallest of each cluster). The zero radius is included; it yields
-    the degenerate one-point circle.
+    deduplicated within the tolerance by _radii (the representative is
+    the smallest of each cluster). The zero radius is included; it
+    yields the degenerate one-point circle.
     """
-    eps = resolve_eps(eps)
-    return tuple((c, r) for c in space.points()
-                 for r in _radii(_center_row(space, c), eps))
+    eps, pts = resolve_eps(eps), space.points()
+    srt, keep = _radii(np.array([_center_row(space, c) for c in pts]), eps)
+    return tuple((pts[c], r) for c, r in zip(np.nonzero(keep)[0].tolist(),
+                                             srt[keep].tolist()))
 
 
 def circle_samples(center, radius, count=DEFAULT_CIRCLE_SAMPLES) -> tuple:
@@ -700,9 +707,10 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
         moved_pts = np.array([far(x, every[j]) for x, j in zip(pts, images)],
                              dtype=bool)
     out = []
-    for center in pts:
-        row = _center_row(space, center)
-        radii = _radii(row, eps)
+    center_rows = np.array([_center_row(space, c) for c in pts])
+    srt, keep = _radii(center_rows, eps)
+    for center, row, cut, kept in zip(pts, center_rows, srt, keep):
+        radii = cut[kept].tolist()
         rows = _member_rows(space, center, radii, eps, row)
         if on_points:
             fixed = np.flatnonzero(rows.any(axis=1)

@@ -19,15 +19,18 @@ READS = {**dict.fromkeys(("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR",
                           "AT_MOST_ONE_FIXED_POINT", "SOME_FIXED_POINT"))}
 
 
+def needs_circle(reads, phi=None) -> bool:
+    """Whether a request whose rules read ``reads`` (READS values) needs
+    a circle: when one reads "circle", or "weight" with no phi given."""
+    return phi is None and bool(set(reads) - {None})
+
+
 def check_request(name: str, reads, circle, phi) -> None:
-    """Refuse a single-map request, ``name`` in the message, whose rules
-    read ``reads`` (READS values): it takes a phi only when "weight" is
-    all they read, and needs a circle when one reads "circle", or
-    "weight" with no phi given."""
-    reads = set(reads) - {None}
-    if phi is not None and reads != {"weight"}:
+    """Refuse a single-map request ``name`` whose rules read ``reads``:
+    with a phi unless they read "weight" alone, or lacking a needed circle."""
+    if phi is not None and set(reads) - {None} != {"weight"}:
         raise DomainError(f"{name} reads no phi")
-    if circle is None and phi is None and reads:
+    if circle is None and needs_circle(reads, phi):
         raise DomainError(f"{name} needs a circle")
 
 
@@ -52,7 +55,6 @@ THEOREMS = {
 THEOREM_IDS = tuple(THEOREMS)
 
 # What each theorem's rules, hypotheses and conclusion, read (READS), None
-# left out: empty for T_BANACH alone, the one theorem needing no circle
-# (without a phi, every read needs one).
+# left out: empty for T_BANACH alone, the one theorem needing no circle.
 THEOREM_READS = {tid: frozenset(READS[a] for a in hyps + concl) - {None}
                  for tid, (hyps, concl, _) in THEOREMS.items()}

@@ -36,11 +36,10 @@ import numpy as np
 
 from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _report,
                          _source, batch_rows, circle_flags)
-from .errors import DomainError, InvalidMetricError
-from .metric_core import (Circle, MetricSpace, SelfMap, circle_caveats,
-                          circle_of, enumerate_circles,
-                          enumerate_fixed_circles, resolve_eps,
-                          validate_metric)
+from .errors import DomainError, InvalidMetricError, MalformedInputError
+from .metric_core import (Circle, MetricSpace, SelfMap, _radii,
+                          circle_caveats, circle_of, enumerate_fixed_circles,
+                          resolve_eps, validate_metric)
 from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS, check_request
 
 _ATOMS = tuple(dict.fromkeys(a for *sides, _ in THEOREMS.values()
@@ -255,25 +254,29 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
 
 
 def _map_batch(n: int, maps_per_space: int, exhaustive_limit: int,
-               rng: np.random.Generator) -> np.ndarray:
+               rngs) -> np.ndarray:
+    """Each space's (m, n) table maps: on small carriers every map, made
+    once and shared; else maps_per_space from the space's own stream."""
     if n <= exhaustive_limit and n ** n <= 10 ** 6:
         from .generators import _exhaustive_chunks
-        return next(_exhaustive_chunks(n, n ** n)).astype(np.intp, copy=False)
-    return rng.integers(0, n, size=(maps_per_space, n), dtype=np.intp)
+        table = next(_exhaustive_chunks(n, n ** n)).astype(np.intp, copy=False)
+        return np.broadcast_to(table, (len(rngs),) + table.shape)
+    return np.stack([rng.integers(0, n, size=(maps_per_space, n),
+                                  dtype=np.intp) for rng in rngs])
 
 
 def _structured_maps(D: np.ndarray, centers, radii, eps: float) -> np.ndarray:
     """Identity, all constants, and each circle's fixing map (members
     fixed, the rest sent to the point farthest off the circle): the shapes
-    the existence theorems fire on, which random maps almost never hit."""
-    n = len(D)
-    rows = np.empty((n + 1 + len(centers), n), dtype=np.intp)
-    rows[0] = np.arange(n)
-    rows[1:n + 1] = np.arange(n)[:, None]
-    for row, ci, radius in zip(rows[n + 1:], centers, radii):
-        gap = np.abs(D[ci] - radius)
-        row[:] = np.where(gap <= eps, rows[0], gap.argmax())
-    return rows
+    the existence theorems fire on, which random maps almost never hit.
+    On a stack of spaces D is (S, n, n) and the centers and radii (S, k)."""
+    n = D.shape[-1]
+    gap = np.abs(np.take_along_axis(D, np.asarray(centers)[..., None], -2)
+                 - np.asarray(radii)[..., None])
+    fixing = np.where(gap <= eps, np.arange(n), gap.argmax(-1)[..., None])
+    base = np.vstack([np.arange(n), np.arange(n)[:, None].repeat(n, 1)])
+    return np.concatenate([np.broadcast_to(base, fixing.shape[:-2] + base.shape),
+                           fixing], axis=-2)
 
 
 def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
@@ -284,52 +287,58 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     For each seeded space, table maps are either exhausted (small
     carriers) or sampled, a handful of structured maps is stirred in,
     and all nine theorems are evaluated against a selection of realized
-    circles. Every space is drawn first; the spaces of one size (and
-    number of circles) then share one theorem_flags pass over their
-    stacked maps, batch_rows rows at a time. Any consistent=false hit
-    is re-verified, in space order, through the per-instance path: a
-    Falsification if that verdict is inconsistent too, a disagreement
-    between the two paths otherwise.
+    circles. The spaces of one size are drawn and read for their circles
+    as one stack (generators._lattice, metric_core._radii); those taking
+    as many circles share one theorem_flags pass over their stacked maps,
+    batch_rows rows at a time. Any consistent=false hit is re-verified, in
+    space order, through the per-instance path on its space, drawn again:
+    a Falsification if that verdict is inconsistent too, a disagreement
+    between the two paths otherwise. Negative counts are refused.
     """
-    from .generators import GenConfig, random_metric_space
+    from .generators import GenConfig, _lattice, random_metric_space
     eps = resolve_eps(eps)
+    if min(space_count, maps_per_space) < 0 or not len(sizes):
+        raise MalformedInputError(
+            "space_count and maps_per_space must be >= 0 and sizes nonempty,"
+            f" got {space_count}, {maps_per_space} and {sizes!r}")
+    for n in sizes:     # refuses a negative seed or a size below 1
+        GenConfig(seed=seed, size=n)
     t0 = time.perf_counter()
-    groups = {}     # (size, k) -> [(number, space, k centers, radii, maps)]
-    maps_checked = 0
-    for i in range(space_count):
-        size = sizes[i % len(sizes)]
-        space_seed = seed * 1_000_003 + i
-        space = random_metric_space(GenConfig(seed=space_seed, size=size))
-        rng = np.random.default_rng(space_seed ^ 0x5EED)
-        batch = _map_batch(size, maps_per_space, exhaustive_limit, rng)
-
-        realized = enumerate_circles(space, eps)
-        take = min(_CIRCLES_PER_SPACE, len(realized))
-        cis, radii = zip(*[(space.index_of(c), r) for c, r in (
-            realized[p] for p in
-            sorted(rng.choice(len(realized), size=take, replace=False)))])
-        # circle j reads the base rows and base + j of the space's stack
-        maps = np.vstack([batch, _structured_maps(space.as_array, cis, radii,
-                                                  eps)])
-        maps_checked += take * (len(batch) + size + 2)
-        groups.setdefault((size, take), []).append((i, space, cis, radii,
-                                                    maps))
-    events, hits = {False: [], True: []}, []   # keyed by consistent
-    for group in groups.values():       # one stacked kernel pass each
-        number, spaces, cis, radii, maps = zip(*group)
-        rows, k = len(maps[0]), len(cis[0])     # per space
-        flags = theorem_flags(np.stack([sp.as_array for sp in spaces]),
-                              np.concatenate(maps), np.array(cis).T,
-                              np.array(radii).T, eps,
-                              np.repeat(np.arange(len(group)), rows))
-        bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
-        for j, t, row in zip(*bad.nonzero()):
-            g, b = divmod(row, rows)
-            if b < rows - k or b == rows - k + j:   # not another's fixing map
-                hits.append((number[g], j, t, b, spaces[g], cis[g][j],
-                             radii[g][j], maps[g][b]))
-    for _, _, t, _, space, ci, radius, images in sorted(
+    events, hits, maps_checked = {False: [], True: []}, [], 0
+    for n in dict.fromkeys(sizes[:space_count]):
+        number = [i for i in range(space_count) if sizes[i % len(sizes)] == n]
+        space_seeds = [seed * 1_000_003 + i for i in number]
+        D = _lattice(space_seeds, n)
+        srt, keep = _radii(D, eps)
+        rngs = [np.random.default_rng(s ^ 0x5EED) for s in space_seeds]
+        batch = _map_batch(n, maps_per_space, exhaustive_limit, rngs)
+        takes = {}      # circles taken -> [(space, realized index)]
+        for s, rng in enumerate(rngs):      # center-major, as realized
+            realized = np.flatnonzero(keep[s])
+            take = min(_CIRCLES_PER_SPACE, len(realized))
+            takes.setdefault(take, []).append((s, realized[np.sort(
+                rng.choice(len(realized), size=take, replace=False))]))
+        for k, group in takes.items():  # one stacked kernel pass each
+            sel, flat = (np.array(v) for v in zip(*group))
+            cis, radii = flat // n, srt.reshape(len(D), -1)[sel[:, None], flat]
+            Dg = D if len(sel) == len(D) else D[sel]
+            maps = np.concatenate([batch[sel], _structured_maps(
+                Dg, cis, radii, eps)], 1)
+            rows = maps.shape[1]    # per space: circle j reads the base
+            maps_checked += len(sel) * k * (rows - k + 1)   # rows and base + j
+            flags = theorem_flags(Dg, maps.reshape(-1, n), cis.T, radii.T,
+                                  eps, np.repeat(np.arange(len(sel)), rows))
+            bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
+            for j, t, row in zip(*bad.nonzero()):
+                g, b = divmod(row, rows)
+                if b < rows - k or b == rows - k + j:   # not another's fixing map
+                    hits.append((number[sel[g]], j, t, b, cis[g, j],
+                                 radii[g, j], maps[g, b]))
+    space_of = functools.cache(lambda i: random_metric_space(GenConfig(
+        seed=seed * 1_000_003 + i, size=sizes[i % len(sizes)])))
+    for i, _, t, _, ci, radius, images in sorted(
             hits, key=lambda hit: hit[:4]):      # in space order
+        space = space_of(i)
         center = space.points()[ci]
         tmap = SelfMap.from_indices(space, images)
         circle = circle_of(space, center, radius, eps)
@@ -337,7 +346,7 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
         events[verdict.consistent].append(Falsification(
             theorem_id=THEOREM_IDS[t], space=space,
             images=tuple(int(v) for v in images),
-            center=center, radius=radius, verdict=verdict))
+            center=center, radius=float(radius), verdict=verdict))
     return SweepReport(spaces_checked=space_count, maps_checked=maps_checked,
                        verdicts_checked=maps_checked * len(THEOREM_IDS),
                        falsifications=tuple(events[False]),

@@ -288,6 +288,67 @@ def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space,tmap,says", [
+    ({**_ABC, "carrier": {"type": "finite", "labels": [1, 2, 3]}}, None,
+     "'labels'"),
+    ({**_ABC, "metric": {"type": "matrix", "values": [
+        [False, True, True], [True, False, True], [True, True, False]]}},
+     None, "'values'"),
+    ({"carrier": {"type": "analytic", "kind": "complex_usual",
+                  "samples": [[0.0, 0.0], ["1", "2"]]},
+      "metric": {"type": "named"}}, None, "a sample"),
+    (_ABC, {"rule": {"type": "piecewise", "default": "identity",
+                     "branches": [{"on_circle": {"center": "a",
+                                                 "radius": "1"},
+                                   "image": "constant:b"}]}}, "'radius'"),
+], ids=["integer_labels", "boolean_distances", "string_complex_sample",
+        "string_on_circle_radius"])
+def test_cli_scalar_fields_of_the_wrong_type_are_named(tmp_path, capsys,
+                                                        space, tmap, says):
+    # each was read through str() or float() and exited 0; JSON numbers,
+    # ints among them, stay accepted (test_cli_accepts_json_integers)
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps(space), encoding="utf-8")
+    argv = ["validate", str(sp)]
+    if tmap is not None:
+        mp = tmp_path / "map.json"
+        mp.write_text(json.dumps(tmap), encoding="utf-8")
+        argv = ["enumerate", str(sp), str(mp)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert says in err and err.count("\n") == 1
+
+
+def test_cli_accepts_json_integers(tmp_path, capsys):
+    sp, mp = tmp_path / "space.json", tmp_path / "map.json"
+    sp.write_text(json.dumps({"carrier": {"type": "analytic",
+                                          "kind": "complex_usual",
+                                          "samples": [[0, 0], [1, 2], 3]},
+                              "metric": {"type": "named"}}))
+    mp.write_text(json.dumps({"rule": {
+        "type": "piecewise", "default": "identity",
+        "branches": [{"on_circle": {"center": [0, 0], "radius": 3},
+                      "image": "constant:0"}]}}))
+    assert main(["enumerate", str(sp), str(mp)]) == 0
+    assert main(["validate", str(tmp_path / "space.json")]) == 0
+    sp.write_text(json.dumps(_ABC))
+    assert main(["validate", str(sp)]) == 0
+
+
+def test_cli_verify_takes_its_circle_rule_from_the_registry(files, capsys,
+                                                            monkeypatch):
+    # the command line asks for --center/--radius exactly where
+    # registry.needs_circle says a theorem needs a circle
+    from fixedcircle import cli
+    sp, mp = files["EX_2_5"]
+    assert main(["verify", sp, mp, "--theorem", "T_BANACH"]) == 0
+    monkeypatch.setattr(cli, "needs_circle", lambda reads, phi=None: True)
+    assert main(["verify", sp, mp, "--theorem", "T_BANACH"]) == 2
+    assert capsys.readouterr().err == \
+        "error: theorem T_BANACH needs --center and --radius\n"
+
+
 @pytest.mark.parametrize("raw,says", [
     (b"[" * 100000, "nested too deeply"),
     (b"\xff\xfe{}", "space.json is not UTF-8"),

@@ -1,6 +1,7 @@
 """Generator and search tests: seeded space construction, anchor
 selection, the circle-fixing recipes, and the counterexample search."""
 
+import hashlib
 import itertools
 import warnings
 from unittest import mock
@@ -69,6 +70,45 @@ def test_size_one_space():
     space = random_metric_space(GenConfig(seed=0, size=1))
     assert validate_metric(space).valid
     assert space.points() == ("p0",)
+
+
+# SHA-256 of random_metric_space's as_array bytes, taken while each space
+# was still drawn and closed on its own; the stack draw keeps every bit.
+_MATRIX_DIGESTS = {
+    (0, 1): "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    (1, 2): "059d83309a65fe857fdf503eec2e019de3d73f1d900c23ff0d23aedcbeaee99e",
+    (2, 12): "a2b8f798094bdf52e76f9346333eda12701b2901edecc9c56c965d62dd4fdc20",
+    (3, 128): "1e1850f810f502acf304426275146b99bd2896c3bcb1c11492a8d0eacd4c9e3e",
+}
+
+
+@pytest.mark.parametrize("seed,size", sorted(_MATRIX_DIGESTS))
+def test_random_metric_space_matrices_are_pinned(seed, size):
+    D = random_metric_space(GenConfig(seed=seed, size=size)).as_array
+    assert hashlib.sha256(D.tobytes()).hexdigest() == \
+        _MATRIX_DIGESTS[seed, size]
+
+
+def _one_space_lattice(seed, n):
+    """One seed's matrix, closed on its own by min-plus Floyd-Warshall."""
+    grid = np.random.default_rng(seed).integers(
+        1049, 2 ** 20, size=(n, n), endpoint=True, dtype=np.int64)
+    grid = np.minimum(grid, grid.T)
+    np.fill_diagonal(grid, 0)
+    for k in range(n):
+        grid = np.minimum(grid, grid[:, k][:, None] + grid[k, :][None, :])
+    return grid * 2.0 ** -20
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_a_stack_draw_is_each_seeds_own_draw(n):
+    # the closure runs in place over the whole stack: no space may leak
+    # into another, and each keeps its own stream
+    seeds = [9, 0, 2 ** 40 + 3, 9]
+    stack = generators._lattice(seeds, n)
+    assert stack.shape == (4, n, n) and stack.dtype == float
+    for D, seed in zip(stack, seeds):
+        assert np.array_equal(D, _one_space_lattice(seed, n))
 
 
 # ---------------------------------------------------------------------------

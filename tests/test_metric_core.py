@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixedcircle import metric_core
 from fixedcircle.errors import DomainError, MalformedInputError
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import (Branch, Circle, MetricSpace, SelfMap,
@@ -374,6 +375,48 @@ def test_enumerate_circles_dedupes_within_eps():
                     [[0, 1, 1 + 1e-12], [1, 0, 1], [1 + 1e-12, 1, 0]])
     radii = [r for c, r in enumerate_circles(space) if c == "p" and r > 0]
     assert radii == [1.0]
+
+
+def _greedy_radii(row, eps):
+    """The cluster rule as a plain loop: a cluster starts more than eps
+    above the smallest distance of the one before."""
+    out = []
+    for r in sorted(row):
+        if not out or r - out[-1] > eps:
+            out.append(r)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_stacked_radii_match_enumerate_circles_on_near_tie_chains(data):
+    # entries on a few levels, each moved by up to three steps of a
+    # fraction of eps: chained gaps in (0, eps], where a cut at every gap
+    # > eps and the greedy rule part, beside exact ties and clear gaps
+    eps = data.draw(st.sampled_from([1e-9, 0.125, 0.5]))
+    S, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    level = data.draw(st.lists(st.floats(0, 3), min_size=1, max_size=3))
+    step = data.draw(st.sampled_from([0.0, 0.375, 0.75, 1.0])) * eps
+    D = np.array(data.draw(st.lists(
+        st.tuples(st.sampled_from(level), st.integers(0, 3)),
+        min_size=S * n * n, max_size=S * n * n)))
+    D = (D[:, 0] + D[:, 1] * step).reshape(S, n, n)
+    srt, keep = metric_core._radii(D, eps)
+    labels = tuple(f"p{i}" for i in range(n))
+    for s in range(S):
+        stacked = [(labels[c], r) for c, r in zip(
+            np.nonzero(keep[s])[0].tolist(), srt[s][keep[s]].tolist())]
+        assert stacked == [(labels[c], r) for c in range(n)
+                           for r in _greedy_radii(D[s, c].tolist(), eps)]
+        assert stacked == list(enumerate_circles(
+            MetricSpace.finite(labels, D[s].tolist()), eps))
+
+
+def test_a_chain_of_near_ties_is_cut_by_the_greedy_rule():
+    # gaps of 0.375 with eps = 0.5: no gap clears eps, but 1.75 is more
+    # than eps above its cluster's representative 1.0
+    srt, keep = metric_core._radii(np.array([[1.75, 0.0, 1.375, 1.0]]), 0.5)
+    assert srt[0][keep[0]].tolist() == [0.0, 1.0, 1.75]
 
 
 def test_circle_window_and_cluster_cut_are_closed_at_eps():

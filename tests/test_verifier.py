@@ -14,9 +14,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixedcircle import conditions, metric_core, verifier
-from fixedcircle.errors import DomainError, InvalidMetricError
+from fixedcircle.errors import (DomainError, InvalidMetricError,
+                                MalformedInputError)
 from fixedcircle.conditions import check_condition, phi_canonical
 from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
@@ -117,10 +120,13 @@ def test_kernel_chunks_agree_with_one_chunk(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_map_batch_is_every_table_map_in_product_order(n):
-    maps = verifier._map_batch(n, 5, 6, np.random.default_rng(0))
-    assert maps.dtype == np.intp
-    assert maps.tolist() == [list(t) for t in
-                             itertools.product(range(n), repeat=n)]
+    # one table for every space of the size, whatever its stream
+    maps = verifier._map_batch(n, 5, 6, [np.random.default_rng(s)
+                                         for s in (0, 1)])
+    assert maps.dtype == np.intp and len(maps) == 2
+    for one in maps:
+        assert one.tolist() == [list(t) for t in
+                                itertools.product(range(n), repeat=n)]
 
 
 def _assert_stack_matches_one_circle_calls(D, maps, centers, radii):
@@ -880,6 +886,95 @@ def test_sweep_maps_a_slip_back_to_its_space_circle_and_map():
     assert event.verdict.consistent
 
 
+@pytest.mark.parametrize("bad", [
+    dict(space_count=-1), dict(sizes=()),
+    dict(maps_per_space=-1, sizes=(8,))],
+    ids=["negative_space_count", "no_sizes", "negative_maps_per_space"])
+def test_sweep_refuses_bad_arguments(bad):
+    # unchecked, they gave spaces_checked == -1, a ZeroDivisionError and
+    # numpy's bare ValueError
+    with pytest.raises(MalformedInputError):
+        soundness_sweep(**{"space_count": 3, **bad})
+
+
+def _no_hypothesis_holds(calls):
+    """A theorem_flags stand-in that records each stacked call and says no
+    hypothesis holds anywhere, so no hit is re-checked."""
+    def kernel(D, maps, centers, radii, eps, space):
+        calls.append((D, maps, centers, radii, space))
+        none = np.zeros((len(centers), len(maps)), dtype=bool)
+        return {tid: (none, none) for tid in THEOREM_IDS}
+    return kernel
+
+
+def _sweep_reads_each_space_as_drawn_alone(seed, eps, limit,
+                                           sizes=(1, 2, 3, 5)):
+    """Every space's matrix, circles and maps in the stacked calls of a
+    sweep equal those of the space drawn alone: random_metric_space, its
+    map stream, rng.choice over its enumerate_circles list and
+    _structured_maps. Returns the circles each space took."""
+    calls, count, per = [], 12, 7
+    with mock.patch.object(verifier, "theorem_flags",
+                           _no_hypothesis_holds(calls)):
+        rep = soundness_sweep(space_count=count, sizes=sizes,
+                              maps_per_space=per, exhaustive_limit=limit,
+                              seed=seed, eps=eps)
+    got = sorted((D[t].tobytes(), centers[:, t].tolist(),
+                  radii[:, t].tolist(), maps[space == t].tobytes())
+                 for D, maps, centers, radii, space in calls
+                 for t in range(len(D)))
+    want, takes, checked = [], [], 0
+    for i in range(count):
+        n = sizes[i % len(sizes)]
+        space = random_metric_space(GenConfig(seed=seed * 1_000_003 + i,
+                                              size=n))
+        rng = np.random.default_rng((seed * 1_000_003 + i) ^ 0x5EED)
+        batch = (np.array(list(itertools.product(range(n), repeat=n)))
+                 if n <= limit else rng.integers(0, n, size=(per, n)))
+        realized = enumerate_circles(space, eps)
+        take = min(3, len(realized))
+        cis, radii = zip(*[(space.index_of(realized[p][0]), realized[p][1])
+                           for p in sorted(rng.choice(len(realized),
+                                                      size=take,
+                                                      replace=False))])
+        maps = np.vstack([batch, _structured_maps(space.as_array, cis, radii,
+                                                  eps)]).astype(np.intp)
+        want.append((space.as_array.tobytes(), list(cis), list(radii),
+                     maps.tobytes()))
+        takes.append(take)
+        checked += take * (len(batch) + n + 2)
+    assert got == sorted(want)
+    assert rep.maps_checked == checked
+    return takes
+
+
+@given(seed=st.integers(0, 10 ** 6), eps=st.sampled_from([1e-9, 0.05, 0.5]),
+       limit=st.sampled_from([0, 4]))
+@settings(max_examples=25, deadline=None)
+def test_sweep_reads_each_space_as_drawn_alone(seed, eps, limit):
+    _sweep_reads_each_space_as_drawn_alone(seed, eps, limit)
+
+
+def test_a_large_eps_splits_a_size_by_circles_taken():
+    # at eps = 0.5 a 2-point space realizes 2 circles when its one
+    # distance is within eps, else 4: its size group splits in two calls
+    takes = _sweep_reads_each_space_as_drawn_alone(3, 0.5, 4, sizes=(2,))
+    assert sorted(set(takes)) == [2, 3]
+
+
+def test_a_sound_sweep_builds_no_space():
+    # a MetricSpace is built only for a hit the per-instance path
+    # re-checks; the stacks are read as drawn
+    init = MetricSpace.__init__
+    with mock.patch.object(MetricSpace, "__init__", autospec=True,
+                           side_effect=init) as built:
+        rep = soundness_sweep(space_count=40, sizes=(2, 3, 7, 64),
+                              maps_per_space=20, seed=5)
+        assert rep.sound and rep.disagreements == () and built.call_count == 0
+        random_metric_space(GenConfig(seed=5, size=3))
+        assert built.call_count == 1
+
+
 def test_structured_maps_rows():
     # the circle (1, 1.0) has members 0 and 2; 3 is the farthest off it
     D = np.zeros((4, 4))
@@ -891,3 +986,11 @@ def test_structured_maps_rows():
     # one fixing row per circle, in order: (1, 3.0) has the member 3
     rows = _structured_maps(D, [1, 1], [1.0, 3.0], EPS)
     assert rows[-2:].tolist() == [[0, 3, 2, 3], [1, 1, 1, 3]]
+    # a stack of spaces, each with its own circles, is each space's rows
+    D2 = D[::-1, ::-1].copy()
+    stack = _structured_maps(np.stack([D, D2]), [[1, 1], [2, 0]],
+                             [[1.0, 3.0], [1.0, 0.0]], EPS)
+    assert stack.shape == (2, 7, 4) and stack.dtype == np.intp
+    assert np.array_equal(stack[0], rows)
+    assert np.array_equal(stack[1], _structured_maps(D2, [2, 0], [1.0, 0.0],
+                                                     EPS))
