@@ -10,8 +10,9 @@ kinds are
     real_abs_sum   d(x, y) = 0 if x == y else |x| + |y|
     complex_usual  d(z, w) = |z - w|            on the complex plane
 
-A circle is the set of carrier points at a fixed distance from a
-center. Circles resolve to explicit member tuples: by matrix scan on
+A circle of center c and radius r is the set of carrier points x with
+d(x, c) = r (the paper's C_{x0,r}; on a finite carrier, column c of the
+matrix). Circles resolve to explicit member tuples: by matrix scan on
 finite carriers, by closed-form solving on the real analytic kinds
 (resolution "exact"), and by intersecting the sample set on the complex
 plane (resolution "sampled").
@@ -98,15 +99,14 @@ class MetricSpace:
     def analytic(cls, kind: str, samples: Iterable, eps=None) -> "MetricSpace":
         if kind not in ANALYTIC_KINDS:
             raise MalformedInputError(f"unknown analytic kind {kind!r}")
-        eps = resolve_eps(eps)
-        if kind == "complex_usual":
-            pts = [complex(s) for s in samples]
-        else:
-            pts = [float(s) for s in samples]
-        if not pts:
+        eps, samples, carrier = resolve_eps(eps), tuple(samples), cls((), kind)
+        if not samples:
             raise MalformedInputError("analytic carrier needs a nonempty sample set")
-        if not all(map(cmath.isfinite, pts)):
-            raise MalformedInputError("analytic samples must be finite")
+        odd = [s for s in samples if not carrier.contains(s)]
+        if odd:     # contains' rule: no coercion of a string or a bool
+            raise MalformedInputError(
+                f"analytic samples must be finite numbers, got {odd[0]!r}")
+        pts = list(map(complex if kind == "complex_usual" else float, samples))
         fn = _METRIC_FNS[kind]
         # Drop samples that are metrically indistinguishable from an
         # earlier one; keeping both would break identity of
@@ -169,10 +169,9 @@ class MetricSpace:
         carrier holds finite numbers only."""
         if self.is_finite:
             return point in self._index
-        if self.kind == "complex_usual":
-            return isinstance(point, (int, float, complex)) and cmath.isfinite(point)
-        return (isinstance(point, (int, float)) and not isinstance(point, bool)
-                and math.isfinite(point))
+        numbers = (int, float, complex) if self.kind == "complex_usual" else (int, float)
+        return (isinstance(point, numbers) and not isinstance(point, bool)
+                and cmath.isfinite(point))
 
     def distance(self, x, y) -> float:
         if self.is_finite:
@@ -286,7 +285,7 @@ def _validate(space: MetricSpace, eps: float) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Circle:
-    """The set of carrier points at distance ``radius`` from ``center``.
+    """The carrier points x with d(x, ``center``) = ``radius``.
 
     ``members`` is the resolved point tuple in deterministic order.
     ``resolution`` is "exact" (finite scan or closed-form solve) or
@@ -344,36 +343,33 @@ def _on_points(space: MetricSpace) -> bool:
     return space.is_finite or space.kind == "complex_usual"
 
 
-def _center_row(space: MetricSpace, center) -> np.ndarray:
-    """d(center, x) over points(), the one row a center's radii are cut
-    from and its member windows read: the matrix row, except on the
-    complex plane, where a circle's center may lie off the samples and
-    so have no matrix row."""
-    if space.kind == "complex_usual":
-        return np.array([space._metric_fn(s, center)
-                         for s in space.pts], dtype=float)
-    return space.as_array[space.index_of(center)]
+def _center_rows(D: np.ndarray) -> np.ndarray:
+    """Row c of D, or of each matrix of a stack: d(x, c), D's column c."""
+    return D.swapaxes(-1, -2)
 
 
 def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
     """The members of the circles about one center, one row per radius.
 
     On finite and complex carriers the rows are one (k, n) boolean array
-    over points(): the window |d(center, x) - r| <= eps, taken over the
-    center's whole row (``row``, by default its _center_row) at once. On
-    the real kinds each row is the member tuple of the closed form.
-    ``center`` is a carrier point, of the carrier's number type on
-    analytic carriers.
+    over points(): the window |d(x, center) - r| <= eps, taken over the
+    center's whole row at once. ``row`` is by default the center's row of
+    _center_rows(as_array), or on the complex plane, where a center may lie
+    off the samples, the metric at each sample. On the real kinds each row
+    is the member tuple of the closed form. ``center`` is a carrier point,
+    of the carrier's number type on analytic carriers.
     """
     if not _on_points(space):
         return [_real_members(space.kind, center, r, eps) for r in radii]
     if row is None:
-        row = _center_row(space, center)
+        row = (np.array([space._metric_fn(s, center) for s in space.pts],
+                        dtype=float) if space.kind == "complex_usual"
+               else _center_rows(space.as_array)[space.index_of(center)])
     return np.abs(row - np.asarray(radii, dtype=float)[:, None]) <= eps
 
 
 def _real_members(kind: str, center: float, radius: float, eps: float) -> tuple:
-    """Solve d(center, y) = radius in closed form on a real kind; a circle
+    """Solve d(y, center) = radius in closed form on a real kind; a circle
     with a member past the float range is refused."""
     if radius <= eps:
         return (center,)
@@ -436,14 +432,14 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     """All (center, radius) pairs with realized, nonempty circles.
 
     Centers run over the carrier/sample points in order; for each, the
-    radii are the distances the center actually attains in its
-    _center_row, the row circle_of resolves members on, ascending,
-    deduplicated within the tolerance by _radii (the representative is
-    the smallest of each cluster). The zero radius is included; it
-    yields the degenerate one-point circle.
+    radii are the distances d(x, c) the center actually attains, read off
+    its row of _center_rows(as_array), the row circle_of resolves members
+    on, ascending, deduplicated within the tolerance by _radii (the
+    representative is the smallest of each cluster). The zero radius is
+    included; it yields the degenerate one-point circle.
     """
     eps, pts = resolve_eps(eps), space.points()
-    srt, keep = _radii(np.array([_center_row(space, c) for c in pts]), eps)
+    srt, keep = _radii(_center_rows(space.as_array), eps)
     return tuple((pts[c], r) for c, r in zip(np.nonzero(keep)[0].tolist(),
                                              srt[keep].tolist()))
 
@@ -529,12 +525,13 @@ class SelfMap:
                   default: tuple) -> "SelfMap":
         branches = tuple(branches)
         for b in branches:
-            if b.predicate[0] not in ("on_circle", "at_points"):
-                raise MalformedInputError(f"unknown predicate {b.predicate[0]!r}")
-            if b.predicate[0] == "on_circle" and not (
-                    space.contains(b.predicate[1]) and 0 <= b.predicate[2] < math.inf):
-                raise MalformedInputError("on_circle needs a carrier center and "
-                                          f"a finite radius >= 0: {b.predicate!r}")
+            pred = b.predicate
+            if pred[0] not in ("on_circle", "at_points"):
+                raise MalformedInputError(f"unknown predicate {pred[0]!r}")
+            if not (all(map(space.contains, pred[1])) if pred[0] == "at_points"
+                    else space.contains(pred[1]) and 0 <= pred[2] < math.inf):
+                raise MalformedInputError("a predicate needs carrier points and "
+                                          f"a finite radius >= 0: {pred!r}")
             _check_image(space, b.image)
         _check_image(space, default)
         if space.is_finite:
@@ -683,11 +680,12 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
     is_fixed_circle raises). On finite and complex carriers the images of
     the points come from the map's image table; on the real kinds the map
     is applied once per distinct member. The radii and member windows of
-    a center are cut from and resolved on its one _center_row, by the
-    code circle_of resolves one with, and a Circle is built only for a
-    fixed one. On n points that is n sorted rows, n image distances and
-    O(n^3) elementwise array work in steps of O(n^2) memory; on the real
-    kinds, O(n^2) closed-form members in Python.
+    a center are cut from and resolved on its one row of
+    _center_rows(as_array), d(x, c) over the points, by the code circle_of
+    resolves one with, and a Circle is built only for a fixed one. On n
+    points that is n sorted rows, n image distances and O(n^3) elementwise
+    array work in steps of O(n^2) memory; on the real kinds, O(n^2)
+    closed-form members in Python.
     """
     def far(x, tx) -> bool:
         try:
@@ -707,7 +705,7 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
         moved_pts = np.array([far(x, every[j]) for x, j in zip(pts, images)],
                              dtype=bool)
     out = []
-    center_rows = np.array([_center_row(space, c) for c in pts])
+    center_rows = _center_rows(space.as_array)
     srt, keep = _radii(center_rows, eps)
     for center, row, cut, kept in zip(pts, center_rows, srt, keep):
         radii = cut[kept].tolist()

@@ -37,7 +37,7 @@ import numpy as np
 from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _report,
                          _source, batch_rows, circle_flags)
 from .errors import DomainError, InvalidMetricError, MalformedInputError
-from .metric_core import (Circle, MetricSpace, SelfMap, _radii,
+from .metric_core import (Circle, MetricSpace, SelfMap, _center_rows, _radii,
                           circle_caveats, circle_of, enumerate_fixed_circles,
                           resolve_eps, validate_metric)
 from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS, check_request
@@ -219,10 +219,10 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
     {theorem_id: (hypotheses_hold, conclusion_holds)} as boolean (m,)
     arrays, equal to the verify_* verdicts on a finite carrier; given
     equal-length sequences of k >= 1 centers and radii, as (k, m) arrays,
-    row j the j-th circle's. Members are read from the rows d(c, x), as
-    circle_of reads them; each side is its registry entry reduced over
-    the atoms of conditions.circle_flags, batch_rows maps at a time,
-    under the uniqueness rule for an empty circle.
+    row j the j-th circle's. Members are read from the distances d(x, c)
+    (_center_rows), as circle_of reads them; each side is its registry
+    entry reduced over the atoms of conditions.circle_flags, batch_rows
+    maps at a time, under the uniqueness rule for an empty circle.
 
     With ``space``, D is an (S, n, n) stack, row r of maps a map on
     D[space[r]], and the centers and radii (k, S) arrays of each space's
@@ -233,7 +233,8 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
     if space is None:
         D, space = D[None], np.zeros(m, dtype=np.intp)
         centers, radii = centers[:, None], radii[:, None]
-    member = np.abs(D[np.arange(len(D)), centers] - radii[..., None]) <= eps
+    member = np.abs(_center_rows(D)[np.arange(len(D)), centers]
+                    - radii[..., None]) <= eps
     out = np.empty((len(centers), len(THEOREM_IDS), 2, m), dtype=bool)
     for start in range(0, m, rows):
         cut = slice(start, start + rows)
@@ -270,8 +271,8 @@ def _structured_maps(D: np.ndarray, centers, radii, eps: float) -> np.ndarray:
     fixed, the rest sent to the point farthest off the circle): the shapes
     the existence theorems fire on, which random maps almost never hit.
     On a stack of spaces D is (S, n, n) and the centers and radii (S, k)."""
-    n = D.shape[-1]
-    gap = np.abs(np.take_along_axis(D, np.asarray(centers)[..., None], -2)
+    n, cols = D.shape[-1], _center_rows(D)      # gaps of d(x, c)
+    gap = np.abs(np.take_along_axis(cols, np.asarray(centers)[..., None], -2)
                  - np.asarray(radii)[..., None])
     fixing = np.where(gap <= eps, np.arange(n), gap.argmax(-1)[..., None])
     base = np.vstack([np.arange(n), np.arange(n)[:, None].repeat(n, 1)])
@@ -309,7 +310,7 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
         number = [i for i in range(space_count) if sizes[i % len(sizes)] == n]
         space_seeds = [seed * 1_000_003 + i for i in number]
         D = _lattice(space_seeds, n)
-        srt, keep = _radii(D, eps)
+        srt, keep = _radii(_center_rows(D), eps)
         rngs = [np.random.default_rng(s ^ 0x5EED) for s in space_seeds]
         batch = _map_batch(n, maps_per_space, exhaustive_limit, rngs)
         takes = {}      # circles taken -> [(space, realized index)]

@@ -114,6 +114,12 @@ def test_malformed_documents_are_diagnosed():
                                "metric": {"type": "named"}})
     with pytest.raises(MalformedInputError, match="rule"):
         fileio.map_from_doc({}, MetricSpace.finite(("p",), [[0]]))
+    with pytest.raises(MalformedInputError, match="unknown carrier type"):
+        fileio.space_from_doc({"carrier": {"type": "graph"},
+                               "metric": {"type": "named"}})
+    with pytest.raises(MalformedInputError, match="unknown rule type"):
+        fileio.map_from_doc({"rule": {"type": "lookup"}},
+                            MetricSpace.finite(("p",), [[0]]))
 
 
 def test_digest_tracks_content():
@@ -301,8 +307,16 @@ def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
                      "branches": [{"on_circle": {"center": "a",
                                                  "radius": "1"},
                                    "image": "constant:b"}]}}, "'radius'"),
+    # a point of a carrier passes contains' rule, as written: no str()
+    # or float() of it
+    ({**_LINE, "carrier": {**_LINE["carrier"], "samples": ["1", "2", 3.0]}},
+     None, "'1'"),
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": [{"at_points": {"points": ["1"]},
+                                    "image": "constant:0"}]}}, "at_points"),
 ], ids=["integer_labels", "boolean_distances", "string_complex_sample",
-        "string_on_circle_radius"])
+        "string_on_circle_radius", "string_real_samples",
+        "string_at_points_point"])
 def test_cli_scalar_fields_of_the_wrong_type_are_named(tmp_path, capsys,
                                                         space, tmap, says):
     # each was read through str() or float() and exited 0; JSON numbers,
@@ -476,6 +490,11 @@ def test_cli_check_exit_codes(files, capsys):
 
     assert main(["check", sp, mp, "--center", "0", "--radius", "1",
                  "--conditions", "C9"]) == 2
+    capsys.readouterr()
+    assert main(["check", sp, mp, "--center", "0", "--radius", "1",
+                 "--conditions", ","]) == 2
+    assert capsys.readouterr().err == \
+        "error: --conditions lists no condition ids\n"
 
 
 def test_cli_check_degenerate_caveat(files, capsys):
@@ -730,6 +749,14 @@ def test_cli_table_format(files, capsys):
                      "--format", "table")
     assert code == 0
     assert "payload.validation.valid\ttrue" in out
+    # list entries are indexed: a check report's condition rows
+    sp, mp = files["EX_2_6"]
+    code, out = _run(capsys, "check", sp, mp, "--center", "0", "--radius",
+                     "2", "--conditions", "C1,C2", "--format", "table")
+    assert code == 1
+    lines = out.splitlines()
+    assert "conditions[0].condition\t\"C1\"" in lines
+    assert "conditions[1].holds\tfalse" in lines
 
 
 def test_cli_help_names_env_vars(capsys):

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
@@ -35,7 +35,7 @@ from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
                                      enumerate_circles,
                                      enumerate_fixed_circles, is_fixed_circle,
                                      validate_metric)
-from fixedcircle.verifier import THEOREM_IDS, verify_theorem
+from fixedcircle.verifier import THEOREM_IDS, theorem_flags, verify_theorem
 
 EPS = 1e-9
 
@@ -409,8 +409,9 @@ ATOM_IDS = CONDITION_IDS + ("FIXED_CIRCLE",)
 TIE_EPS = 2.0 ** -30
 
 
-# Hand-made edges: the row and the column at the center straddle the
-# circle's band; ID_COND's gain exceeds a displacement by exactly eps.
+# Hand-made edges: the row d(c, x) and the column d(x, c) at the center
+# straddle the circle's band, and the column alone decides membership;
+# ID_COND's gain exceeds a displacement by exactly eps.
 _HAND_MATRICES = {
     "row_col": [[0.0, 1.0, 1.0 - TIE_EPS / 2], [1.0, 0.0, 0.5],
                 [1.0 - 1.5 * TIE_EPS, 0.5, 0.0]],
@@ -444,9 +445,9 @@ def _probe_matrix(kind, seed, n):
 
 
 def _probe_radii(D, ci):
-    """Radii read off the row (circle_of's side) and the column (phi's
-    side), each also moved by fractions of the tolerance, plus an empty
-    circle."""
+    """Radii read off the column d(x, c), which circle_of and phi read,
+    and off the row d(c, x), which nothing reads, each also moved by
+    fractions of the tolerance, plus an empty circle."""
     seen = np.concatenate([D[ci], D[:, ci]])
     moved = np.concatenate([seen + f * TIE_EPS for f in (-1, -0.5, 0.5, 1)])
     return sorted({float(r) for r in np.concatenate([seen, moved, [7.0]])
@@ -482,6 +483,39 @@ def test_condition_flags_match_scalar_checkers(kind, seed, n):
                     assert _exact(got) == _exact(want), (cid, ci, radius, k)
                 want = is_fixed_circle(tmap, circle, eps).holds
                 assert bool(look("FIXED_CIRCLE")[k]) == want, (ci, radius, k)
+
+
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(2, 5),
+       fraction=st.sampled_from([-0.75, -0.25, 0.0, 0.25, 0.75]))
+@settings(max_examples=60, deadline=None)
+def test_members_and_off_circle_points_partition_the_points(seed, n,
+                                                            fraction):
+    # a space asymmetric within eps that validate_metric accepts, and
+    # radii read off its rows and columns alike, moved by a fraction of
+    # eps: each point is a member or off the circle, never both
+    rng = np.random.default_rng(seed)
+    D = _space_from_seed(seed, n).as_array + rng.uniform(
+        -EPS / 2, EPS / 2, size=(n, n))
+    np.fill_diagonal(D, 0.0)
+    space = MetricSpace.finite([f"p{i}" for i in range(n)], D.tolist())
+    assume(validate_metric(space, EPS).valid)
+    pts = space.points()
+    consts = np.repeat(np.arange(n)[:, None], n, 1)   # map k: all to p_k
+    for ci, center in enumerate(pts):
+        for seen in {*D[ci].tolist(), *D[:, ci].tolist()}:
+            radius = max(0.0, seen + fraction * EPS)
+            circle = circle_of(space, center, radius, EPS)
+            src = _OneMap(space, SelfMap.identity(space), circle,
+                          phi_canonical(space, center), EPS)
+            M, E = set(src.M[0].tolist()), set(src.off[0].tolist())
+            assert M.isdisjoint(E) and M | E == set(range(n)), (ci, radius)
+            # map k fixes p_k alone: no fixed point off the circle iff
+            # p_k is a member, and it fixes the circle iff that is {p_k}
+            mask = member_mask(space, circle)
+            look = condition_flags(D, consts, ci, radius, EPS, mask)
+            assert look("NO_FIXED_OFF_CIRCLE").tolist() == mask.tolist()
+            concl = theorem_flags(D, consts, ci, radius, EPS)["T_UNIQUE_C3"][1]
+            assert concl.tolist() == [circle.members == (p,) for p in pts]
 
 
 def test_condition_flags_frees_its_arrays_without_the_collector():

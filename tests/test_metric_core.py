@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from fixedcircle import metric_core
 from fixedcircle.errors import DomainError, MalformedInputError
 from fixedcircle.generators import GenConfig, random_metric_space
-from fixedcircle.metric_core import (Branch, Circle, MetricSpace, SelfMap,
-                                     circle_of, circle_samples, classify_images,
+from fixedcircle.metric_core import (ANALYTIC_KINDS, Branch, Circle,
+                                     MetricSpace, SelfMap, circle_of,
+                                     circle_samples, classify_images,
                                      enumerate_circles, fixed_points,
                                      is_fixed_circle, validate_metric)
 
@@ -147,10 +148,34 @@ def test_analytic_carriers_refuse_non_finite_points():
         assert not plane.contains(complex(bad, 0))
         with pytest.raises(MalformedInputError):
             SelfMap.constant(line, bad)
-        for predicate in (("on_circle", 0.0, bad), ("on_circle", bad, 1.0)):
+        for predicate in (("on_circle", 0.0, bad), ("on_circle", bad, 1.0),
+                          ("at_points", (0.0, bad))):
             with pytest.raises(MalformedInputError):
                 SelfMap.piecewise(line, (Branch(predicate, ("identity",)),),
                                   ("identity",))
+
+
+@pytest.mark.parametrize("kind", ANALYTIC_KINDS)
+def test_one_rule_for_a_point_of_a_carrier(kind):
+    # contains' rule gates samples, at_points points, on_circle centers
+    # and constants alike: a number, never a string or a bool coerced
+    space = MetricSpace.analytic(kind, (0.0, 1))
+    assert space.points() == ((0j, 1 + 0j) if kind == "complex_usual"
+                              else (0.0, 1.0))
+    for bad in ("1", True):
+        assert not space.contains(bad)
+        with pytest.raises(MalformedInputError, match="finite numbers"):
+            MetricSpace.analytic(kind, (0.0, bad))
+        for predicate in (("at_points", (bad,)), ("on_circle", bad, 1.0)):
+            with pytest.raises(MalformedInputError, match="carrier points"):
+                SelfMap.piecewise(space, (Branch(predicate, ("identity",)),),
+                                  ("identity",))
+        with pytest.raises(MalformedInputError, match="off the carrier"):
+            SelfMap.constant(space, bad)
+    finite = MetricSpace.finite(("p", "q"), [[0, 1], [1, 0]])
+    with pytest.raises(MalformedInputError, match="carrier points"):
+        SelfMap.piecewise(finite, (Branch(("at_points", ("z",)),
+                                          ("constant", "p")),), ("identity",))
 
 
 def test_nan_displacement_is_not_fixed():
@@ -356,8 +381,9 @@ def test_enumerate_circles_covers_realized_radii(path_space):
 
 
 def test_complex_realized_circles_are_nonempty_at_zero_tolerance():
-    # the radii are cut from the row the member windows are read on, so
-    # at eps = 0 every realized pair still holds the point realizing it
+    # the radii are cut from the distances d(x, c) the member windows
+    # read, so at eps = 0 every realized pair still holds the point
+    # realizing it
     space = MetricSpace.analytic("complex_usual",
                                  circle_samples(0.3 + 0.1j, 1.7, 60))
     pairs = enumerate_circles(space, 0.0)
@@ -400,6 +426,7 @@ def test_stacked_radii_match_enumerate_circles_on_near_tie_chains(data):
     D = np.array(data.draw(st.lists(
         st.tuples(st.sampled_from(level), st.integers(0, 3)),
         min_size=S * n * n, max_size=S * n * n)))
+    # D[s, c] is center c's distances d(x, c): column c of space s
     D = (D[:, 0] + D[:, 1] * step).reshape(S, n, n)
     srt, keep = metric_core._radii(D, eps)
     labels = tuple(f"p{i}" for i in range(n))
@@ -409,7 +436,7 @@ def test_stacked_radii_match_enumerate_circles_on_near_tie_chains(data):
         assert stacked == [(labels[c], r) for c in range(n)
                            for r in _greedy_radii(D[s, c].tolist(), eps)]
         assert stacked == list(enumerate_circles(
-            MetricSpace.finite(labels, D[s].tolist()), eps))
+            MetricSpace.finite(labels, D[s].T.tolist()), eps))
 
 
 def test_a_chain_of_near_ties_is_cut_by_the_greedy_rule():

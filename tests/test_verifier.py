@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedcircle import conditions, metric_core, verifier
+from fixedcircle import cli, conditions, fileio, metric_core, verifier
 from fixedcircle.errors import (DomainError, InvalidMetricError,
                                 MalformedInputError)
 from fixedcircle.conditions import check_condition, phi_canonical
@@ -27,7 +27,7 @@ from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
 from fixedcircle.metric_core import (ANALYTIC_KINDS, MetricSpace, SelfMap,
                                      circle_of, circle_samples,
                                      enumerate_circles, fixed_points,
-                                     is_fixed_circle)
+                                     is_fixed_circle, validate_metric)
 from fixedcircle.verifier import (THEOREM_IDS, TheoremVerdict,
                                   _structured_maps,
                                   enumerate_fixed_circles,
@@ -65,10 +65,11 @@ def test_kernel_agrees_with_rich_api(seed, size):
                 assert verdict.consistent
 
 
-# Valid within eps, but asymmetric: the row of c puts y on the circle
-# (d(c, y) = 1 - 0.5 eps) while the column, phi(y) = d(y, c), sits 1.4 eps
-# inside it. The kernel must read phi, the off-circle points and the fixed
-# set from the column and take pairs with x < y, as the checkers do.
+# Valid within eps, but asymmetric: the row of c would put y on the
+# circle (d(c, y) = 1 - 0.5 eps) while the column, d(y, c), sits 1.4 eps
+# inside it. The kernel must read the members, phi, the off-circle points
+# and the fixed set from the column and take pairs with x < y, as the
+# checkers do.
 ROW_COLUMN_SPACE = MetricSpace.finite(("c", "x", "y"), [
     [0, 1, 1 - 0.5e-9], [1, 0, 0.5], [1 - 1.4e-9, 0.5, 0]])
 
@@ -702,17 +703,61 @@ _NEAR_TIE_C1C2 = ([[0, 1, 1 - 5e-10], [1, 0, 1.4e-9], [1 - 5e-10, 1.4e-9, 0]],
                   1.0, [0, 2, 2])
 
 
-@pytest.mark.xfail(strict=True, reason="tolerance stacking: no exact "
+# A contraction ratio of 0.9999999991 on a space asymmetric within eps,
+# and no fixed point.
+_NEAR_TIE_BANACH = ([list(row) for row in ROW_COLUMN_SPACE.matrix], 1.0,
+                    [2, 0, 0])
+
+
+@pytest.mark.xfail(strict=True, reason="tolerance slack: no exact "
                    "re-check of a falsification yet")
 @pytest.mark.parametrize("repro,tid", [
     (_NEAR_TIE_DSTAR, "T_EXIST_DSTAR"), (_NEAR_TIE_C1C2, "T_EXIST_C1C2"),
-    (_NEAR_TIE_C1C2, "T_EXIST_DSTAR")], ids=["DSTAR", "C1C2", "C1C2-DSTAR"])
+    (_NEAR_TIE_C1C2, "T_EXIST_DSTAR"), (_NEAR_TIE_BANACH, "T_BANACH")],
+    ids=["DSTAR", "C1C2", "C1C2-DSTAR", "BANACH"])
 def test_near_tie_repro_is_consistent(repro, tid):
     matrix, radius, images = repro
     space = MetricSpace.finite(("a", "x", "y"), matrix)
     tmap = SelfMap.from_indices(space, images)
     verdict = verify_theorem(tid, space, tmap, circle_of(space, "a", radius))
     assert verdict.consistent
+
+
+# Row and column straddle the circle (c, 1 - 2e-10): d(x, c) is 1 + 9e-10
+# in the repro and 1 in its mirror, d(c, x) the other. Members and
+# off-circle points both read d(x, c), so x is one or the other. Read by
+# row, the repro's x was both, and the fixed member x counted as a fixed
+# point off the circle: T_UNIQUE_C3 was called falsified.
+_ROW_COLUMN_REPRO = [[0, 1, 2], [1.0000000009, 0, 1.5], [2, 1.5, 0]]
+
+
+@pytest.mark.parametrize("matrix,members", [
+    (_ROW_COLUMN_REPRO, ()), (np.transpose(_ROW_COLUMN_REPRO).tolist(),
+                              ("x",))], ids=["repro", "mirror"])
+def test_members_and_off_circle_points_read_one_distance(matrix, members,
+                                                         tmp_path):
+    space = MetricSpace.finite(("c", "x", "y"), matrix)
+    assert validate_metric(space).valid
+    tmap = SelfMap.from_indices(space, [1, 1, 1])
+    circle = circle_of(space, "c", 0.9999999998)
+    assert circle.members == members
+    flags = theorem_flags(space.as_array, np.array([[1, 1, 1]]), 0,
+                          circle.radius, EPS)
+    for tid in THEOREM_IDS:
+        verdict = verify_theorem(tid, space, tmap, circle)
+        assert verdict.consistent, tid
+        assert (flags[tid][0][0], flags[tid][1][0]) == \
+            (verdict.hypotheses_hold, verdict.conclusion_holds), tid
+        if tid.startswith("T_UNIQUE"):      # the mirror's circle is fixed
+            assert verdict.hypotheses_hold == verdict.conclusion_holds \
+                == bool(members), tid
+    sp, mp = tmp_path / "space.json", tmp_path / "map.json"
+    sp.write_text(fileio.dumps_document(fileio.space_to_doc(space)))
+    mp.write_text(fileio.dumps_document(fileio.map_to_doc(tmap)))
+    for tid in ("T_UNIQUE_C3", "T_UNIQUE_C3_STARVARIANT",
+                "T_UNIQUE_C3_DSTAR"):
+        assert cli.main(["verify", str(sp), str(mp), "--theorem", tid,
+                         "--center", "c", "--radius", "0.9999999998"]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -978,7 +1023,7 @@ def test_a_sound_sweep_builds_no_space():
 def test_structured_maps_rows():
     # the circle (1, 1.0) has members 0 and 2; 3 is the farthest off it
     D = np.zeros((4, 4))
-    D[1] = [1.0, 0.0, 1.0, 3.0]
+    D[:, 1] = [1.0, 0.0, 1.0, 3.0]     # d(x, 1): column 1
     rows = _structured_maps(D, [1], [1.0], EPS)
     assert rows.dtype == np.intp
     assert rows.tolist() == [[0, 1, 2, 3], [0, 0, 0, 0], [1, 1, 1, 1],
