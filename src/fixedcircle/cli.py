@@ -104,11 +104,12 @@ def _cmd_verify(args, eps) -> tuple[int, dict]:
     inputs = {"space": space_digest, "map": map_digest}
     circle, needed = None, needs_circle(THEOREM_READS[args.theorem])
     if args.center is not None and args.radius is not None:
-        center = fileio.point_from_text(args.center, space)
-        inputs["circle"] = {"center": fileio.point_to_json(center),
-                            "radius": fileio.round12(args.radius)}
-        if needed:
-            circle = circle_of(space, center, args.radius, eps)
+        # resolved even when unneeded: the report echoes only a valid circle
+        given = circle_of(space, fileio.point_from_text(args.center, space),
+                          args.radius, eps)
+        inputs["circle"] = {"center": fileio.point_to_json(given.center),
+                            "radius": fileio.round12(given.radius)}
+        circle = given if needed else None
     elif needed:
         raise MalformedInputError(
             f"theorem {args.theorem} needs --center and --radius")

@@ -215,7 +215,9 @@ def map_from_doc(doc: dict, space: MetricSpace) -> SelfMap:
         raise MalformedInputError(f"unknown rule type {rtype!r}")
     default = _image_from_str(_expect(rule, "default", "rule"), space)
     branches = []
-    for i, b in enumerate(rule.get("branches", ())):
+    listed = (_expect(rule, "branches", "rule", list) if "branches" in rule
+              else [])
+    for i, b in enumerate(listed):
         image = _image_from_str(_expect(b, "image", f"branch {i}"), space)
         if "on_circle" in b:
             node, where = b["on_circle"], f"branch {i}"

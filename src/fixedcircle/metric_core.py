@@ -22,6 +22,10 @@ inputs plus the tolerance. One absolute tolerance governs circle
 membership, fixed-point tests, and axiom checks. The default is 1e-9
 and can be overridden with the FIXEDCIRCLE_EPSILON environment
 variable or per call.
+
+numpy is imported by each function that builds or reads an array, not
+with this module: a space is built, and a malformed space or map
+refused, without it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import DomainError, MalformedInputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_CIRCLE_SAMPLES = 360
@@ -143,6 +148,7 @@ class MetricSpace:
         pair of samples, the value distance returns; a distance past the
         float range is refused.
         """
+        import numpy as np
         if self.is_finite:
             return np.asarray(self.matrix, dtype=float)
         fn, s = self._metric_fn, self.pts
@@ -246,6 +252,7 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
 
 
 def _validate(space: MetricSpace, eps: float) -> ValidationReport:
+    import numpy as np
     D = space.as_array
     pts = space.points()
     n = len(pts)
@@ -361,6 +368,7 @@ def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
     """
     if not _on_points(space):
         return [_real_members(space.kind, center, r, eps) for r in radii]
+    import numpy as np
     if row is None:
         row = (np.array([space._metric_fn(s, center) for s in space.pts],
                         dtype=float) if space.kind == "complex_usual"
@@ -416,6 +424,7 @@ def _radii(rows: np.ndarray, eps: float):
     the smallest distance, its representative, of the one before. Returns
     the sorted rows and the mask of the representatives: cut at each gap
     > eps, and scanned on a row with a gap in (0, eps], where rules part."""
+    import numpy as np
     srt = np.sort(rows, axis=-1)
     gap = np.diff(srt, axis=-1, prepend=-np.inf)
     keep = gap > eps
@@ -438,6 +447,7 @@ def enumerate_circles(space: MetricSpace, eps=None) -> tuple:
     representative is the smallest of each cluster). The zero radius is
     included; it yields the degenerate one-point circle.
     """
+    import numpy as np
     eps, pts = resolve_eps(eps), space.points()
     srt, keep = _radii(_center_rows(space.as_array), eps)
     return tuple((pts[c], r) for c, r in zip(np.nonzero(keep)[0].tolist(),
@@ -555,6 +565,7 @@ class SelfMap:
         T(points()[i]) in points() + extra, and extra, the distinct
         images off the points."""
         def table():
+            import numpy as np
             index = dict(space._index)
             row = np.array([space.index_of(p) for p in self.table]
                            if space.is_finite else
@@ -687,6 +698,8 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
     array work in steps of O(n^2) memory; on the real kinds, O(n^2)
     closed-form members in Python.
     """
+    import numpy as np
+
     def far(x, tx) -> bool:
         try:
             return not tmap.space.distance(x, tx) <= eps

@@ -314,9 +314,19 @@ def test_cli_wrongly_typed_fields_exit_2(tmp_path, capsys, space, tmap):
     (_LINE, {"rule": {"type": "piecewise", "default": "identity",
                       "branches": [{"at_points": {"points": ["1"]},
                                     "image": "constant:0"}]}}, "at_points"),
+    # branches, when given, is an array: not iterated as whatever it is
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": 5}}, "'branches'"),
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": None}}, "'branches'"),
+    (_LINE, {"rule": {"type": "piecewise", "default": "identity",
+                      "branches": {"on_circle": {"center": 0.0,
+                                                 "radius": 1.0},
+                                   "image": "identity"}}}, "'branches'"),
 ], ids=["integer_labels", "boolean_distances", "string_complex_sample",
         "string_on_circle_radius", "string_real_samples",
-        "string_at_points_point"])
+        "string_at_points_point", "branches_a_number", "branches_null",
+        "branches_an_object"])
 def test_cli_scalar_fields_of_the_wrong_type_are_named(tmp_path, capsys,
                                                         space, tmap, says):
     # each was read through str() or float() and exited 0; JSON numbers,
@@ -361,6 +371,45 @@ def test_cli_verify_takes_its_circle_rule_from_the_registry(files, capsys,
     assert main(["verify", sp, mp, "--theorem", "T_BANACH"]) == 2
     assert capsys.readouterr().err == \
         "error: theorem T_BANACH needs --center and --radius\n"
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("entry,center,radius,says", [
+    ("EX_2_5", "0", "nan", "radius must be finite and >= 0, got nan"),
+    ("EX_2_5", "1e400", "1", "center inf is not in the carrier"),
+    ("EX_2_5", "0", "-3", "radius must be finite and >= 0, got -3.0"),
+    ("PROP_3_1", "zz", "1", "center 'zz' is not in the carrier"),
+], ids=["nan_radius", "infinite_center", "negative_radius",
+        "off_carrier_label"])
+def test_cli_verify_refuses_a_bad_circle_it_does_not_need(files, capsys,
+                                                          entry, center,
+                                                          radius, says):
+    # T_BANACH reads no circle, but a given one is echoed in the report,
+    # which then held NaN or Infinity, or a point off the carrier
+    sp, mp = files[entry]
+    assert main(["verify", sp, mp, "--theorem", "T_BANACH",
+                 "--center", center, "--radius", radius]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {says}\n"
+
+
+def test_cli_verify_echoes_a_valid_circle_it_does_not_need(files, capsys):
+    sp, mp = files["PROP_3_1"]
+    code, bare = _run(capsys, "verify", sp, mp, "--theorem", "T_BANACH")
+    assert code == 0
+    code, out = _run(capsys, "verify", sp, mp, "--theorem", "T_BANACH",
+                     "--center", "x0", "--radius", "2")
+    assert code == 0
+    # the bytes of the circle-free report, plus the circle's echo
+    want = _strict_json(bare)
+    want["inputs"]["circle"] = {"center": "x0", "radius": 2.0}
+    want["wall_time_seconds"] = _strict_json(out)["wall_time_seconds"]
+    assert fileio.serialize_report(fileio.RunReport(**want)) == out
 
 
 @pytest.mark.parametrize("raw,says", [

@@ -1,5 +1,6 @@
 """Start-up contract: a cold command-line call imports only the modules
-its subcommand runs, and the package's public names resolve lazily.
+its subcommand runs, numpy only once it reads an array, and the
+package's public names resolve lazily.
 
 Every check runs in a fresh interpreter, since this process has long
 since imported the whole package."""
@@ -17,7 +18,7 @@ import fixedcircle
 SRC = Path(fixedcircle.__file__).parents[1]
 
 # Runs the CLI, then reports its exit code, the fixedcircle submodules
-# loaded, and whether hashlib was, as the last line of stderr.
+# loaded, and whether numpy and hashlib were, as the last line of stderr.
 PROBE = """import json, sys
 from fixedcircle.cli import main
 try:
@@ -25,7 +26,8 @@ try:
 except SystemExit as exit_:
     code = exit_.code
 loaded = sorted(m for m in sys.modules if m.startswith("fixedcircle."))
-print(json.dumps([code, loaded, "hashlib" in sys.modules]), file=sys.stderr)
+print(json.dumps([code, loaded, "numpy" in sys.modules,
+                  "hashlib" in sys.modules]), file=sys.stderr)
 """
 
 # What every call loads: the parser and the input layer.
@@ -35,8 +37,22 @@ SPACE = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
          "metric": {"type": "matrix",
                     "values": [[0, 5, 5], [5, 0, 1], [5, 1, 0]]}}
 MAP = {"rule": {"type": "table", "images": {"a": "b", "b": "b", "c": "c"}}}
-MALFORMED = {"carrier": {"type": "finite", "labels": 3},
-             "metric": {"type": "matrix", "values": [[0]]}}
+# The malformed shapes of the benchmark's cli round: each is refused
+# before any array is built.
+MALFORMED = {
+    "bad_matrix.json": {
+        "carrier": {"type": "finite", "labels": ["a", "b"]},
+        "metric": {"type": "matrix", "values": [[0, "x"], ["x", 0]]}},
+    "bad_labels.json": {
+        "carrier": {"type": "finite", "labels": 3},
+        "metric": {"type": "matrix", "values": [[0]]}},
+    "bad_sample.json": {
+        "carrier": {"type": "analytic", "kind": "real_usual",
+                    "samples": [0.0, "x"]},
+        "metric": {"type": "named"}},
+    "bad_images.json": {
+        "rule": {"type": "table", "images": ["a", "b", "c"]}},
+}
 
 
 def _python(*argv, cwd=None):
@@ -49,36 +65,44 @@ def _python(*argv, cwd=None):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("startup")
-    for name, doc in (("space.json", SPACE), ("map.json", MAP),
-                      ("bad.json", MALFORMED)):
+    for name, doc in {"space.json": SPACE, "map.json": MAP,
+                      **MALFORMED}.items():
         (folder / name).write_text(json.dumps(doc), encoding="utf-8")
     return folder
 
 
-@pytest.mark.parametrize("argv,code,extra", [
-    (["--help"], 0, set()),
-    (["validate", "space.json"], 0, set()),
-    (["validate", "bad.json"], 2, set()),
-    (["enumerate", "space.json", "map.json"], 0, set()),
+# Each call's exit code, the submodules it loads beyond BASE, and
+# whether it loads numpy and hashlib. numpy loads at a call's first
+# array read, so --help and a refused input never load it; hashlib loads
+# when an input file is digested, as a space is before its map is read.
+@pytest.mark.parametrize("argv,code,extra,numpy,hashlib", [
+    (["--help"], 0, set(), False, False),
+    (["validate", "space.json"], 0, set(), True, True),
+    (["validate", "bad_matrix.json"], 2, set(), False, False),
+    (["validate", "bad_labels.json"], 2, set(), False, False),
+    (["validate", "bad_sample.json"], 2, set(), False, False),
+    (["enumerate", "space.json", "bad_images.json"], 2, set(), False, True),
+    (["enumerate", "space.json", "map.json"], 0, set(), True, True),
     (["check", "space.json", "map.json", "--center", "a", "--radius", "5",
-      "--conditions", "C1,C2"], 0, {"conditions"}),
+      "--conditions", "C1,C2"], 0, {"conditions"}, True, True),
     (["verify", "space.json", "map.json", "--theorem", "T_EXIST_C1C2",
-      "--center", "a", "--radius", "5"], 0, {"conditions", "verifier"}),
+      "--center", "a", "--radius", "5"], 0, {"conditions", "verifier"},
+     True, True),
     (["search", "space.json", "--target", "C1 & C2", "--center", "a",
-      "--radius", "5"], 0, {"conditions", "generators"}),
+      "--radius", "5"], 0, {"conditions", "generators"}, True, True),
     (["gallery", "--filter", "EX_2_5"], 0,
-     {"conditions", "gallery", "generators", "verifier"}),
-], ids=["help", "validate", "validate_malformed", "enumerate", "check",
+     {"conditions", "gallery", "generators", "verifier"}, True, False),
+], ids=["help", "validate", "malformed_matrix", "validate_malformed",
+        "malformed_sample", "malformed_images", "enumerate", "check",
         "verify", "search", "gallery"])
-def test_cli_call_loads_only_its_modules(inputs, argv, code, extra):
+def test_cli_call_loads_only_its_modules(inputs, argv, code, extra, numpy,
+                                         hashlib):
     run = _python("-c", PROBE, *argv, cwd=inputs)
-    got_code, loaded, hashlib_loaded = json.loads(
+    got_code, loaded, numpy_loaded, hashlib_loaded = json.loads(
         run.stderr.splitlines()[-1])
     assert got_code == code, run.stderr
     assert set(loaded) == {"fixedcircle." + m for m in BASE | extra}
-    # only a call that digests an input file maps libcrypto
-    assert hashlib_loaded == (argv[0] not in ("--help", "gallery")
-                              and code == 0)
+    assert (numpy_loaded, hashlib_loaded) == (numpy, hashlib)
 
 
 def test_import_loads_no_submodule():
