@@ -18,7 +18,7 @@ _EXPORTS = {
                    "check_c2_star", "check_c3", "check_c3_dstar",
                    "check_caristi", "check_condition", "check_conditions",
                    "check_identity_condition", "check_rhoades",
-                   "phi_canonical"),
+                   "classify_images", "phi_canonical"),
     "errors": ("AnchorSearchError", "ConstraintViolationError", "DomainError",
                "FixedCircleError", "InvalidMetricError",
                "MalformedInputError"),
@@ -30,7 +30,7 @@ _EXPORTS = {
                    "random_metric_space", "search_counterexample"),
     "metric_core": ("ANALYTIC_KINDS", "Branch", "Circle", "MetricSpace",
                     "SelfMap", "ValidationReport", "Violation", "circle_of",
-                    "circle_samples", "classify_images", "enumerate_circles",
+                    "circle_samples", "enumerate_circles",
                     "enumerate_fixed_circles", "fixed_points",
                     "is_fixed_circle", "validate_metric"),
     "registry": ("CONDITION_IDS", "THEOREM_IDS"),

@@ -103,7 +103,10 @@ def _cmd_verify(args, eps) -> tuple[int, dict]:
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
     circle, needed = None, needs_circle(THEOREM_READS[args.theorem])
-    if args.center is not None and args.radius is not None:
+    if (args.center is None) != (args.radius is None):
+        raise MalformedInputError("--center and --radius go together: "
+                                  "give both or neither")
+    if args.center is not None:
         # resolved even when unneeded: the report echoes only a valid circle
         given = circle_of(space, fileio.point_from_text(args.center, space),
                           args.radius, eps)

@@ -565,6 +565,42 @@ def check_caristi(space: MetricSpace, tmap: SelfMap, phi: PhiMap, eps=None) -> C
     return check_condition("CARISTI", space, tmap, phi=phi, eps=eps)
 
 
+@dataclass(frozen=True)
+class PointClassification:
+    """Where a member's image lands relative to the circle."""
+
+    point: object
+    image: object
+    region: str            # "interior" | "on" | "exterior"
+    signed_gap: float      # d(image, center) - radius
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    classifications: tuple[PointClassification, ...]
+    interior: int
+    on: int
+    exterior: int
+
+
+def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationReport:
+    """Classify each member's image as interior, on, or exterior: by its
+    gap d(Tx, center) - radius, C2's slack, within the tolerance or not."""
+    src = _source({"circle"}, tmap.space, tmap, circle, None, eps)
+    _, _, _, slack = _RULES["C2"](src)
+    gaps = slack()[0][0].tolist()
+    images = _row_take(src.maps, src.M)[0].tolist()
+    rows = []
+    counts = {"interior": 0, "on": 0, "exterior": 0}
+    for x, tx, gap in zip(src.M[0].tolist(), images, gaps):
+        region = "on" if abs(gap) <= src.eps else ("interior" if gap < 0 else "exterior")
+        counts[region] += 1
+        rows.append(PointClassification(src.pts[x], src.pts[tx], region, gap))
+    return ClassificationReport(classifications=tuple(rows),
+                                interior=counts["interior"], on=counts["on"],
+                                exterior=counts["exterior"])
+
+
 # ---------------------------------------------------------------------------
 # Batch verdicts
 

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import check_condition
+from .conditions import check_condition, classify_images
 from .errors import DomainError
 from .generators import build_circle_fixing_map, build_multi_circle_map
 from .metric_core import (Branch, Circle, MetricSpace, SelfMap, circle_of,
-                          circle_samples, classify_images, is_fixed_circle,
-                          resolve_eps)
+                          circle_samples, is_fixed_circle, resolve_eps)
 from .verifier import enumerate_fixed_circles, verify_theorem
 
 _VALUE_TOL = 1e-9

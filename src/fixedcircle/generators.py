@@ -140,16 +140,6 @@ def choose_anchor(space: MetricSpace, wanted, eps=None) -> AnchorPoint:
     return best
 
 
-def _covers_carrier(space, circles, eps) -> bool:
-    if not space.is_finite:
-        return False
-    for x in space.points():
-        if all(abs(space.distance(x, c.center) - c.radius) > eps
-               for c in circles):
-            return False
-    return True
-
-
 def _resolve_anchor(space, circles, anchor, eps) -> AnchorPoint:
     wanted = tuple((c.center, c.radius, "ne") for c in circles)
     if anchor is None:
@@ -166,8 +156,9 @@ def build_circle_fixing_map(space: MetricSpace, circle: Circle, anchor=None,
     map satisfying C1 and C2 on the circle; an interior one satisfies
     the starred pair instead. The anchor may be an AnchorPoint, a raw
     carrier point, or None to auto-select; it must sit strictly off the
-    circle. When the circle exhausts a finite carrier the map is the
-    identity and no anchor is involved.
+    circle. On a finite carrier the map is a table fixing exactly the
+    circle's members, as circle_of resolved them; when they exhaust the
+    carrier the map is the identity and no anchor is involved.
     """
     return build_multi_circle_map(space, (circle,), anchor, eps)
 
@@ -184,13 +175,16 @@ def build_multi_circle_map(space: MetricSpace, circles, anchor=None,
     circles = tuple(circles)
     if not circles:
         raise MalformedInputError("need at least one circle")
-    if _covers_carrier(space, circles, eps):
+    fixed = {p for c in circles for p in c.members}
+    if space.is_finite and fixed.issuperset(space.points()):
         return SelfMap.identity(space)
-    bound = _resolve_anchor(space, circles, anchor, eps)
+    value = _resolve_anchor(space, circles, anchor, eps).value
+    if space.is_finite:
+        return SelfMap.from_table(space, {p: p if p in fixed else value
+                                          for p in space.points()})
     branches = tuple(Branch(predicate=("on_circle", c.center, c.radius),
                             image=("identity",)) for c in circles)
-    return SelfMap.piecewise(space, branches,
-                             default=("constant", bound.value))
+    return SelfMap.piecewise(space, branches, default=("constant", value))
 
 
 # ---------------------------------------------------------------------------

@@ -620,7 +620,7 @@ def _matches(space, predicate, x, eps):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-circle test, fixed-circle enumeration and image classification
+# Fixed-circle test, fixed points and fixed-circle enumeration
 
 
 @dataclass(frozen=True)
@@ -731,40 +731,6 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
                      if m and not any(map(moved, m))]
         out += [_mk_circle(space, center, radii[k], rows[k], eps) for k in fixed]
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    """Where a member's image lands relative to the circle."""
-
-    point: object
-    image: object
-    region: str            # "interior" | "on" | "exterior"
-    signed_gap: float      # d(image, center) - radius
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    classifications: tuple[PointClassification, ...]
-    interior: int
-    on: int
-    exterior: int
-
-
-def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationReport:
-    """Classify each member's image as interior, on, or exterior."""
-    eps = resolve_eps(eps)
-    rows = []
-    counts = {"interior": 0, "on": 0, "exterior": 0}
-    for x in circle.members:
-        tx = tmap.apply(x, eps=eps)
-        gap = tmap.space.distance(tx, circle.center) - circle.radius
-        region = "on" if abs(gap) <= eps else ("interior" if gap < 0 else "exterior")
-        counts[region] += 1
-        rows.append(PointClassification(x, tx, region, gap))
-    return ClassificationReport(classifications=tuple(rows),
-                                interior=counts["interior"], on=counts["on"],
-                                exterior=counts["exterior"])
 
 
 def fixed_points(tmap: SelfMap, eps=None) -> tuple:

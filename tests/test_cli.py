@@ -18,6 +18,7 @@ from fixedcircle.errors import MalformedInputError
 from fixedcircle.gallery import load_entry
 from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
                                      circle_samples)
+from fixedcircle.registry import THEOREM_IDS
 from fixedcircle.verifier import enumerate_fixed_circles
 
 # ---------------------------------------------------------------------------
@@ -396,6 +397,20 @@ def test_cli_verify_refuses_a_bad_circle_it_does_not_need(files, capsys,
                  "--center", center, "--radius", radius]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {says}\n"
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+@pytest.mark.parametrize("entry,flags", [
+    ("PROP_3_1", ["--center", "zz"]), ("EX_2_5", ["--radius", "nan"])],
+    ids=["center_alone", "radius_alone"])
+def test_cli_verify_refuses_half_a_circle(files, capsys, theorem, entry,
+                                          flags):
+    # a circle-free theorem dropped the lone flag unchecked and exited 0
+    sp, mp = files[entry]
+    assert main(["verify", sp, mp, "--theorem", theorem, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == \
+        "error: --center and --radius go together: give both or neither\n"
 
 
 def test_cli_verify_echoes_a_valid_circle_it_does_not_need(files, capsys):

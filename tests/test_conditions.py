@@ -25,14 +25,14 @@ from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
                                     check_c3, check_c3_dstar, check_caristi,
                                     check_condition, check_conditions,
                                     check_identity_condition, check_rhoades,
-                                    condition_flags, member_mask,
-                                    phi_canonical)
+                                    classify_images, condition_flags,
+                                    member_mask, phi_canonical)
 from fixedcircle.errors import DomainError
 from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
                                     random_metric_space)
 from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
-                                     enumerate_circles,
+                                     circle_samples, enumerate_circles,
                                      enumerate_fixed_circles, is_fixed_circle,
                                      validate_metric)
 from fixedcircle.verifier import THEOREM_IDS, theorem_flags, verify_theorem
@@ -184,6 +184,84 @@ def test_analytic_reports_match_plain_loops(entry_id, k):
     phi = PhiMap("abs", abs)
     assert _exact(check_caristi(entry.space, entry.tmap, phi)) == _exact(
         _oracle("CARISTI", entry.space, entry.tmap, circle, phi=phi))
+
+
+# ---------------------------------------------------------------------------
+# Image classification against a plain loop
+
+
+def _classified(tmap, circle, eps):
+    """classify_images' rows by a plain loop: each member, its image, the
+    region and the gap d(Tx, c) - r, on within eps, else by its sign."""
+    rows = []
+    for x in circle.members:
+        tx = tmap.apply(x, eps=eps)
+        gap = tmap.space.distance(tx, circle.center) - circle.radius
+        region = "on" if abs(gap) <= eps else \
+            "interior" if gap < 0 else "exterior"
+        rows.append((x, tx, region, gap))
+    return rows
+
+
+def _assert_classified(tmap, circle, eps=EPS):
+    rep = classify_images(tmap, circle, eps)
+    got = [(c.point, c.image, c.region, c.signed_gap)
+           for c in rep.classifications]
+    assert got == _classified(tmap, circle, eps)
+    regions = [c.region for c in rep.classifications]
+    assert [rep.interior, rep.on, rep.exterior] == [
+        regions.count(r) for r in ("interior", "on", "exterior")]
+    assert rep.interior + rep.on + rep.exterior == len(circle.members)
+    return rep
+
+
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 6),
+       eps=st.sampled_from([EPS, 0.05]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_classify_images_matches_a_plain_loop(seed, n, eps, data):
+    space = _space_from_seed(seed, n)
+    pts = space.points()
+    images = data.draw(st.lists(st.sampled_from(pts), min_size=n,
+                                max_size=n))
+    center, radius = data.draw(st.sampled_from(enumerate_circles(space,
+                                                                 eps)))
+    _assert_classified(SelfMap.from_table(space, dict(zip(pts, images))),
+                       circle_of(space, center, radius, eps), eps)
+
+
+@pytest.mark.parametrize("kind,center,radius", [
+    ("real_usual", 0.3, 1.0), ("real_exp", 0.0, 1.0),
+    ("real_abs_sum", 0.3, 1.0), ("complex_usual", 0j, 1.0)])
+def test_classify_images_off_the_samples_and_on_a_sampled_circle(kind,
+                                                                 center,
+                                                                 radius):
+    # the real kinds' members (-0.7 and 1.3, ln 2, -0.7 and 0.7) are off
+    # the samples k/8; the complex circle is the 24 samples on it
+    plane = list(circle_samples(0, 1.0, 24)) + [
+        complex(x, y) / 4 for x in range(-4, 5) for y in range(-4, 5)]
+    space = MetricSpace.analytic(kind, plane if kind == "complex_usual"
+                                 else [k / 8 for k in range(-16, 17)])
+    circle = circle_of(space, center, radius)
+    if kind == "complex_usual":
+        assert circle.resolution == "sampled" and len(circle.members) == 24
+    else:
+        assert circle.members
+        assert set(circle.members).isdisjoint(space.points())
+    regions = set()
+    for tmap in (SelfMap.identity(space), SelfMap.constant(space, 0.5),
+                 SelfMap.constant(space, 2), SelfMap.from_rule(
+                     space, ("reciprocal",))):
+        rep = _assert_classified(tmap, circle)
+        regions |= {c.region for c in rep.classifications}
+    assert regions == {"interior", "on", "exterior"}
+
+
+def test_classify_images_of_an_empty_circle():
+    space = MetricSpace.finite(("p", "q", "s"),
+                               [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    circle = circle_of(space, "p", 9.0)
+    rep = _assert_classified(SelfMap.constant(space, "q"), circle)
+    assert circle.empty and rep.classifications == ()
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fixedcircle.errors import (AnchorSearchError, ConstraintViolationError,
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
                                     build_multi_circle_map, choose_anchor,
                                     random_metric_space, search_counterexample)
-from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
+from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
                                      enumerate_circles, is_fixed_circle,
                                      validate_metric)
 from fixedcircle.verifier import soundness_sweep
@@ -221,6 +221,48 @@ def test_multi_circle_anchor_must_avoid_every_circle():
     ok = build_multi_circle_map(space, circles, anchor=5.0)
     for c in circles:
         assert is_fixed_circle(ok, c).holds
+
+
+def test_fixing_map_honours_the_circles_tolerance():
+    # x is 1e-6 off the unit circle about c: a member at eps = 1e-5, which
+    # the map must fix, though not at the default tolerance
+    space = MetricSpace.finite("cxya", [
+        [0, 1.000001, 1, 3], [1.000001, 0, 1, 2.5], [1, 1, 0, 2.5],
+        [3, 2.5, 2.5, 0]])
+    circle = circle_of(space, "c", 1.0, eps=1e-5)
+    assert circle.members == ("x", "y")
+    tmap = build_circle_fixing_map(space, circle, eps=1e-5)
+    assert tmap.table == ("a", "x", "y", "a")
+    assert is_fixed_circle(tmap, circle, eps=1e-5).holds
+
+
+def _piecewise_fixing_map(space, circles):
+    """A fixing map built as identity branches on_circle, matched at the
+    default tolerance, over a constant anchor; the identity when the
+    circles cover the carrier."""
+    if all(any(abs(space.distance(x, c.center) - c.radius) <= EPS
+               for c in circles) for x in space.points()):
+        return SelfMap.identity(space)
+    anchor = choose_anchor(space, [(c.center, c.radius, "ne")
+                                   for c in circles]).value
+    return SelfMap.piecewise(space, [
+        Branch(("on_circle", c.center, c.radius), ("identity",))
+        for c in circles], ("constant", anchor))
+
+
+@pytest.mark.parametrize("seed", [2, 9, 31])
+def test_finite_fixing_maps_match_the_piecewise_construction(seed):
+    space = random_metric_space(GenConfig(seed=seed, size=9))
+    realized = [circle_of(space, c, r) for c, r in enumerate_circles(space)
+                if r > 0]
+    about_p0 = [c for c in realized if c.center == "p0"]
+    # every positive radius about p0, and the degenerate circle, cover it
+    covering = about_p0 + [circle_of(space, "p0", 0.0)]
+    for circles in ([realized[seed]], realized[seed::11][:3], about_p0,
+                    covering):
+        tmap = build_multi_circle_map(space, circles)
+        assert tmap == _piecewise_fixing_map(space, circles)
+    assert build_multi_circle_map(space, covering) == SelfMap.identity(space)
 
 
 # ---------------------------------------------------------------------------

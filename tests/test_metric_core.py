@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixedcircle import metric_core
+from fixedcircle.conditions import classify_images
 from fixedcircle.errors import DomainError, MalformedInputError
 from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import (ANALYTIC_KINDS, Branch, Circle,
                                      MetricSpace, SelfMap, circle_of,
-                                     circle_samples, classify_images,
-                                     enumerate_circles, fixed_points,
-                                     is_fixed_circle, validate_metric)
+                                     circle_samples, enumerate_circles,
+                                     fixed_points, is_fixed_circle,
+                                     validate_metric)
 
 EPS = 1e-9
 
