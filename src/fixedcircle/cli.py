@@ -51,9 +51,9 @@ def _read_doc(path: str, where: str) -> dict:
     return fileio.loads_document(text, where)
 
 
-def _load_space(path: str) -> tuple[MetricSpace, str]:
+def _load_space(path: str, eps: float) -> tuple[MetricSpace, str]:
     doc = _read_doc(path, "space file")
-    return fileio.space_from_doc(doc), fileio.digest(doc)
+    return fileio.space_from_doc(doc, eps), fileio.digest(doc)
 
 
 def _load_map(path: str, space: MetricSpace):
@@ -71,7 +71,7 @@ _MEMBER_VACUITY = "member-quantified conditions are vacuous"
 
 
 def _cmd_validate(args, eps) -> tuple[int, dict]:
-    space, space_digest = _load_space(args.space)
+    space, space_digest = _load_space(args.space, eps)
     report = validate_metric(space, eps)
     return (_EXIT_OK if report.valid else _EXIT_NEGATIVE), dict(
         inputs={"space": space_digest},
@@ -80,7 +80,7 @@ def _cmd_validate(args, eps) -> tuple[int, dict]:
 
 def _cmd_check(args, eps) -> tuple[int, dict]:
     from .conditions import check_conditions
-    space, space_digest = _load_space(args.space)
+    space, space_digest = _load_space(args.space, eps)
     tmap, map_digest = _load_map(args.map, space)
     center = fileio.point_from_text(args.center, space)
     circle = circle_of(space, center, args.radius, eps)
@@ -99,7 +99,7 @@ def _cmd_check(args, eps) -> tuple[int, dict]:
 
 def _cmd_verify(args, eps) -> tuple[int, dict]:
     from .verifier import verify_theorem
-    space, space_digest = _load_space(args.space)
+    space, space_digest = _load_space(args.space, eps)
     tmap, map_digest = _load_map(args.map, space)
     inputs = {"space": space_digest, "map": map_digest}
     circle, needed = None, needs_circle(THEOREM_READS[args.theorem])
@@ -123,7 +123,7 @@ def _cmd_verify(args, eps) -> tuple[int, dict]:
 
 
 def _cmd_enumerate(args, eps) -> tuple[int, dict]:
-    space, space_digest = _load_space(args.space)
+    space, space_digest = _load_space(args.space, eps)
     tmap, map_digest = _load_map(args.map, space)
     found = enumerate_fixed_circles(space, tmap,
                                     include_degenerate=args.include_degenerate,
@@ -135,7 +135,7 @@ def _cmd_enumerate(args, eps) -> tuple[int, dict]:
 
 def _cmd_search(args, eps) -> tuple[int, dict]:
     from .generators import search_counterexample
-    space, space_digest = _load_space(args.space)
+    space, space_digest = _load_space(args.space, eps)
     center = fileio.point_from_text(args.center, space)
     circle = circle_of(space, center, args.radius, eps)
     result = search_counterexample(space, circle, args.target,
@@ -191,8 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, epsilon=True):
         if epsilon:
             p.add_argument("--epsilon", type=float, default=None,
-                           help="comparison tolerance (overrides "
-                                "FIXEDCIRCLE_EPSILON)")
+                           help="tolerance of the comparisons and of reading "
+                                "the files (overrides FIXEDCIRCLE_EPSILON)")
         p.add_argument("--format", choices=("json", "table"), default="json",
                        help="report rendering (default json)")
 

@@ -19,7 +19,9 @@ labels are opaque strings. Piecewise branches carry one predicate
 as point_from_text reads it).
 
 Input files keep full float precision so a parsed space is bit-equal to
-the exported one. Report values instead pass through round12, which
+the exported one. A document is read at the call's tolerance: an
+analytic carrier merges its near-equal samples at space_from_doc's eps,
+and a piecewise map stays a rule, matched at each call's eps. Report values instead pass through round12, which
 pins every number to 12 significant digits; re-reading a serialized
 report reproduces the RunReport exactly, because a 12-digit decimal
 survives the float round trip.
@@ -153,7 +155,7 @@ def _malformed_as(where: str):
 
 
 @_malformed_as("space document")
-def space_from_doc(doc: dict) -> MetricSpace:
+def space_from_doc(doc: dict, eps=None) -> MetricSpace:
     carrier = _expect(doc, "carrier", "space document")
     metric = _expect(doc, "metric", "space document")
     ctype = _expect(carrier, "type", "carrier")
@@ -178,7 +180,7 @@ def space_from_doc(doc: dict) -> MetricSpace:
         kind = _expect(carrier, "kind", "carrier")
         samples = [point_from_json(s, "carrier: a sample")
                    for s in _expect(carrier, "samples", "carrier", list)]
-        return MetricSpace.analytic(kind, samples)
+        return MetricSpace.analytic(kind, samples, eps)
     raise MalformedInputError(f"unknown carrier type {ctype!r}")
 
 

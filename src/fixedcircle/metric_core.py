@@ -90,6 +90,8 @@ class MetricSpace:
         if n != len(labels):
             raise MalformedInputError(
                 f"{len(labels)} labels but {n} matrix rows")
+        if not n:
+            raise MalformedInputError("finite carrier needs at least one point")
         if any(len(row) != n for row in rows):
             raise MalformedInputError("distance matrix is not square")
         for v in itertools.chain(*rows):
@@ -485,14 +487,14 @@ class Branch:
 class SelfMap:
     """A total self-mapping of the carrier.
 
-    Finite carriers use a positional lookup table (image of points()[i]
-    at slot i). Analytic carriers use a piecewise rule, a closed-form
-    rule being one with no branches; images are computed exactly from
-    the rule even at points outside the sample set, so sampled carriers
-    never snap images to the nearest sample. A map keeps one record, of
-    the last space object and resolved tolerance it was read on: its
-    image table and its fixed circles. The record is not a field, so ==,
-    hash, repr and dataclasses.replace ignore it.
+    A table (from_table, from_indices; finite carriers) holds the image
+    of points()[i] at slot i. Any other map is a piecewise rule on any
+    carrier (a closed-form one has no branches), matched at the tolerance
+    of each call that reads it, its images computed exactly even off the
+    sample set. A map keeps one record, of the last space object and
+    resolved tolerance it was read on: its image table and its fixed
+    circles. The record is not a field, so ==, hash, repr and
+    dataclasses.replace ignore it.
     """
 
     space: MetricSpace
@@ -544,10 +546,6 @@ class SelfMap:
                                           f"a finite radius >= 0: {pred!r}")
             _check_image(space, b.image)
         _check_image(space, default)
-        if space.is_finite:
-            m = cls(space=space, kind="piecewise", branches=branches,
-                    default=tuple(default))
-            return cls.from_table(space, {p: m.apply(p) for p in space.points()})
         return cls(space=space, kind="piecewise", branches=branches,
                    default=tuple(default))
 
@@ -563,14 +561,16 @@ class SelfMap:
     def _images(self, space: MetricSpace, eps: float):
         """The image table: a read-only intp row, row[i] the index of
         T(points()[i]) in points() + extra, and extra, the distinct
-        images off the points."""
+        images off the points, none on a finite carrier. A rule is applied
+        at eps."""
         def table():
             import numpy as np
             index = dict(space._index)
-            row = np.array([space.index_of(p) for p in self.table]
-                           if space.is_finite else
-                           [index.setdefault(self.apply(p, eps=eps), len(index))
-                            for p in space.points()], dtype=np.intp)
+            at = space.index_of if space.is_finite else (
+                lambda p: index.setdefault(p, len(index)))
+            images = (self.table if self.kind == "table" else
+                      [self.apply(p, eps=eps) for p in space.points()])
+            row = np.array([at(p) for p in images], dtype=np.intp)
             row.flags.writeable = False
             return row, tuple(index)[len(space._index):]
         return self._kept(space, eps, "images", table)

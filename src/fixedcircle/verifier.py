@@ -289,19 +289,24 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
     carriers) or sampled, a handful of structured maps is stirred in,
     and all nine theorems are evaluated against a selection of realized
     circles. The spaces of one size are drawn and read for their circles
-    as one stack (generators._lattice, metric_core._radii); those taking
-    as many circles share one theorem_flags pass over their stacked maps,
-    batch_rows rows at a time. Any consistent=false hit is re-verified, in
-    space order, through the per-instance path on its space, drawn again:
-    a Falsification if that verdict is inconsistent too, a disagreement
-    between the two paths otherwise. Negative counts are refused.
+    as one stack (generators._lattice, metric_core._radii) and share one
+    theorem_flags pass over their stacked maps, batch_rows rows at a time.
+    Any consistent=false hit is re-verified, in space order, through the
+    per-instance path on its space, drawn again: a Falsification if that
+    verdict is inconsistent too, a disagreement between the two paths
+    otherwise. Negative counts are refused, and so is an eps at or above
+    the drawn spaces' least distance (about 1.0004e-3), where they fail.
     """
-    from .generators import GenConfig, _lattice, random_metric_space
+    from .generators import (_LATTICE_BITS, _LATTICE_MIN, GenConfig, _lattice,
+                             random_metric_space)
     eps = resolve_eps(eps)
     if min(space_count, maps_per_space) < 0 or not len(sizes):
         raise MalformedInputError(
             "space_count and maps_per_space must be >= 0 and sizes nonempty,"
             f" got {space_count}, {maps_per_space} and {sizes!r}")
+    if eps >= (least := _LATTICE_MIN * 2.0 ** -_LATTICE_BITS):
+        raise MalformedInputError(f"eps must be below {least!r}, the least "
+                                  f"distance of a drawn space, got {eps!r}")
     for n in sizes:     # refuses a negative seed or a size below 1
         GenConfig(seed=seed, size=n)
     t0 = time.perf_counter()
@@ -313,28 +318,25 @@ def soundness_sweep(space_count: int = 1000, sizes=tuple(range(2, 13)),
         srt, keep = _radii(_center_rows(D), eps)
         rngs = [np.random.default_rng(s ^ 0x5EED) for s in space_seeds]
         batch = _map_batch(n, maps_per_space, exhaustive_limit, rngs)
-        takes = {}      # circles taken -> [(space, realized index)]
-        for s, rng in enumerate(rngs):      # center-major, as realized
-            realized = np.flatnonzero(keep[s])
-            take = min(_CIRCLES_PER_SPACE, len(realized))
-            takes.setdefault(take, []).append((s, realized[np.sort(
-                rng.choice(len(realized), size=take, replace=False))]))
-        for k, group in takes.items():  # one stacked kernel pass each
-            sel, flat = (np.array(v) for v in zip(*group))
-            cis, radii = flat // n, srt.reshape(len(D), -1)[sel[:, None], flat]
-            Dg = D if len(sel) == len(D) else D[sel]
-            maps = np.concatenate([batch[sel], _structured_maps(
-                Dg, cis, radii, eps)], 1)
-            rows = maps.shape[1]    # per space: circle j reads the base
-            maps_checked += len(sel) * k * (rows - k + 1)   # rows and base + j
-            flags = theorem_flags(Dg, maps.reshape(-1, n), cis.T, radii.T,
-                                  eps, np.repeat(np.arange(len(sel)), rows))
-            bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
-            for j, t, row in zip(*bad.nonzero()):
-                g, b = divmod(row, rows)
-                if b < rows - k or b == rows - k + j:   # not another's fixing map
-                    hits.append((number[sel[g]], j, t, b, cis[g, j],
-                                 radii[g, j], maps[g, b]))
+        # below the eps bound every space of a size takes as many circles:
+        # a one-point space realizes one, a larger one at least four
+        k = min(_CIRCLES_PER_SPACE, int(keep.sum((1, 2)).min()))
+        flat = np.array([realized[np.sort(rng.choice(
+            len(realized), size=k, replace=False))]     # center-major
+            for rng, realized in zip(rngs, map(np.flatnonzero, keep))])
+        cis, radii = flat // n, np.take_along_axis(srt.reshape(len(D), -1),
+                                                   flat, 1)
+        maps = np.concatenate([batch, _structured_maps(D, cis, radii, eps)], 1)
+        rows = maps.shape[1]    # per space: circle j reads the base
+        maps_checked += len(D) * k * (rows - k + 1)     # rows and base + j
+        flags = theorem_flags(D, maps.reshape(-1, n), cis.T, radii.T, eps,
+                              np.repeat(np.arange(len(D)), rows))
+        bad = np.stack([hyp & ~concl for hyp, concl in flags.values()], 1)
+        for j, t, row in zip(*bad.nonzero()):
+            g, b = divmod(row, rows)
+            if b < rows - k or b == rows - k + j:   # not another's fixing map
+                hits.append((number[g], j, t, b, cis[g, j], radii[g, j],
+                             maps[g, b]))
     space_of = functools.cache(lambda i: random_metric_space(GenConfig(
         seed=seed * 1_000_003 + i, size=sizes[i % len(sizes)])))
     for i, _, t, _, ci, radius, images in sorted(

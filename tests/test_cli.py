@@ -88,6 +88,26 @@ def test_map_documents_round_trip_rule_and_piecewise():
         assert back2.apply(x) == pw.apply(x)
 
 
+def test_map_documents_round_trip_finite_piecewise():
+    # a finite carrier's piecewise map stays a rule, in memory and on disk
+    space = MetricSpace.finite(("p", "q", "s"),
+                               [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    pw = SelfMap.piecewise(
+        space, (Branch(("on_circle", "p", 1.0), ("identity",)),
+                Branch(("at_points", ("s",)), ("constant", "q"))),
+        ("constant", "p"))
+    doc = fileio.map_to_doc(pw)
+    assert doc == {"rule": {"type": "piecewise", "default": "constant:p",
+                            "branches": [
+                                {"on_circle": {"center": "p", "radius": 1.0},
+                                 "image": "identity"},
+                                {"at_points": {"points": ["s"]},
+                                 "image": "constant:q"}]}}
+    back = fileio.map_from_doc(fileio.loads_document(
+        fileio.dumps_document(doc)), space)
+    assert back == pw and back.kind == "piecewise"
+
+
 def test_map_document_complex_constant():
     space = MetricSpace.analytic("complex_usual",
                                  (complex(0, 0), complex(1, 2)))
@@ -343,6 +363,27 @@ def test_cli_scalar_fields_of_the_wrong_type_are_named(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert says in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["enumerate", "map.json"],
+    ["verify", "map.json", "--theorem", "T_BANACH"]],
+    ids=["validate", "enumerate", "verify"])
+def test_cli_empty_finite_carrier_exits_2(tmp_path, capsys, argv):
+    # an empty carrier was read: validate passed it, enumerate and verify
+    # died in numpy
+    (tmp_path / "space.json").write_text(json.dumps(
+        {"carrier": {"type": "finite", "labels": []},
+         "metric": {"type": "matrix", "values": []}}), encoding="utf-8")
+    (tmp_path / "map.json").write_text(json.dumps(
+        {"rule": {"type": "piecewise", "default": "identity"}}),
+        encoding="utf-8")
+    code = main([argv[0], str(tmp_path / "space.json"),
+                 *(str(tmp_path / a) if a.endswith(".json") else a
+                   for a in argv[1:])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: finite carrier needs at least one point\n"
 
 
 def test_cli_accepts_json_integers(tmp_path, capsys):
@@ -806,6 +847,55 @@ def test_cli_epsilon_flag(files, capsys):
     # with a huge tolerance the failing margin -2 now passes
     assert code == 0
     assert json.loads(out)["epsilon"] == 5.0
+
+
+# x is 1e-6 off the unit circle about c, so at eps 1e-5 the map fixes it
+_NEAR = ({"carrier": {"type": "finite", "labels": list("cxya")},
+          "metric": {"type": "matrix", "values": [
+              [0, 1.000001, 1, 3], [1.000001, 0, 1, 2.5], [1, 1, 0, 2.5],
+              [3, 2.5, 2.5, 0]]}},
+         {"rule": {"type": "piecewise", "default": "constant:a",
+                   "branches": [{"on_circle": {"center": "c", "radius": 1.0},
+                                 "image": "identity"}]}},
+         "1e-5", "c", "1")
+# 0.0005 merges with 0.0 at eps 1e-3
+_CLOSE = ({"carrier": {"type": "analytic", "kind": "real_usual",
+                       "samples": [0.0, 0.0005, 1.0, 2.0]},
+           "metric": {"type": "named"}},
+          {"rule": {"type": "piecewise", "branches": [],
+                    "default": "identity"}},
+          "1e-3", "1", "1")
+
+
+@pytest.mark.parametrize("space,tmap,eps,center,radius", [_NEAR, _CLOSE],
+                         ids=["finite_rule", "analytic_samples"])
+def test_cli_epsilon_flag_and_variable_agree(tmp_path, capsys, monkeypatch,
+                                             space, tmap, eps, center,
+                                             radius):
+    # --epsilon only overrides FIXEDCIRCLE_EPSILON: a space and a map are
+    # read at the call's tolerance whichever gives it
+    sp, mp = tmp_path / "space.json", tmp_path / "map.json"
+    sp.write_text(json.dumps(space), encoding="utf-8")
+    mp.write_text(json.dumps(tmap), encoding="utf-8")
+    circle = ["--center", center, "--radius", radius]
+
+    def run(argv):
+        code = main(argv)
+        return code, [line for line in capsys.readouterr().out.splitlines()
+                      if "wall_time" not in line]
+
+    for argv in (["validate", str(sp)],
+                 ["check", str(sp), str(mp), *circle, "--conditions",
+                  "C1,C2,C1_STAR,ID_COND"],
+                 ["verify", str(sp), str(mp), "--theorem", "T_EXIST_C1C2",
+                  *circle],
+                 ["enumerate", str(sp), str(mp)],
+                 ["search", str(sp), "--target", "C1 & C2", "--budget",
+                  "50", *circle]):
+        monkeypatch.delenv("FIXEDCIRCLE_EPSILON", raising=False)
+        flag = run([*argv, "--epsilon", eps])
+        monkeypatch.setenv("FIXEDCIRCLE_EPSILON", eps)
+        assert flag == run(argv), argv
 
 
 def test_cli_table_format(files, capsys):

@@ -61,6 +61,12 @@ def test_finite_rejects_duplicate_labels():
         _square(("p", "p"), [[0, 1], [1, 0]])
 
 
+def test_finite_rejects_an_empty_carrier():
+    # as analytic refuses an empty sample set
+    with pytest.raises(MalformedInputError, match="at least one point"):
+        _square((), [])
+
+
 def test_validate_flags_each_axiom():
     asym = _square(("p", "q"), [[0, 1], [2, 0]])
     rep = validate_metric(asym)
@@ -507,13 +513,19 @@ def test_table_maps_reject_analytic_carriers():
         SelfMap.from_table(space, {0.0: 1.0, 1.0: 0.0})
 
 
-def test_piecewise_materializes_on_finite(path_space):
+def test_piecewise_stays_a_rule_on_finite():
+    # x is 1e-6 off the unit circle about c: the rule fixes it at the
+    # tolerance of the call, not at one fixed when the map was built
+    space = _square("cxya", [[0, 1.000001, 1, 3], [1.000001, 0, 1, 2.5],
+                             [1, 1, 0, 2.5], [3, 2.5, 2.5, 0]])
     m = SelfMap.piecewise(
-        path_space, (Branch(("on_circle", "p", 1.0), ("identity",)),),
-        ("constant", "p"))
-    assert m.kind == "table"
-    assert m.apply("q") == "q"
-    assert m.apply("s") == "p"
+        space, (Branch(("on_circle", "c", 1.0), ("identity",)),),
+        ("constant", "a"))
+    assert m.kind == "piecewise" and m.table is None
+    assert m.apply("x", eps=1e-5) == "x" and m.apply("x") == "a"
+    assert m.apply("y") == "y" and m.apply("c", eps=1e-5) == "a"
+    assert fixed_points(m, eps=1e-5) == ("x", "y", "a")
+    assert fixed_points(m) == ("y", "a")
 
 
 def test_piecewise_branch_order_is_first_match():

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixedcircle import cli, conditions, fileio, metric_core, verifier
+from fixedcircle import (cli, conditions, fileio, generators, metric_core,
+                         verifier)
 from fixedcircle.errors import (DomainError, InvalidMetricError,
                                 MalformedInputError)
 from fixedcircle.conditions import check_condition, phi_canonical
@@ -566,21 +567,27 @@ def test_uniqueness_verdicts_share_one_enumeration():
                           if not c.degenerate)
 
 
-@pytest.mark.parametrize("space", [
-    random_metric_space(GenConfig(seed=7, size=9)), *_analytic_spaces()],
-    ids=["finite", *ANALYTIC_KINDS])
-def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
+_NINE = random_metric_space(GenConfig(seed=7, size=9))
+
+
+@pytest.mark.parametrize("space,table", [
+    (_NINE, True), (_NINE, False),
+    *((space, False) for space in _analytic_spaces())],
+    ids=["finite_table", "finite_rule", *ANALYTIC_KINDS])
+def test_enumeration_memo_keeps_the_last_space_and_tolerance(space, table):
     # One map asked at changing tolerances and over an equal space that
     # is another object: every answer is the plain loop's, the map is
     # enumerated again exactly when the (space, eps) differs from the last
-    # call's (and applied again then, unless a finite map, whose table is
-    # read), and the map keeps one record, holding that (space, eps) and
-    # its enumeration.
+    # call's (and applied again then, unless a table, which is read), and
+    # the map keeps one record, holding that (space, eps) and its
+    # enumeration.
     twin = (MetricSpace.finite(space.points(), space.matrix)
             if space.is_finite
             else MetricSpace.analytic(space.kind, space.points()))
     assert twin == space and twin is not space
-    tmap = SelfMap.constant(space, space.points()[0])
+    tmap = (SelfMap.from_indices(space, [0] * len(space.points())) if table
+            else SelfMap.constant(space, space.points()[0]))
+    assert (tmap.kind == "table") == table
     calls, counted = _counting_apply()
     made = mock.Mock(wraps=metric_core._fixed_circles)
     for target, eps, fresh in [(space, EPS, True), (space, EPS, False),
@@ -595,8 +602,7 @@ def test_enumeration_memo_keeps_the_last_space_and_tolerance(space):
             got = {flag: enumerate_fixed_circles(target, tmap, flag, eps)
                    for flag in (True, False, True)}
         assert made.call_count == fresh, (target is twin, eps)
-        assert bool(calls) == (fresh and not space.is_finite), \
-            (target is twin, eps)
+        assert bool(calls) == (fresh and not table), (target is twin, eps)
         record = tmap._last
         assert record["space"] is target and record["eps"] == eps
         assert "circles" in record
@@ -933,11 +939,14 @@ def test_sweep_maps_a_slip_back_to_its_space_circle_and_map():
 
 @pytest.mark.parametrize("bad", [
     dict(space_count=-1), dict(sizes=()),
-    dict(maps_per_space=-1, sizes=(8,))],
-    ids=["negative_space_count", "no_sizes", "negative_maps_per_space"])
+    dict(maps_per_space=-1, sizes=(8,)), dict(eps=0.5, sizes=(2, 3)),
+    dict(eps=generators._LATTICE_MIN * 2.0 ** -generators._LATTICE_BITS)],
+    ids=["negative_space_count", "no_sizes", "negative_maps_per_space",
+         "eps_past_the_least_distance", "eps_at_the_least_distance"])
 def test_sweep_refuses_bad_arguments(bad):
-    # unchecked, they gave spaces_checked == -1, a ZeroDivisionError and
-    # numpy's bare ValueError
+    # unchecked, they gave spaces_checked == -1, a ZeroDivisionError,
+    # numpy's bare ValueError, and (an eps the drawn spaces' least
+    # distance does not exceed) an InvalidMetricError at the first re-check
     with pytest.raises(MalformedInputError):
         soundness_sweep(**{"space_count": 3, **bad})
 
@@ -952,13 +961,15 @@ def _no_hypothesis_holds(calls):
     return kernel
 
 
-def _sweep_reads_each_space_as_drawn_alone(seed, eps, limit,
-                                           sizes=(1, 2, 3, 5)):
-    """Every space's matrix, circles and maps in the stacked calls of a
-    sweep equal those of the space drawn alone: random_metric_space, its
-    map stream, rng.choice over its enumerate_circles list and
-    _structured_maps. Returns the circles each space took."""
-    calls, count, per = [], 12, 7
+@given(seed=st.integers(0, 10 ** 6), eps=st.sampled_from([0.0, 1e-9, 1e-3]),
+       limit=st.sampled_from([0, 4]))
+@settings(max_examples=25, deadline=None)
+def test_sweep_reads_each_space_as_drawn_alone(seed, eps, limit):
+    # Every space's matrix, circles and maps in the stacked calls of a
+    # sweep equal those of the space drawn alone: random_metric_space, its
+    # map stream, rng.choice over its enumerate_circles list and
+    # _structured_maps.
+    calls, count, per, sizes = [], 12, 7, (1, 2, 3, 5)
     with mock.patch.object(verifier, "theorem_flags",
                            _no_hypothesis_holds(calls)):
         rep = soundness_sweep(space_count=count, sizes=sizes,
@@ -968,7 +979,7 @@ def _sweep_reads_each_space_as_drawn_alone(seed, eps, limit,
                   radii[:, t].tolist(), maps[space == t].tobytes())
                  for D, maps, centers, radii, space in calls
                  for t in range(len(D)))
-    want, takes, checked = [], [], 0
+    want, checked = [], 0
     for i in range(count):
         n = sizes[i % len(sizes)]
         space = random_metric_space(GenConfig(seed=seed * 1_000_003 + i,
@@ -986,25 +997,9 @@ def _sweep_reads_each_space_as_drawn_alone(seed, eps, limit,
                                                   eps)]).astype(np.intp)
         want.append((space.as_array.tobytes(), list(cis), list(radii),
                      maps.tobytes()))
-        takes.append(take)
         checked += take * (len(batch) + n + 2)
     assert got == sorted(want)
     assert rep.maps_checked == checked
-    return takes
-
-
-@given(seed=st.integers(0, 10 ** 6), eps=st.sampled_from([1e-9, 0.05, 0.5]),
-       limit=st.sampled_from([0, 4]))
-@settings(max_examples=25, deadline=None)
-def test_sweep_reads_each_space_as_drawn_alone(seed, eps, limit):
-    _sweep_reads_each_space_as_drawn_alone(seed, eps, limit)
-
-
-def test_a_large_eps_splits_a_size_by_circles_taken():
-    # at eps = 0.5 a 2-point space realizes 2 circles when its one
-    # distance is within eps, else 4: its size group splits in two calls
-    takes = _sweep_reads_each_space_as_drawn_alone(3, 0.5, 4, sizes=(2,))
-    assert sorted(set(takes)) == [2, 3]
 
 
 def test_a_sound_sweep_builds_no_space():
