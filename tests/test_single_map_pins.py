@@ -11,6 +11,12 @@ member 0.0, so a witness naming that member is pinned to its own text.
 A change to how a check gathers its distances must leave every report
 as it is; a mismatch names the call that changed.
 
+Beside them, one carrier per kind at 96 samples, built as the
+benchmark's instance workload builds its own (dyadic samples k/64 on the
+real kinds; 48 circle points and 48 grid points on the complex plane),
+each with a circle-fixing map about a circle through two samples: the
+size at which a check's speed is measured.
+
 The data was generated by the checkers as they stood while every
 analytic distance was computed by the scalar metric. Regenerate it only
 for a deliberate change of report content:
@@ -24,11 +30,13 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fixedcircle.conditions import (CONDITION_IDS, PhiMap, check_caristi,
                                     check_condition, phi_canonical)
 from fixedcircle.errors import MalformedInputError
+from fixedcircle.generators import build_circle_fixing_map
 from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
                                      circle_samples)
 from fixedcircle.verifier import THEOREM_IDS, verify_caristi, verify_theorem
@@ -64,6 +72,26 @@ CARRIERS = {
 }
 
 
+LARGE_SEED = 2017
+
+
+def _large_carriers():
+    """(kind, samples, center, radius) of each 96-sample carrier."""
+    rng = np.random.default_rng(LARGE_SEED)
+    for kind in ("real_usual", "real_exp", "real_abs_sum"):
+        ks = rng.choice(np.arange(-3 * 64, 3 * 64 + 1), size=96,
+                        replace=False)
+        samples = [float(k) / 64 for k in ks]
+        space = MetricSpace.analytic(kind, samples)
+        yield kind, samples, samples[0], space.distance(*samples[:2])
+    center = complex(*(rng.integers(-8, 9, size=2) / 8))
+    radius = float(rng.integers(4, 13)) / 8
+    grid = rng.choice(33 * 33, size=48, replace=False)
+    samples = list(circle_samples(center, radius, 48))
+    samples += [center + complex(g % 33 - 16, g // 33 - 16) / 8 for g in grid]
+    yield "complex_usual", samples, center, radius
+
+
 def _instances():
     """(name, space, tmap, circle) over every carrier, map and circle."""
     for kind, (samples, circles, *maps) in CARRIERS.items():
@@ -75,6 +103,11 @@ def _instances():
             for k, (center, radius) in enumerate(circles):
                 yield (f"{kind} map {j} circle {k}", space, tmap,
                        circle_of(space, center, radius))
+    for kind, samples, center, radius in _large_carriers():
+        space = MetricSpace.analytic(kind, samples)
+        circle = circle_of(space, center, radius)
+        yield (f"{kind} 96 samples circle-fixing map", space,
+               build_circle_fixing_map(space, circle), circle)
 
 
 def _digest(report):
