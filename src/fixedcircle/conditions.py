@@ -22,9 +22,8 @@ the same rules' arrays: the margin is the slack at the first smallest
 tuple, that tuple the witness, derived_param the extremal feasible h.
 The images of the points come from the map's image table, made once
 per space and tolerance; only members off the points are mapped anew.
-Analytic carriers read a distance between two samples from
-space.as_array, any other from space._metric_fn, the one definition of
-the metric the matrix holds.
+Every distance is read by space.distances: on an analytic carrier the
+metric's array form, which equals the scalar metric bit for bit.
 
 The weight function phi is canonical when it is the distance to the
 circle's center; CARISTI alone reads a user's (registry.check_request).
@@ -95,31 +94,6 @@ def phi_canonical(space: MetricSpace, center) -> PhiMap:
 
 # ---------------------------------------------------------------------------
 # The rules: each condition written once
-
-
-def _pointwise(fn, points, nin):
-    """fn over the points at nin index arrays, elementwise, as floats;
-    only the values asked for are computed. A value past the float range
-    is refused by value (as_array, PhiMap.at), so numpy's warning is off."""
-    each, points = np.frompyfunc(fn, nin, 1), np.array(points, dtype=object)
-    return np.errstate(over="ignore")(
-        lambda *idx: each(*(points[i] for i in idx)).astype(float))
-
-
-def _carrier_distances(space: MetricSpace, pts: list):
-    """d(a, b) at index arrays into pts, the samples first: as_array's
-    entry for two samples once built (or to refuse inf), else _metric_fn's."""
-    n, fn = len(space.points()), _pointwise(space._metric_fn, pts, 2)
-
-    def d(a, b):
-        off = np.maximum(a, b) >= n
-        out = None if "as_array" in vars(space) else fn(a, b)
-        if out is None or not np.isfinite(out[~off]).all():
-            out = space.as_array[np.where(off, 0, a), np.where(off, 0, b)]
-            if off.any():
-                out[off] = fn(np.where(off, a, 0)[off], np.where(off, b, 0)[off])
-        return out
-    return d
 
 
 class _Maps:
@@ -379,9 +353,10 @@ _EMPTY_NOTES = {
 class _OneMap(_Operands):
     """The operands of one map over the carrier's points, then the images
     (its image table), members, members' images and weight center off
-    them. An image or a center takes an equal sample's index, a member
-    only that of the very sample it is, so a witness names the member
-    itself. A canonical phi is read off the distances to its center."""
+    them, every distance among them read by space.distances. An image or
+    a center takes an equal sample's index, a member only that of the
+    very sample it is, so a witness names the member itself. A canonical
+    phi is read off the distances to its center."""
 
     def __init__(self, space, tmap, circle=None, phi=None, eps=None):
         eps = resolve_eps(eps)
@@ -402,14 +377,15 @@ class _OneMap(_Operands):
         # the image of an off-sample image is never read: its slot holds 0
         maps = np.hstack((row, [0] * len(extra), tail)).astype(np.intp)
         c = at(phi._center[1]) if phi and phi._center[0] is space else None
-        d = (lambda a, b: space.as_array[a, b]) if finite \
-            else _carrier_distances(space, pts)
-        weight = phi and c is None and _pointwise(phi.at, pts, 1)
+        d, weight = space.distances(pts), None
         if c is not None:   # d(x, c) at every point; phi.at refuses inf
             w = d(np.arange(len(pts)), c)
             if not np.isfinite(w).all():
-                _pointwise(phi.at, pts, 1)(np.flatnonzero(~np.isfinite(w)))
+                phi.at(pts[np.isfinite(w).argmin()])
             weight = w.__getitem__
+        elif phi:   # a user's weight, computed only where it is read
+            at, obj = np.frompyfunc(phi.at, 1, 1), np.array(pts, dtype=object)
+            weight = lambda idx: at(obj[idx]).astype(float)
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
                          weight, radius, np.array([M], dtype=np.intp))
         self.pts, self.finite = pts, finite
@@ -426,6 +402,7 @@ def _source(reads, space, tmap, circle, phi, eps) -> _OneMap:
                    eps)
 
 
+@np.errstate(over="ignore")     # a slack past the float range is -inf
 def _report(condition_id: str, src: _OneMap) -> ConditionReport:
     """One map's report on one condition, read off the rule's arrays:
     the margin is the slack of the first smallest tuple, which is the

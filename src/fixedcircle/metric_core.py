@@ -114,7 +114,7 @@ class MetricSpace:
             raise MalformedInputError(
                 f"analytic samples must be finite numbers, got {odd[0]!r}")
         pts = list(map(complex if kind == "complex_usual" else float, samples))
-        fn = _METRIC_FNS[kind]
+        fn = _METRICS[kind][0]
         # Drop samples that are metrically indistinguishable from an
         # earlier one; keeping both would break identity of
         # indiscernibles at the declared tolerance.
@@ -144,28 +144,49 @@ class MetricSpace:
 
     @cached_property
     def as_array(self) -> np.ndarray:
-        """Distance matrix over points() as a float array (any carrier).
-
-        On an analytic carrier each entry is _metric_fn at its ordered
-        pair of samples, the value distance returns; a distance past the
-        float range is refused.
-        """
+        """Distance matrix over points() as a float array (any carrier):
+        on an analytic one, distances' read of every ordered pair of
+        samples, which refuses a distance past the float range."""
         import numpy as np
         if self.is_finite:
             return np.asarray(self.matrix, dtype=float)
-        fn, s = self._metric_fn, self.pts
-        m = np.fromiter((fn(x, y) for x in s for y in s), dtype=float,
-                        count=len(s) ** 2).reshape(len(s), len(s))
-        if not np.isfinite(m).all():
-            raise MalformedInputError(
-                f"the {self.kind} metric overflows on the sample set")
-        return m
+        return self.distances(self.pts)(*np.ogrid[:len(self.pts), :len(self.pts)])
 
     @cached_property
-    def _metric_fn(self):
-        """The scalar metric every distance on an analytic carrier is
-        read from; None on a finite one."""
-        return None if self.is_finite else _METRIC_FNS[self.kind]
+    def _coordinates(self) -> np.ndarray:
+        """Each sample's coordinate, read by its kind's array form."""
+        import numpy as np
+        return np.array([*map(_METRICS[self.kind][1], self.pts)])
+
+    def distances(self, pts):
+        """d(a, b) at index arrays into pts, the points first: as_array's
+        entries, or on an analytic carrier the kind's array form at the
+        points' coordinates, bit for bit the scalar metric. If a coordinate
+        is past 2**1022, the scalar metric rereads each pair the form left
+        non-finite, in read order, and refuses an overflow with its message;
+        a pair of samples still non-finite overflows the sample set."""
+        import numpy as np
+        if self.is_finite:
+            return lambda a, b, D=self.as_array: D[a, b]
+        (fn, coordinate, form), n = _METRICS[self.kind], len(self.pts)
+        # an int no float holds gets nan, so the scalar metric reads it
+        v = np.concatenate((self._coordinates, [
+            coordinate(p) if type(p) is not int or float(p) == p else math.nan
+            for p in pts[n:]]))
+        if (abs(v.view(float)) < 2.0 ** 1022).all():
+            return lambda a, b: form(np, v[a], v[b])
+
+        def d(a, b):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = form(np, v[a], v[b])
+            bad, (a, b) = ~np.isfinite(out), np.broadcast_arrays(a, b)
+            for i in np.flatnonzero(bad).tolist():
+                out.flat[i] = fn(pts[a.flat[i]], pts[b.flat[i]])
+            if not np.isfinite(out[bad & (a < n) & (b < n)]).all():
+                raise MalformedInputError(
+                    f"the {self.kind} metric overflows on the sample set")
+            return out
+        return d
 
     @cached_property
     def _validations(self) -> dict:
@@ -184,7 +205,7 @@ class MetricSpace:
     def distance(self, x, y) -> float:
         if self.is_finite:
             return self.as_array[self.index_of(x), self.index_of(y)]
-        return self._metric_fn(x, y)
+        return _METRICS[self.kind][0](x, y)
 
 
 def _d_real_exp(x, y):
@@ -193,10 +214,6 @@ def _d_real_exp(x, y):
     except OverflowError:
         raise MalformedInputError(
             f"exp metric overflows at x={x!r}, y={y!r}") from None
-
-
-def _d_real_abs_sum(x, y):
-    return 0.0 if x == y else abs(x) + abs(y)
 
 
 def _d_usual(x, y):
@@ -208,11 +225,18 @@ def _d_usual(x, y):
             f"metric overflows at x={x!r}, y={y!r}") from None
 
 
-_METRIC_FNS = {
-    "real_usual": _d_usual,
-    "real_exp": _d_real_exp,
-    "real_abs_sum": _d_real_abs_sum,
-    "complex_usual": _d_usual,
+# Each named metric written twice: kind -> (the scalar metric; a point's
+# coordinate, inf where exp may overflow; the metric on arrays of them,
+# numpy passed in), equal bit for bit as the tests pin: on the plane both
+# are hypot, as Python's complex abs is and numpy's is not.
+_METRICS = {
+    "real_usual": (_d_usual, float, lambda np, x, y: abs(x - y)),
+    "real_exp": (_d_real_exp, lambda x: math.exp(x) if x < 709 else math.inf,
+                 lambda np, x, y: abs(x - y)),
+    "real_abs_sum": (lambda x, y: 0.0 if x == y else abs(x) + abs(y), float,
+                     lambda np, x, y: np.where(x == y, 0.0, abs(x) + abs(y))),
+    "complex_usual": (_d_usual, complex, lambda np, z, w: np.hypot(
+        z.real - w.real, z.imag - w.imag)),
 }
 
 
@@ -372,8 +396,9 @@ def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
         return [_real_members(space.kind, center, r, eps) for r in radii]
     import numpy as np
     if row is None:
-        row = (np.array([space._metric_fn(s, center) for s in space.pts],
-                        dtype=float) if space.kind == "complex_usual"
+        n = len(space.pts)
+        row = (space.distances((*space.pts, center))(np.arange(n), n)
+               if space.kind == "complex_usual"
                else _center_rows(space.as_array)[space.index_of(center)])
     return np.abs(row - np.asarray(radii, dtype=float)[:, None]) <= eps
 
@@ -668,23 +693,20 @@ def enumerate_fixed_circles(space: MetricSpace, tmap: SelfMap,
     Centers and radii are those of enumerate_circles, so the result is
     deterministic: center order, then radius ascending. Degenerate
     (radius ~ 0) circles are included only on request; each is just a
-    fixed point wearing a circle costume.
-
-    Kept in the map's record (see SelfMap), degenerate circles included.
+    fixed point wearing a circle costume. Both answers are kept in the
+    map's record (see SelfMap).
     """
     eps = resolve_eps(eps)
-    circles = tmap._kept(space, eps, "circles",
-                         lambda: _fixed_circles(space, tmap, eps))
-    if include_degenerate:
-        return circles
-    return tuple(c for c in circles if not c.degenerate)
+    every, proper = tmap._kept(space, eps, "circles",
+                               lambda: _fixed_circles(space, tmap, eps))
+    return every if include_degenerate else proper
 
 
 def _fixed_circles(space: MetricSpace, tmap: SelfMap,
-                   eps: float) -> tuple[Circle, ...]:
-    """The fixed circles, degenerate ones included, in one pass per
-    center, equal to a circle_of and an is_fixed_circle call per realized
-    circle.
+                   eps: float) -> tuple[tuple[Circle, ...], tuple]:
+    """The fixed circles with and without the degenerate ones, in one
+    pass per center, equal to a circle_of and an is_fixed_circle call per
+    realized circle.
 
     A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
     it, or when the metric refuses d(x, Tx) as past the float range (where
@@ -730,7 +752,7 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
             fixed = [k for k, m in enumerate(rows)
                      if m and not any(map(moved, m))]
         out += [_mk_circle(space, center, radii[k], rows[k], eps) for k in fixed]
-    return tuple(out)
+    return tuple(out), tuple(c for c in out if not c.degenerate)
 
 
 def fixed_points(tmap: SelfMap, eps=None) -> tuple:

@@ -553,6 +553,57 @@ def test_cli_check_overflowing_samples_prints_only_the_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
+    ("check", "--conditions", "CARISTI"), ("check", "--conditions", "ID_COND"),
+    ("check", "--conditions", "C1"), ("verify", "--theorem", "T_IDENTITY"),
+    ("verify", "--theorem", "T_CARISTI")],
+    ids=["CARISTI", "ID_COND", "C1", "T_IDENTITY", "T_CARISTI"])
+def test_cli_slack_past_the_float_range_prints_no_warning(tmp_path, command):
+    # a valid space and map whose slacks and member distances pass the
+    # float range: the report reads -Infinity, and numpy's overflow
+    # warning must not reach stderr of a fresh interpreter with the
+    # default warning filters
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({**_LINE, "carrier": {
+        **_LINE["carrier"], "samples": [0.0, 1.0]}}), encoding="utf-8")
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"rule": {"type": "piecewise", "branches": [],
+                                       "default": "constant:-1e308"}}),
+                  encoding="utf-8")
+    src = Path(fixedcircle.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "fixedcircle.cli", *command, str(sp), str(mp),
+         "--center", "0", "--radius", "1e308"],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode in (0, 1, 3), run.stderr
+    assert run.stderr == ""
+    if command[2] == "CARISTI":
+        assert json.loads(run.stdout)["conditions"][0]["margin"] == -math.inf
+
+
+def test_cli_search_slack_past_the_float_range_prints_no_warning(tmp_path):
+    # the batch rules compute the same slacks: CARISTI's at a under a map
+    # sending a to b, (d(a, a) - d(b, a)) - d(a, b), is past the float
+    # range on this valid space, and numpy's warning must not show
+    big = 1.7e308
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps({
+        "carrier": {"type": "finite", "labels": ["a", "b", "c"]},
+        "metric": {"type": "matrix", "values": [
+            [0, big, big], [big, 0, big], [big, big, 0]]}}), encoding="utf-8")
+    src = Path(fixedcircle.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("PYTHONWARNINGS", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "fixedcircle.cli", "search", str(sp),
+         "--target", "CARISTI & !C2", "--center", "a", "--radius", repr(big)],
+        capture_output=True, text=True, env=env, check=False)
+    assert run.returncode in (0, 1), run.stderr
+    assert run.stderr == ""
+
+
+@pytest.mark.parametrize("command", [
     ("verify", "--theorem", "T_EXIST_C1C2"), ("check", "--conditions", "C1")],
     ids=["verify", "check"])
 @pytest.mark.parametrize("kind,center,radius", [

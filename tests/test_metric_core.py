@@ -221,6 +221,91 @@ def test_sample_matrix_is_the_scalar_metric(kind):
     assert np.array_equal(space.as_array.view(np.int64), want.view(np.int64))
 
 
+_EDGES = (0.0, -0.0, 1.0, -2.5, 708.9, 709.5, 709.8, 710.0, 8.98e307,
+          -8.98e307, 1e308, -1e308, 1.7e308)
+_REALS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EDGES),
+                   st.floats(allow_nan=False, allow_infinity=False))
+# off the samples: ints too, past 2**53 where no float holds them
+_OFF_REALS = st.one_of(_REALS, st.integers(-2 ** 70, 2 ** 70),
+                       st.integers(-4, 4), st.sampled_from(
+                           (2 ** 60 + 1, 2 ** 60 + 3, -2 ** 60 - 1)))
+_PLANE = st.one_of(st.builds(complex, _REALS, _REALS),
+                   st.complex_numbers(max_magnitude=1e3))
+
+
+def _scalar_read(space, pts, a, b):
+    """The scalar metric at each pair of a, b (broadcast), in read order,
+    raising as the reader must: at the first pair the metric refuses,
+    else where a pair of samples is past the float range."""
+    a, b = np.broadcast_arrays(a, b)
+    want = np.empty(a.shape)
+    try:
+        for i in range(a.size):
+            want.flat[i] = space.distance(pts[a.flat[i]], pts[b.flat[i]])
+    except MalformedInputError as exc:
+        return str(exc)
+    n = len(space.points())
+    if not np.isfinite(want[(a < n) & (b < n)]).all():
+        return f"the {space.kind} metric overflows on the sample set"
+    return want
+
+
+def _read_or_refusal(read, *args):
+    try:
+        return read(*args)
+    except MalformedInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(ANALYTIC_KINDS), data=st.data())
+def test_array_reader_is_the_scalar_metric(kind, data):
+    # the array form distances reads equals the scalar metric bit for bit
+    # on samples, off-sample floats and ints, -0.0 beside 0.0 and
+    # magnitudes near 1e308, and refuses with the scalar metric's message
+    plane = kind == "complex_usual"
+    samples = data.draw(st.lists(_PLANE if plane else _REALS, min_size=1,
+                                 max_size=5))
+    try:
+        space = MetricSpace.analytic(kind, samples)
+    except MalformedInputError:     # the metric refuses two samples
+        return
+    off = data.draw(st.lists(st.one_of(_OFF_REALS, _PLANE) if plane
+                             else _OFF_REALS, max_size=5))
+    pts = [*space.points(), *off]
+    i = np.arange(len(pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_or_refusal(space.distances(pts), i[:, None], i)
+        matrix = _read_or_refusal(lambda: space.as_array)
+    want = _scalar_read(space, pts, i[:, None], i)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    n = len(space.points())
+    want = _scalar_read(space, pts, i[:n, None], i[:n])
+    if isinstance(want, str):
+        assert matrix == want
+    else:
+        assert np.array_equal(matrix.view(np.int64), want.view(np.int64))
+
+
+def test_complex_reader_is_hypot_not_numpy_abs():
+    # numpy's complex abs differs from Python's in the last bit on many
+    # pairs; the reader computes hypot, as Python's abs does
+    rng = np.random.default_rng(2017)
+    z = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+    space = MetricSpace.analytic("complex_usual", z[:2000].tolist())
+    pts = [*space.points(), *z[2000:].tolist()]
+    a, b = rng.integers(0, len(pts), (2, 20000))
+    got = space.distances(pts)(a, b)
+    want = np.array([abs(pts[x] - pts[y]) for x, y in zip(a, b)])
+    assert np.array_equal(got, want)
+    vz = np.array(pts)
+    assert not np.array_equal(np.abs(vz[a] - vz[b]), want)
+
+
 def test_exp_metric_overflow_is_malformed():
     with pytest.raises(MalformedInputError):
         MetricSpace.analytic("real_exp", (0.0, 1e6)).as_array

@@ -546,6 +546,33 @@ def test_enumeration_applies_the_map_once_per_point(space):
         assert len(calls) <= bound
 
 
+@pytest.mark.parametrize("space", [
+    random_metric_space(GenConfig(seed=7, size=9)), *_analytic_spaces()],
+    ids=["finite", *ANALYTIC_KINDS])
+def test_enumeration_record_keeps_both_answers(space):
+    # the answers with and without degenerate circles are both kept in the
+    # map's record: a second call returns the very tuples the first did,
+    # equal to the plain loop's, without applying the map or filtering
+    # again; only a fresh record applies the map
+    tmap = SelfMap.identity(space)
+    want = _reference_fixed_circles(space, tmap)
+    calls, counted = _counting_apply()
+    with mock.patch.object(SelfMap, "apply", counted):
+        first = {flag: enumerate_fixed_circles(space, tmap, flag)
+                 for flag in (False, True)}
+        applied = len(calls)
+        again = {flag: enumerate_fixed_circles(space, tmap, flag)
+                 for flag in (True, False)}
+        assert applied and len(calls) == applied
+        enumerate_fixed_circles(space, tmap, eps=0.25)
+        assert len(calls) > applied
+    assert first[True] == want and first[False] == tuple(
+        c for c in want if not c.degenerate)
+    assert first[False] and len(first[False]) < len(first[True])
+    for flag in (True, False):
+        assert again[flag] is first[flag]
+
+
 def test_uniqueness_verdicts_share_one_enumeration():
     # A finite map is never applied: the verdicts and the enumeration read
     # its table as indices. The three uniqueness verdicts and a direct
