@@ -190,7 +190,7 @@ class _Operands(_Maps):
         src = self.base if name in _MAPS_ONLY else self
         flags = src._flags.get(rule)
         if flags is None:
-            flags = rule(src)
+            flags = _run(name, src)
             if isinstance(flags, tuple):
                 ok, skip, _, _ = flags
                 if skip is not None:
@@ -337,6 +337,13 @@ _RULES = {
 _MAPS_ONLY = frozenset(a for a, reads in READS.items() if reads is None)
 
 
+@np.errstate(over="ignore")     # a slack past the float range is -inf
+def _run(name, src, detail=False):
+    """Atom name's rule on src, its detail run when asked: every rule runs here."""
+    out = _RULES[name](src)
+    return (*out[:3], *out[3]()) if detail else out
+
+
 # ---------------------------------------------------------------------------
 # Single-map reports: a batch of one over the rules
 
@@ -384,8 +391,8 @@ class _OneMap(_Operands):
                 phi.at(pts[np.isfinite(w).argmin()])
             weight = w.__getitem__
         elif phi:   # a user's weight, computed only where it is read
-            at, obj = np.frompyfunc(phi.at, 1, 1), np.array(pts, dtype=object)
-            weight = lambda idx: at(obj[idx]).astype(float)
+            phi_at, obj = np.frompyfunc(phi.at, 1, 1), np.array(pts, dtype=object)
+            weight = lambda idx: phi_at(obj[idx]).astype(float)
         super().__init__(_Maps(d, maps[None], eps, len(space.points())),
                          weight, radius, np.array([M], dtype=np.intp))
         self.pts, self.finite = pts, finite
@@ -402,7 +409,6 @@ def _source(reads, space, tmap, circle, phi, eps) -> _OneMap:
                    eps)
 
 
-@np.errstate(over="ignore")     # a slack past the float range is -inf
 def _report(condition_id: str, src: _OneMap) -> ConditionReport:
     """One map's report on one condition, read off the rule's arrays:
     the margin is the slack of the first smallest tuple, which is the
@@ -410,13 +416,11 @@ def _report(condition_id: str, src: _OneMap) -> ConditionReport:
     derived_param is that h and the margin its excess over 1. The caveat
     is a sampled circle's, or for a non-member condition an analytic
     carrier's."""
-    ok, _, where, detail = _RULES[condition_id](src)
+    ok, _, where, slack, param = _run(condition_id, src, detail=True)
     caveat = src.sampled if condition_id in _MEMBER_IDS else not src.finite
     # One map's pair sets are lists (skip is None): the tuples are the
     # block's entries in order.
-    block = ok.shape
-    slack, param = detail()
-    ok, slack = ok[0].ravel(), slack[0].ravel()
+    block, ok, slack = ok.shape, ok[0].ravel(), slack[0].ravel()
     if slack.size == 0 and condition_id in _EMPTY_NOTES:
         return ConditionReport(condition_id, True, math.inf, None, None, 0,
                                caveat, True, (_EMPTY_NOTES[condition_id],))
@@ -564,8 +568,7 @@ def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationRe
     """Classify each member's image as interior, on, or exterior: by its
     gap d(Tx, center) - radius, C2's slack, within the tolerance or not."""
     src = _source({"circle"}, tmap.space, tmap, circle, None, eps)
-    _, _, _, slack = _RULES["C2"](src)
-    gaps = slack()[0][0].tolist()
+    gaps = _run("C2", src, detail=True)[3][0].tolist()
     images = _row_take(src.maps, src.M)[0].tolist()
     rows = []
     counts = {"interior": 0, "on": 0, "exterior": 0}

@@ -318,7 +318,6 @@ def _sampled_chunks(n: int, budget: int, chunk: int, seed: int):
         yield rng.integers(0, n, size=(min(chunk, budget - start), n))
 
 
-@np.errstate(over="ignore")     # a slack past the float range is -inf
 def search_counterexample(space: MetricSpace, circle: Circle, target: str,
                           budget: int = 10 ** 6, seed: int = 0,
                           eps=None) -> SearchResult:

@@ -161,10 +161,9 @@ class MetricSpace:
     def distances(self, pts):
         """d(a, b) at index arrays into pts, the points first: as_array's
         entries, or on an analytic carrier the kind's array form at the
-        points' coordinates, bit for bit the scalar metric. If a coordinate
-        is past 2**1022, the scalar metric rereads each pair the form left
-        non-finite, in read order, and refuses an overflow with its message;
-        a pair of samples still non-finite overflows the sample set."""
+        points' coordinates, bit for bit the scalar metric, which rereads
+        a pair the form leaves non-finite, in read order, to refuse an
+        overflow with its message (on the samples, the sample set's)."""
         import numpy as np
         if self.is_finite:
             return lambda a, b, D=self.as_array: D[a, b]
@@ -173,18 +172,17 @@ class MetricSpace:
         v = np.concatenate((self._coordinates, [
             coordinate(p) if type(p) is not int or float(p) == p else math.nan
             for p in pts[n:]]))
-        if (abs(v.view(float)) < 2.0 ** 1022).all():
-            return lambda a, b: form(np, v[a], v[b])
 
         def d(a, b):
             with np.errstate(over="ignore", invalid="ignore"):
                 out = form(np, v[a], v[b])
-            bad, (a, b) = ~np.isfinite(out), np.broadcast_arrays(a, b)
-            for i in np.flatnonzero(bad).tolist():
-                out.flat[i] = fn(pts[a.flat[i]], pts[b.flat[i]])
-            if not np.isfinite(out[bad & (a < n) & (b < n)]).all():
-                raise MalformedInputError(
-                    f"the {self.kind} metric overflows on the sample set")
+            if not np.isfinite(out).all():
+                bad, (a, b) = ~np.isfinite(out), np.broadcast_arrays(a, b)
+                for i in np.flatnonzero(bad).tolist():
+                    out.flat[i] = fn(pts[a.flat[i]], pts[b.flat[i]])
+                if not np.isfinite(out[bad & (a < n) & (b < n)]).all():
+                    raise MalformedInputError(
+                        f"the {self.kind} metric overflows on the sample set")
             return out
         return d
 

@@ -10,6 +10,7 @@ than shared with the engine.
 import gc
 import itertools
 import math
+import warnings
 import weakref
 from unittest import mock
 
@@ -611,6 +612,26 @@ def test_condition_flags_frees_its_arrays_without_the_collector():
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def test_batch_slacks_past_the_float_range_raise_no_warning():
+    # on this valid space CARISTI's slack at a under a map sending a to b,
+    # (d(a, a) - d(b, a)) - d(a, b), is past the float range: the batch
+    # entry points read it as -inf, and no RuntimeWarning (an error under
+    # the test filters) may escape a direct call
+    big = 1.7e308
+    space = MetricSpace.finite("abc", [[0, big, big], [big, 0, big],
+                                       [big, big, 0]])
+    D = space.as_array
+    maps = np.array(list(itertools.product(range(3), repeat=3)))
+    mask = member_mask(space, circle_of(space, "a", 0.0, EPS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        look = condition_flags(D, maps, 0, 0.0, EPS, mask)
+        flags = {cid: look(cid) for cid in ATOM_IDS}
+        sides = theorem_flags(D, maps, 0, 0.0, EPS)
+    assert not flags["CARISTI"].all()
+    assert set(sides) == set(THEOREM_IDS)
 
 
 # ---------------------------------------------------------------------------
