@@ -32,7 +32,7 @@ _EXPORTS = {
                     "SelfMap", "ValidationReport", "Violation", "circle_of",
                     "circle_samples", "enumerate_circles",
                     "enumerate_fixed_circles", "fixed_points",
-                    "is_fixed_circle", "validate_metric"),
+                    "is_fixed_circle", "validate_metric", "within"),
     "registry": ("CONDITION_IDS", "THEOREM_IDS"),
     "verifier": ("Falsification", "SweepReport", "TheoremVerdict",
                  "soundness_sweep", "verify_banach", "verify_caristi",

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, MalformedInputError
-from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps
+from .metric_core import Circle, MetricSpace, SelfMap, resolve_eps, within
 from .registry import CONDITION_IDS, READS, check_request
 
 
@@ -122,7 +122,7 @@ class _Maps:
     @cached_property
     def fixed(self):
         """Whether each point is fixed, and how many are, per map."""
-        fixed = self.disp <= self.eps
+        fixed = within(self.disp, 0, self.eps)
         return fixed, fixed.sum(1)
 
     def pairs(self, key):
@@ -213,9 +213,9 @@ class _Operands(_Maps):
 
     @cached_property
     def off(self):
-        """The off-circle points E, |phi(y) - radius| > eps on some row,
-        and where phi has rows the (m, |E|) mask of a row's others."""
-        off = np.atleast_2d(np.abs(self.phi(self.X) - self.radius) > self.eps)
+        """The off-circle points E, phi(y) not within eps of the radius on
+        some row, and where phi has rows the (m, |E|) mask of a row's others."""
+        off = np.atleast_2d(~within(self.phi(self.X), self.radius, self.eps))
         E = np.flatnonzero(off.any(0))
         return E, ~off[:, E] if len(off) > 1 else None
 
@@ -248,7 +248,7 @@ def _c2_dstar(src):
     # The slack is taken at h -> 1; h is the least that would work.
     radius, eps = src.radius, src.eps
     disp, _, phiT = src.members
-    moved = disp > eps
+    moved = ~within(disp, 0, eps)
     ok = np.where(moved, radius - phiT < disp, phiT - radius >= -eps)
 
     def detail():
@@ -306,6 +306,17 @@ def _strict_five(key):
     return rule
 
 
+def _c1_star(radius, disp, phi, phiT):
+    """((phi + phiT) - 2 radius) - disp, or where sums past the float range
+    leave inf - inf, the same as ((phi - radius) + (phiT - radius)) - disp."""
+    with np.errstate(invalid="ignore"):
+        slack = ((phi + phiT) - 2 * radius) - disp
+    if (nan := np.isnan(slack)).any():
+        r, disp, phi, phiT = (a[nan] for a in np.broadcast_arrays(radius, disp, phi, phiT))
+        slack[nan] = ((phi - r) + (phiT - r)) - disp
+    return slack
+
+
 _C1 = _margin("members", _gain)
 
 # Atom -> rule. C1 and C1_DSTAR are one rule; C3 and C3_DSTAR share the
@@ -313,8 +324,7 @@ _C1 = _margin("members", _gain)
 _RULES = {
     "C1": _C1,
     "C2": _margin("members", lambda radius, disp, phi, phiT: phiT - radius),
-    "C1_STAR": _margin("members", lambda radius, disp, phi, phiT:
-                       ((phi + phiT) - 2 * radius) - disp),
+    "C1_STAR": _margin("members", _c1_star),
     "C2_STAR": _margin("members", lambda radius, disp, phi, phiT:
                        radius - phiT),
     "C1_DSTAR": _C1,
@@ -325,8 +335,8 @@ _RULES = {
     "BANACH": _contraction("all"),
     "CARISTI": _margin("points", _gain),
     "RHOADES": _strict_five("upper"),
-    "FIXED_CIRCLE": lambda src: (src.members[0] <= src.eps, src.skip,
-                                 None, None),
+    "FIXED_CIRCLE": lambda src: (within(src.members[0], 0, src.eps),
+                                 src.skip, None, None),
     "NO_FIXED_OFF_CIRCLE": lambda src: (~src.fixed[0].take(src.off[0], 1),
                                         src.off[1], None, None),
     "IDENTITY": lambda src: src.fixed[1] == len(src.X),
@@ -573,7 +583,7 @@ def classify_images(tmap: SelfMap, circle: Circle, eps=None) -> ClassificationRe
     rows = []
     counts = {"interior": 0, "on": 0, "exterior": 0}
     for x, tx, gap in zip(src.M[0].tolist(), images, gaps):
-        region = "on" if abs(gap) <= src.eps else ("interior" if gap < 0 else "exterior")
+        region = "on" if within(gap, 0, src.eps) else ("interior" if gap < 0 else "exterior")
         counts[region] += 1
         rows.append(PointClassification(src.pts[x], src.pts[tx], region, gap))
     return ClassificationReport(classifications=tuple(rows),

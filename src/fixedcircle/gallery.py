@@ -32,7 +32,7 @@ from .conditions import check_condition, classify_images
 from .errors import DomainError
 from .generators import build_circle_fixing_map, build_multi_circle_map
 from .metric_core import (Branch, Circle, MetricSpace, SelfMap, circle_of,
-                          circle_samples, is_fixed_circle, resolve_eps)
+                          circle_samples, is_fixed_circle, resolve_eps, within)
 from .verifier import enumerate_fixed_circles, verify_theorem
 
 _VALUE_TOL = 1e-9
@@ -504,7 +504,7 @@ def _evaluate(entry: GalleryEntry, exp) -> tuple[bool, str]:
     if isinstance(exp, FixedMembersExpectation):
         rep = is_fixed_circle(tmap, entry.circles[exp.circle_idx])
         eps = resolve_eps(None)
-        got = tuple(w.point for w in rep.witnesses if w.displacement <= eps)
+        got = tuple(w.point for w in rep.witnesses if within(w.displacement, 0, eps))
         return (_match_point_sets(space, got, exp.members),
                 f"fixed members={list(got)!r}")
     if isinstance(exp, EnumerationExpectation):

@@ -18,10 +18,10 @@ finite carriers, by closed-form solving on the real analytic kinds
 plane (resolution "sampled").
 
 All types are immutable; every operation is a pure function of its
-inputs plus the tolerance. One absolute tolerance governs circle
-membership, fixed-point tests, and axiom checks. The default is 1e-9
-and can be overridden with the FIXEDCIRCLE_EPSILON environment
-variable or per call.
+inputs plus the tolerance eps, absolute, 1e-9 unless FIXEDCIRCLE_EPSILON
+or the call sets it. One rule, within, decides circle membership, fixed
+points and degenerate radii: d(x, c) = r, d(x, Tx) = 0 and r = 0 each
+hold when |a - b| <= eps. Axiom checks read the same eps.
 
 numpy is imported by each function that builds or reads an array, not
 with this module: a space is built, and a malformed space or map
@@ -51,6 +51,11 @@ ANALYTIC_KINDS = ("real_usual", "real_exp", "real_abs_sum", "complex_usual")
 # Cap on the number of detailed violation records kept per report; the
 # total count is tracked separately so validity is never misjudged.
 _VIOLATION_CAP = 256
+
+
+def within(a, b, eps):
+    """a = b at the tolerance, |a - b| <= eps: on floats or arrays."""
+    return abs(a - b) <= eps
 
 
 def resolve_eps(eps) -> float:
@@ -197,8 +202,11 @@ class MetricSpace:
         if self.is_finite:
             return point in self._index
         numbers = (int, float, complex) if self.kind == "complex_usual" else (int, float)
-        return (isinstance(point, numbers) and not isinstance(point, bool)
-                and cmath.isfinite(point))
+        try:    # an int past the float range is not a finite number here
+            return (isinstance(point, numbers) and not isinstance(point, bool)
+                    and cmath.isfinite(point))
+        except OverflowError:
+            return False
 
     def distance(self, x, y) -> float:
         if self.is_finite:
@@ -383,7 +391,7 @@ def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
     """The members of the circles about one center, one row per radius.
 
     On finite and complex carriers the rows are one (k, n) boolean array
-    over points(): the window |d(x, center) - r| <= eps, taken over the
+    over points(): the window within(d(x, center), r, eps), taken over the
     center's whole row at once. ``row`` is by default the center's row of
     _center_rows(as_array), or on the complex plane, where a center may lie
     off the samples, the metric at each sample. On the real kinds each row
@@ -398,13 +406,13 @@ def _member_rows(space: MetricSpace, center, radii, eps: float, row=None):
         row = (space.distances((*space.pts, center))(np.arange(n), n)
                if space.kind == "complex_usual"
                else _center_rows(space.as_array)[space.index_of(center)])
-    return np.abs(row - np.asarray(radii, dtype=float)[:, None]) <= eps
+    return within(row, np.asarray(radii, dtype=float)[:, None], eps)
 
 
 def _real_members(kind: str, center: float, radius: float, eps: float) -> tuple:
     """Solve d(y, center) = radius in closed form on a real kind; a circle
     with a member past the float range is refused."""
-    if radius <= eps:
+    if within(radius, 0, eps):
         return (center,)
     try:
         if kind == "real_usual":
@@ -418,7 +426,7 @@ def _real_members(kind: str, center: float, radius: float, eps: float) -> tuple:
             t = radius - abs(center)
             if t < -eps:
                 members = ()
-            elif abs(t) <= eps:
+            elif within(t, 0, eps):
                 members = (0.0,)
             else:
                 members = (-t, t)
@@ -441,7 +449,7 @@ def _mk_circle(space: MetricSpace, center, radius: float, row,
     sampled = space.kind == "complex_usual"
     return Circle(center=center, radius=radius, members=members,
                   resolution="sampled" if sampled else "exact",
-                  degenerate=radius <= eps, empty=len(members) == 0)
+                  degenerate=within(radius, 0, eps), empty=len(members) == 0)
 
 
 def _radii(rows: np.ndarray, eps: float):
@@ -638,7 +646,7 @@ def _apply_image(space, image, x):
 def _matches(space, predicate, x, eps):
     if predicate[0] == "on_circle":
         _, center, radius = predicate
-        return abs(space.distance(x, center) - radius) <= eps
+        return within(space.distance(x, center), radius, eps)
     return x in predicate[1]
 
 
@@ -671,13 +679,10 @@ def is_fixed_circle(tmap: SelfMap, circle: Circle, eps=None) -> FixedCircleRepor
     """
     eps = resolve_eps(eps)
     witnesses = []
-    holds = True
     for x in circle.members:
         tx = tmap.apply(x, eps=eps)
-        disp = tmap.space.distance(x, tx)
-        witnesses.append(PointWitness(x, tx, disp))
-        if not disp <= eps:     # as fixed_points reads it
-            holds = False
+        witnesses.append(PointWitness(x, tx, tmap.space.distance(x, tx)))
+    holds = all(within(w.displacement, 0, eps) for w in witnesses)
     return FixedCircleReport(holds=holds, vacuous=circle.empty,
                              resolution=circle.resolution,
                              witnesses=tuple(witnesses))
@@ -706,23 +711,23 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
     pass per center, equal to a circle_of and an is_fixed_circle call per
     realized circle.
 
-    A point is moved when not d(x, Tx) <= eps, as is_fixed_circle reads
-    it, or when the metric refuses d(x, Tx) as past the float range (where
-    is_fixed_circle raises). On finite and complex carriers the images of
-    the points come from the map's image table; on the real kinds the map
-    is applied once per distinct member. The radii and member windows of
-    a center are cut from and resolved on its one row of
-    _center_rows(as_array), d(x, c) over the points, by the code circle_of
-    resolves one with, and a Circle is built only for a fixed one. On n
-    points that is n sorted rows, n image distances and O(n^3) elementwise
-    array work in steps of O(n^2) memory; on the real kinds, O(n^2)
-    closed-form members in Python.
+    A point is moved when d(x, Tx) is not within eps of 0, as
+    is_fixed_circle reads it, or when the metric refuses d(x, Tx) as past
+    the float range (where is_fixed_circle raises). On finite and complex
+    carriers the images of the points come from the map's image table; on
+    the real kinds the map is applied once per distinct member. The radii
+    and member windows of a center are cut from and resolved on its one
+    row of _center_rows(as_array), d(x, c) over the points, by the code
+    circle_of resolves one with, and a Circle is built only for a fixed
+    one. On n points that is n sorted rows, n image distances and O(n^3)
+    elementwise array work in steps of O(n^2) memory; on the real kinds,
+    O(n^2) closed-form members in Python.
     """
     import numpy as np
 
     def far(x, tx) -> bool:
         try:
-            return not tmap.space.distance(x, tx) <= eps
+            return not within(tmap.space.distance(x, tx), 0, eps)
         except MalformedInputError:
             return True
 
@@ -744,8 +749,7 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
         radii = cut[kept].tolist()
         rows = _member_rows(space, center, radii, eps, row)
         if on_points:
-            fixed = np.flatnonzero(rows.any(axis=1)
-                                   & ~(rows & moved_pts).any(axis=1))
+            fixed = np.flatnonzero(~(rows & moved_pts).any(axis=1))
         else:
             fixed = [k for k, m in enumerate(rows)
                      if m and not any(map(moved, m))]
@@ -756,9 +760,5 @@ def _fixed_circles(space: MetricSpace, tmap: SelfMap,
 def fixed_points(tmap: SelfMap, eps=None) -> tuple:
     """Carrier/sample points the map leaves in place, in carrier order."""
     eps = resolve_eps(eps)
-    out = []
-    for x in tmap.space.points():
-        tx = tmap.apply(x, eps=eps)
-        if tmap.space.distance(x, tx) <= eps:
-            out.append(x)
-    return tuple(out)
+    return tuple(x for x in tmap.space.points() if within(
+        tmap.space.distance(x, tmap.apply(x, eps=eps)), 0, eps))

@@ -39,7 +39,7 @@ from .conditions import (_MAPS_ONLY, ConditionReport, PhiMap, _report,
 from .errors import DomainError, InvalidMetricError, MalformedInputError
 from .metric_core import (Circle, MetricSpace, SelfMap, _center_rows, _radii,
                           circle_caveats, circle_of, enumerate_fixed_circles,
-                          resolve_eps, validate_metric)
+                          resolve_eps, validate_metric, within)
 from .registry import THEOREM_IDS, THEOREM_READS, THEOREMS, check_request
 
 _ATOMS = tuple(dict.fromkeys(a for *sides, _ in THEOREMS.values()
@@ -233,8 +233,8 @@ def theorem_flags(D: np.ndarray, maps: np.ndarray, center_idx, radius,
     if space is None:
         D, space = D[None], np.zeros(m, dtype=np.intp)
         centers, radii = centers[:, None], radii[:, None]
-    member = np.abs(_center_rows(D)[np.arange(len(D)), centers]
-                    - radii[..., None]) <= eps
+    member = within(_center_rows(D)[np.arange(len(D)), centers],
+                    radii[..., None], eps)
     out = np.empty((len(centers), len(THEOREM_IDS), 2, m), dtype=bool)
     for start in range(0, m, rows):
         cut = slice(start, start + rows)
@@ -274,7 +274,7 @@ def _structured_maps(D: np.ndarray, centers, radii, eps: float) -> np.ndarray:
     n, cols = D.shape[-1], _center_rows(D)      # gaps of d(x, c)
     gap = np.abs(np.take_along_axis(cols, np.asarray(centers)[..., None], -2)
                  - np.asarray(radii)[..., None])
-    fixing = np.where(gap <= eps, np.arange(n), gap.argmax(-1)[..., None])
+    fixing = np.where(within(gap, 0, eps), np.arange(n), gap.argmax(-1)[..., None])
     base = np.vstack([np.arange(n), np.arange(n)[:, None].repeat(n, 1)])
     return np.concatenate([np.broadcast_to(base, fixing.shape[:-2] + base.shape),
                            fixing], axis=-2)

@@ -603,6 +603,41 @@ def test_cli_search_slack_past_the_float_range_prints_no_warning(tmp_path):
     assert run.stderr == ""
 
 
+def test_cli_c1_star_slack_past_the_float_range_is_not_nan(tmp_path):
+    # phi(x) + phi(Tx) and 2 * radius both pass the float range: C1_STAR's
+    # slack is taken overflow-free there, not as inf - inf = NaN, with no
+    # warning, in a single-map check and in the batch search alike
+    big = 1.7e308
+    line, square = tmp_path / "line.json", tmp_path / "square.json"
+    line.write_text(json.dumps({**_LINE, "carrier": {
+        **_LINE["carrier"], "samples": [0.0, 1.0]}}), encoding="utf-8")
+    square.write_text(json.dumps({
+        "carrier": {"type": "finite", "labels": ["a", "b", "c"]},
+        "metric": {"type": "matrix", "values": [
+            [0, big, big], [big, 0, big], [big, big, 0]]}}), encoding="utf-8")
+    mp = tmp_path / "map.json"
+    mp.write_text(json.dumps({"rule": {"type": "piecewise", "branches": [],
+                                       "default": "constant:-1.7e308"}}),
+                  encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(fixedcircle.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "fixedcircle.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+    check = run("check", str(line), str(mp), "--conditions", "C1_STAR",
+                "--center", "0", "--radius", repr(big))
+    assert (check.returncode, check.stderr) == (1, "")
+    report = json.loads(check.stdout)["conditions"][0]
+    assert (report["margin"], report["witness"]) == (-math.inf, [big])
+    search = run("search", str(square), "--target", "C1_STAR & !C2",
+                 "--center", "a", "--radius", repr(big))
+    assert (search.returncode, search.stderr) == (1, "")
+    got = json.loads(search.stdout)["payload"]["search"]
+    assert (got["status"], got["evaluated"]) == ("exhausted", 27)
+
+
 @pytest.mark.parametrize("command", [
     ("verify", "--theorem", "T_EXIST_C1C2"), ("check", "--conditions", "C1")],
     ids=["verify", "check"])

@@ -634,6 +634,29 @@ def test_batch_slacks_past_the_float_range_raise_no_warning():
     assert set(sides) == set(THEOREM_IDS)
 
 
+def test_c1_star_slack_past_the_float_range_is_not_nan():
+    # phi(x) + phi(Tx) and 2 * radius both pass the float range here, and
+    # (phi + phiT) - 2 * radius would be inf - inf: those entries alone
+    # are taken as ((phi - radius) + (phiT - radius)) - d(x, Tx)
+    big = 1.7e308
+    line = MetricSpace.analytic("real_usual", [0.0, 1.0])
+    space = MetricSpace.finite("abc", [[0, big, big], [big, 0, big],
+                                       [big, big, 0]])
+    maps = np.array(list(itertools.product(range(3), repeat=3)))
+    mask = member_mask(space, circle_of(space, "a", big, EPS))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_condition("C1_STAR", line, SelfMap.constant(line, -big),
+                              circle_of(line, 0, big))
+        look = condition_flags(space.as_array, maps, 0, big, EPS, mask)
+        c1_star, c2 = look("C1_STAR"), look("C2")
+    # -big is fixed, big moves by d(big, -big) = inf
+    assert (rep.holds, rep.margin, rep.witness) == (False, -math.inf, (big,))
+    # C1_STAR forces C2 at phi = radius; the identity holds both
+    assert c1_star[maps.tolist().index([0, 1, 2])]
+    assert not (c1_star & ~c2).any()
+
+
 # ---------------------------------------------------------------------------
 # One operand source per request
 

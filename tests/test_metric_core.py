@@ -748,3 +748,31 @@ def test_classify_images_regions(path_space):
 def test_generated_spaces_validate(size, seed):
     space = random_metric_space(GenConfig(seed=seed, size=size))
     assert validate_metric(space).valid
+
+
+def test_within_is_the_one_tolerance_rule():
+    # |a - b| <= eps, boundary included, on floats and arrays alike
+    assert metric_core.within(1.0, 1.0 + 2 ** -20, 2 ** -20)
+    assert not metric_core.within(1.0, 1.0 + 2 ** -19, 2 ** -20)
+    assert not metric_core.within(math.nan, 0.0, 1.0)
+    got = metric_core.within(np.array([0.5, 1.0, 1.5]), 1.0, 0.5)
+    assert got.dtype == bool and got.tolist() == [True, True, True]
+    got = metric_core.within(np.array([[0.0], [2.0]]), np.array([0.0, 1.0]), 0.0)
+    assert got.tolist() == [[True, False], [False, False]]
+
+
+@pytest.mark.parametrize("kind", ["real_usual", "complex_usual"])
+@pytest.mark.parametrize("call,error", [
+    (lambda space: MetricSpace.analytic(space.kind, [0.0, 2 ** 1100]),
+     MalformedInputError),
+    (lambda space: SelfMap.constant(space, 2 ** 1100), MalformedInputError),
+    (lambda space: circle_of(space, -2 ** 1100, 1.0), DomainError),
+], ids=["analytic", "constant", "circle_of"])
+def test_int_past_the_float_range_is_off_the_carrier(kind, call, error):
+    # no float holds 2**1100, so no analytic carrier does: contains says
+    # so instead of raising OverflowError, and each builder refuses it
+    space = MetricSpace.analytic(kind, [0.0, 1.0])
+    assert not space.contains(2 ** 1100) and not space.contains(-2 ** 1100)
+    assert space.contains(2 ** 1000)
+    with pytest.raises(error):
+        call(space)

@@ -10,6 +10,7 @@ loops over is_fixed_circle, fixed_points and space.distance.
 """
 
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -1061,3 +1062,54 @@ def test_structured_maps_rows():
     assert np.array_equal(stack[0], rows)
     assert np.array_equal(stack[1], _structured_maps(D2, [2, 0], [1.0, 0.0],
                                                      EPS))
+
+
+def _nudged(value, ulps):
+    """value moved ulps steps along the floats."""
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@given(eps=st.sampled_from([1e-9, 1e-3, 2.0 ** -30, 2.0 ** -10]),
+       radius=st.one_of(st.floats(0.01, 10.0),
+                        st.integers(1, 80).map(lambda k: k / 8)),
+       steps=st.lists(st.tuples(st.sampled_from([-1, 0, 1]),
+                                st.integers(-3, 3)), min_size=2, max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_modules_agree_on_circle_membership_at_the_boundary(eps, radius, steps):
+    # the distances to the center p0 sit at r - eps, r and r + eps, each
+    # nudged a few ulps (on dyadic r and eps, r + eps is exact, and
+    # |d - r| = eps hits the boundary itself): circle_of, an on_circle branch, classify_images
+    # and theorem_flags all read "on the circle" through one rule, so
+    # they name one member set
+    col = [_nudged(radius + k * eps, ulps) for k, ulps in steps]
+    n = len(col) + 1
+    labels = [f"p{i}" for i in range(n)]
+    D = [[0.0, *col]] + [[c] + [0.0 if i == j else radius for j in range(n - 1)]
+                         for i, c in enumerate(col)]
+    space = MetricSpace.finite(labels, D)
+    circle = circle_of(space, "p0", radius, eps)
+    members = set(circle.members)
+    assert members == {p for p, d in zip(labels[1:], col)
+                       if abs(d - radius) <= eps}
+    branch = SelfMap.piecewise(space, [metric_core.Branch(
+        ("on_circle", "p0", radius), ("constant", "p0"))], ("constant", "p1"))
+    assert {x for x in labels if branch.apply(x, eps=eps) == "p0"} == members
+    identity = SelfMap.identity(space)
+    on = conditions.classify_images(identity, circle, eps).classifications
+    assert {c.point for c in on if c.region == "on"} == members
+    for y in labels if members else ():     # each point as every image
+        rep = conditions.classify_images(SelfMap.constant(space, y), circle, eps)
+        assert (rep.on == len(members)) == (y in members)
+    # the circle-fixing map, then for each point p the map moving p alone:
+    # FIXED_CIRCLE fails on the latter exactly when p is a member
+    fixing = [i if x in members else 0 for i, x in enumerate(labels)]
+    maps = np.array([fixing] + [[0 if i == p else i for i in range(n)]
+                                for p in range(1, n)])
+    flags = theorem_flags(space.as_array, maps, 0, radius, eps)
+    assert flags["T_EXIST_C1C2"][1].tolist() == [
+        verify_theorem("T_EXIST_C1C2", space, SelfMap.from_indices(space, row),
+                       circle, eps).conclusion_holds for row in maps.tolist()]
+    assert flags["T_EXIST_C1C2"][1].tolist() == [True] + [
+        x not in members for x in labels[1:]]
