@@ -279,13 +279,15 @@ def _contraction(key):
     ratio is the attained h, over pairs apart."""
     def rule(src):
         x, y, _, _, dxy, dtt, skip = src.pairs(key)
-        eps = src.eps
-        bound = np.where(dxy > eps, dxy, math.nextafter(eps, math.inf))
+        bound = np.maximum(dxy, math.nextafter(src.eps, math.inf))
 
         def detail():
-            slack = dxy - dtt
-            return slack, np.divide(dtt, dxy, out=np.zeros_like(slack),
-                                    where=dxy > eps)
+            with np.errstate(invalid="ignore"):
+                slack = dxy - dtt
+                ratio = np.divide(dtt, dxy, out=np.zeros_like(slack), where=dxy > src.eps)
+            tie = np.isnan(slack)   # inf - inf: both past the float range
+            slack[tie], ratio[tie] = 0.0, 1.0
+            return slack, ratio
         return (dtt < bound, skip, (x, y), detail)
     return rule
 
@@ -301,8 +303,10 @@ def _strict_five(key):
         np.maximum(five, disp.take(y, 1), out=five)
         np.maximum(five, src.d(x, ty), out=five)
         np.maximum(five, src.d(y, tx), out=five)
-        slack = five - dtt
-        return (slack > src.eps, skip, (x, y), lambda: (slack, None))
+        with np.errstate(invalid="ignore"):     # inf - inf: a tie, slack 0
+            slack = five - dtt
+        return (slack > src.eps, skip, (x, y),
+                lambda: (np.where(np.isnan(slack), 0.0, slack), None))
     return rule
 
 

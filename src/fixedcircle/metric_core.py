@@ -184,7 +184,8 @@ class MetricSpace:
             if not np.isfinite(out).all():
                 bad, (a, b) = ~np.isfinite(out), np.broadcast_arrays(a, b)
                 for i in np.flatnonzero(bad).tolist():
-                    out.flat[i] = fn(pts[a.flat[i]], pts[b.flat[i]])
+                    r = fn(pts[a.flat[i]], pts[b.flat[i]])
+                    out.flat[i] = math.inf if r >= 2 ** 1024 else r  # as floats
                 if not np.isfinite(out[bad & (a < n) & (b < n)]).all():
                     raise MalformedInputError(
                         f"the {self.kind} metric overflows on the sample set")
@@ -251,8 +252,9 @@ class Violation:
     """One metric-axiom failure.
 
     ``axiom`` is one of "identity", "symmetry", "triangle". The witness
-    is the offending point tuple; for "triangle" it reads (x, y, z)
-    with magnitude d(x,z) - d(x,y) - d(y,z).
+    is the offending point tuple, a pair once: for "identity" the order
+    whose distance, the magnitude, is within eps of 0; for "triangle" it
+    reads (x, y, z) with magnitude d(x,z) - d(x,y) - d(y,z).
     """
 
     axiom: str
@@ -274,8 +276,9 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
     Returns an empty violation list iff zero-self-distance, identity of
     indiscernibles, symmetry, and the triangle inequality all hold
     within the tolerance; MetricSpace.finite has already refused a
-    non-square, negative or non-finite matrix. A space is checked once
-    per tolerance; later calls return the same report.
+    non-square, negative or non-finite matrix. Each pair of points is
+    read once, by within (see Violation). A space is checked once per
+    tolerance; later calls return the same report.
     """
     eps = resolve_eps(eps)
     if eps not in space._validations:
@@ -285,41 +288,33 @@ def validate_metric(space: MetricSpace, eps=None) -> ValidationReport:
 
 def _validate(space: MetricSpace, eps: float) -> ValidationReport:
     import numpy as np
-    D = space.as_array
-    pts = space.points()
-    n = len(pts)
+    D, pts = space.as_array, space.points()
     found: list[Violation] = []
-    count = 0
 
-    def push(axiom, witness, magnitude):
-        nonlocal count
-        count += 1
-        if len(found) < _VIOLATION_CAP:
-            found.append(Violation(axiom, witness, float(magnitude)))
+    def note(axiom, hits, magnitude, witness) -> int:
+        # records the mask's first hits, in index order, up to the cap
+        at = np.argwhere(hits)
+        found.extend(Violation(axiom, witness(*i), float(magnitude[tuple(i)]))
+                     for i in at[:_VIOLATION_CAP - len(found)].tolist())
+        return len(at)
 
-    for i in np.flatnonzero(np.abs(np.diag(D)) > eps):
-        push("identity", (pts[i],), abs(D[i, i]))
-    off = ~np.eye(n, dtype=bool)
-    for i, j in zip(*np.nonzero((D <= eps) & off)):
-        if i < j:
-            push("identity", (pts[i], pts[j]), D[i, j])
-    asym = np.abs(D - D.T)
-    for i, j in zip(*np.nonzero(asym > eps)):
-        if i < j:
-            push("symmetry", (pts[i], pts[j]), asym[i, j])
-    # Triangle: chunk over the middle point to keep memory at O(n^2). A
-    # sum past the float range is inf, and no finite entry exceeds it.
-    for j in range(n):
+    diag = np.diag(D)
+    count = note("identity", ~within(diag, 0, eps), diag, lambda i: (pts[i],))
+    zero = within(D, 0, eps)    # a pair's witness is the order within eps of 0
+    count += note("identity", np.triu(zero | zero.T, 1), np.where(zero, D, D.T),
+                  lambda i, j: (pts[i], pts[j]) if zero[i, j] else (pts[j], pts[i]))
+    count += note("symmetry", np.triu(~within(D, D.T, eps), 1), abs(D - D.T),
+                  lambda i, j: (pts[i], pts[j]))
+    # Triangle, by middle point j: memory O(n^2). At i = j or k = j the
+    # excess is -d(j, j) <= 0; a sum past the float range is inf.
+    for j in range(len(pts)):
         with np.errstate(over="ignore"):
             excess = D - (D[:, j:j + 1] + D[j:j + 1, :])
         bad = excess > eps
-        bad[j, :] = False
-        bad[:, j] = False
         np.fill_diagonal(bad, False)
-        for i, k in zip(*np.nonzero(bad)):
-            push("triangle", (pts[i], pts[j], pts[k]), excess[i, k])
+        count += note("triangle", bad, excess, lambda i, k: (pts[i], pts[j], pts[k]))
     return ValidationReport(valid=count == 0, violations=tuple(found),
-                            violation_count=count, point_count=n)
+                            violation_count=count, point_count=len(pts))
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,20 @@ def test_cli_validate(files, capsys):
     assert main(["validate", "/nonexistent/nope.json"]) == 2
 
 
+def test_cli_validate_reads_identity_in_both_orders(tmp_path, capsys):
+    # d(b, a) = 5e-10 is within eps of 0 though d(a, b) = 1.4e-9 is not
+    sp = tmp_path / "space.json"
+    sp.write_text(json.dumps(
+        {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},
+         "metric": {"type": "matrix", "values": [[0, 1.4e-9, 1],
+                                                 [0.5e-9, 0, 1],
+                                                 [1, 1, 0]]}}))
+    code, out = _run(capsys, "validate", str(sp))
+    assert code == 1
+    assert json.loads(out)["payload"]["validation"]["violations"] == [
+        {"axiom": "identity", "witness": ["b", "a"], "magnitude": 5e-10}]
+
+
 _HUGE = 10 ** 400
 
 _ABC = {"carrier": {"type": "finite", "labels": ["a", "b", "c"]},

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
@@ -28,11 +28,12 @@ from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
                                     check_identity_condition, check_rhoades,
                                     classify_images, condition_flags,
                                     member_mask, phi_canonical)
-from fixedcircle.errors import DomainError
+from fixedcircle.errors import DomainError, MalformedInputError
 from fixedcircle.gallery import list_entries, load_entry
 from fixedcircle.generators import (GenConfig, build_circle_fixing_map,
                                     random_metric_space)
-from fixedcircle.metric_core import (MetricSpace, SelfMap, circle_of,
+from fixedcircle.metric_core import (ANALYTIC_KINDS, Branch, MetricSpace,
+                                     SelfMap, circle_of,
                                      circle_samples, enumerate_circles,
                                      enumerate_fixed_circles, is_fixed_circle,
                                      validate_metric)
@@ -655,6 +656,83 @@ def test_c1_star_slack_past_the_float_range_is_not_nan():
     # C1_STAR forces C2 at phi = radius; the identity holds both
     assert c1_star[maps.tolist().index([0, 1, 2])]
     assert not (c1_star & ~c2).any()
+
+
+def test_an_int_image_past_the_float_range_reads_as_its_float():
+    # d(2**1023, -2**1023) is the int 2**1024, which no float holds; the
+    # equal floats read inf, and the two maps are reported alike
+    line = MetricSpace.analytic("real_usual", [0.0, 1.0])
+
+    def apart(big):
+        return SelfMap.piecewise(line, (Branch(("at_points", (0.0,)),
+                                               ("constant", big)),),
+                                 ("constant", -big))
+    for cid in ("BANACH", "RHOADES"):
+        rep = check_condition(cid, line, apart(2 ** 1023))
+        assert rep == check_condition(cid, line, apart(2.0 ** 1023))
+        assert rep.margin == -math.inf
+
+
+_MAX = 1.7976931348623157e308
+_NEAR_MAX = st.sampled_from([1.7e308, 8.9e307, _MAX, -1.7e308, -8.9e307, -_MAX])
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 8.9e307, 1.7e308, _MAX]),
+                     st.floats(0, 3))
+_ATOMS = CONDITION_IDS + ("FIXED_CIRCLE", "NO_FIXED_OFF_CIRCLE", "IDENTITY",
+                          "ONE_FIXED_POINT", "AT_MOST_ONE_FIXED_POINT",
+                          "SOME_FIXED_POINT")
+
+
+@given(kind=st.sampled_from(ANALYTIC_KINDS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_no_nan_and_no_warning_near_the_float_maximum(kind, data):
+    # Coordinates, radii and weights near +-1.7e308 beside ordinary ones.
+    # An input the package refuses is skipped; every report it gives has
+    # a margin and a derived_param that are not NaN, and no RuntimeWarning
+    # escapes a report or a condition_flags lookup.
+    def point():
+        x = data.draw(st.one_of(_NEAR_MAX, st.floats(-3, 3)))
+        return complex(x, data.draw(_NEAR_MAX | st.floats(-3, 3))) \
+            if kind == "complex_usual" else x
+
+    def image():
+        return data.draw(st.sampled_from([("identity",), ("reciprocal",),
+                                          ("constant", point())]))
+    try:
+        space = MetricSpace.analytic(kind, [point() for _ in range(
+            data.draw(st.integers(1, 4)))])
+        pts = space.points()
+        tmap = SelfMap.piecewise(space, [
+            Branch(("at_points", (data.draw(st.sampled_from(pts)),)), image())
+            for _ in range(data.draw(st.integers(0, 2)))], image())
+        circle = circle_of(space, point(), data.draw(_WEIGHTS))
+    except (MalformedInputError, DomainError):
+        reject()
+    weight = data.draw(st.lists(_WEIGHTS, min_size=1, max_size=3))
+    phi = PhiMap("drawn", lambda x: weight[hash(x) % len(weight)])
+    requests = [(cid, dict(circle=circle)) for cid in CONDITION_IDS]
+    requests.append(("CARISTI", dict(phi=phi)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cid, request in requests:
+            try:
+                rep = check_condition(cid, space, tmap, **request)
+            except (MalformedInputError, DomainError):
+                continue
+            assert not math.isnan(rep.margin), rep
+            assert rep.derived_param is None or not math.isnan(
+                rep.derived_param), rep
+        try:
+            D = space.as_array
+        except MalformedInputError:
+            return
+        maps = np.array(list(itertools.product(range(len(pts)),
+                                               repeat=len(pts))))
+        c = data.draw(st.integers(0, len(pts) - 1))
+        radius = data.draw(st.sampled_from(D[:, c].tolist()) | _WEIGHTS)
+        look = condition_flags(D, maps, c, radius, EPS,
+                               abs(D[:, c] - radius) <= EPS)
+        for atom in _ATOMS:
+            look(atom)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ code under test.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import warnings
@@ -81,6 +82,16 @@ def test_validate_flags_each_axiom():
     rep = validate_metric(indisc)
     assert any(v.axiom == "identity" for v in rep.violations)
 
+    # d(b, a) is within eps of 0, d(a, b) is not, and they differ by less
+    # than eps: one identity violation, witnessed in the order within eps
+    m = [[0, 1.4e-9, 1], [0.5e-9, 0, 1], [1, 1, 0]]
+    for matrix, witness in ((m, ("b", "a")),
+                            (np.transpose(m).tolist(), ("a", "b"))):
+        rep = validate_metric(_square("abc", matrix))
+        assert rep.violations == (
+            metric_core.Violation("identity", witness, 5e-10),)
+        assert rep.violation_count == 1
+
     tri = _square(("p", "q", "s"), [[0, 1, 5], [1, 0, 1], [5, 1, 0]])
     rep = validate_metric(tri)
     bad = [v for v in rep.violations if v.axiom == "triangle"]
@@ -126,6 +137,81 @@ def test_validate_counts_beyond_detail_cap():
     rep = validate_metric(space)
     assert not rep.valid
     assert rep.violation_count >= len(rep.violations)
+    assert _report_bits(rep) == _report_bits(_validate_by_loop(space))
+
+
+def _validate_by_loop(space, eps=EPS):
+    """The ValidationReport written as plain loops over Python floats: the
+    diagonal; each pair i < j once, flagged for identity when either
+    order is within eps of 0, that order (upper first) the witness, and
+    for symmetry; then the triangle by middle point j, row i and column k,
+    over three distinct points. The first _VIOLATION_CAP are kept."""
+    D, pts = space.matrix, space.points()
+    n, found = len(pts), []
+    found += [("identity", (pts[i],), D[i][i]) for i in range(n)
+              if abs(D[i][i]) > eps]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        for a, b in ((i, j), (j, i)):
+            if abs(D[a][b]) <= eps:
+                found.append(("identity", (pts[a], pts[b]), D[a][b]))
+                break
+    found += [("symmetry", (pts[i], pts[j]), abs(D[i][j] - D[j][i]))
+              for i, j in pairs if abs(D[i][j] - D[j][i]) > eps]
+    for j, i, k in itertools.product(range(n), repeat=3):
+        excess = D[i][k] - (D[i][j] + D[j][k])
+        if len({i, j, k}) == 3 and excess > eps:
+            found.append(("triangle", (pts[i], pts[j], pts[k]), excess))
+    return metric_core.ValidationReport(
+        valid=not found, point_count=n, violation_count=len(found),
+        violations=tuple(metric_core.Violation(*v)
+                         for v in found[:metric_core._VIOLATION_CAP]))
+
+
+def _report_bits(rep):
+    """A report with each magnitude as its exact bits."""
+    return dataclasses.replace(rep, violations=tuple(
+        (v.axiom, v.witness, v.magnitude.hex()) for v in rep.violations))
+
+
+# Entries to plant: at and beside eps, ordinary, and near the float maximum,
+# where d(x, y) + d(y, z) passes the float range.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 5e-10, EPS, math.nextafter(EPS, 1), 1.4e-9, 1.0,
+                     2.0, 8.9e307, 1.7e308, math.nextafter(1.7e308, 0),
+                     1.7976931348623157e308]),
+    st.floats(0, 4), st.floats(1e307, 1.7e308))
+
+
+@st.composite
+def _planted_spaces(draw):
+    """A metric (points on a line, or one distance between any two) with
+    entries overwritten anywhere, the diagonal and either triangle alike."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        xs = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        m = [[float(abs(a - b)) for b in xs] for a in xs]
+    else:
+        m = [[0.0 if i == j else draw(_ENTRIES) for j in range(n)]
+             for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = draw(_ENTRIES)
+    return _square("abcdefg"[:n], m)
+
+
+@given(space=_planted_spaces())
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_a_plain_loop(space):
+    rep = validate_metric(space)
+    assert _report_bits(rep) == _report_bits(_validate_by_loop(space))
+    flipped = validate_metric(_square(space.points(),
+                                      np.transpose(space.matrix).tolist()))
+    assert (flipped.valid, flipped.violation_count) == (rep.valid,
+                                                       rep.violation_count)
+    if rep.violation_count <= metric_core._VIOLATION_CAP:
+        assert (sorted(v.axiom for v in flipped.violations)
+                == sorted(v.axiom for v in rep.violations))
 
 
 def test_analytic_dedupes_indistinguishable_samples():
