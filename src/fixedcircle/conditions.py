@@ -362,6 +362,8 @@ def _run(name, src, detail=False):
 # Single-map reports: a batch of one over the rules
 
 _MEMBER_IDS = ("C1", "C2", "C1_STAR", "C2_STAR", "C1_DSTAR", "C2_DSTAR")
+# The atoms whose rules read only src.members and src.M: members' images.
+MEMBER_ATOMS = frozenset((*_MEMBER_IDS, "FIXED_CIRCLE"))
 
 # What an empty tuple set means (ID_COND and CARISTI are never vacuous).
 _EMPTY_NOTES = {

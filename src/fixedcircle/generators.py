@@ -20,11 +20,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .conditions import (CONDITION_IDS, batch_rows, condition_flags,
-                         member_mask)
+from .conditions import (CONDITION_IDS, MEMBER_ATOMS, batch_rows,
+                         condition_flags, member_mask)
 from .errors import (AnchorSearchError, ConstraintViolationError, DomainError,
                      MalformedInputError)
 from .metric_core import Branch, Circle, MetricSpace, SelfMap, resolve_eps
@@ -218,7 +219,7 @@ def _parse_target(text: str):
     a target nested too deeply for the parser.
 
     The evaluator takes an atom -> (m,) bool lookup and returns the (m,)
-    bool verdicts.
+    bool verdicts; it comes with the set of atoms the target names.
     """
     bad = _TARGET_JUNK.search(text)
     if bad:
@@ -231,7 +232,8 @@ def _parse_target(text: str):
         raise MalformedInputError(f"bad target {text!r}: {err.msg}") from None
     except (RecursionError, MemoryError):   # MemoryError: its stack overflowed
         raise MalformedInputError("target is nested too deeply") from None
-    return _evaluator(body, src.encode())
+    tree = _evaluator(body, src.encode())    # it refused any other name
+    return tree, {n.id.upper() for n in ast.walk(body) if isinstance(n, ast.Name)}
 
 
 def _evaluator(node, src: bytes):
@@ -286,26 +288,30 @@ class SearchResult:
         return self.status == "exhausted"
 
 
-def _exhaustive_chunks(n: int, chunk: int):
+def _exhaustive_chunks(n: int, chunk: int, digits=None):
     """Every table map in itertools.product(range(n), repeat=n) order, as
-    (<= chunk, n) image arrays. Candidate i is i written in base n, most
-    significant digit first. A chunk is whole blocks of n**k candidates,
-    k the largest with n**k <= chunk: a block's low k digits are one
-    table, made once, and its high n - k digits one row, decoded from the
-    block number, which stays a Python int so a huge n**n cannot wrap."""
-    k = next(k for k in range(n, -1, -1) if n ** k <= chunk)
-    step, total = n ** k, n ** n
+    (<= chunk, n) image arrays, the images of the points ``digits`` (an
+    increasing index list; all by default) varying, every other one 0.
+    Candidate i is i written in base n, most significant digit first. A
+    chunk is whole blocks of n**k candidates, k the largest with n**k <=
+    chunk: a block's low k digits are one table, made once, and its high
+    ones one row, decoded from the block number, which stays a Python
+    int so a huge n**n cannot wrap."""
+    cols = list(range(n) if digits is None else digits)
+    d = len(cols)
+    k = next(k for k in range(d, -1, -1) if n ** k <= chunk)
+    step, total = n ** k, n ** d
     low = np.indices((n,) * k, dtype=np.int64).reshape(k, step).T
     per = chunk // step * step
     for start in range(0, total, per):
         blocks = min(per, total - start) // step
-        maps = np.empty((blocks, step, n), dtype=np.int64)
-        maps[:, :, n - k:] = low
+        maps = np.zeros((blocks, step, n), dtype=np.int64)
+        maps[:, :, cols[d - k:]] = low
         carry, rest = np.arange(blocks, dtype=np.int64), start // step
-        for j in range(n - k - 1, -1, -1):
+        for j in range(d - k - 1, -1, -1):
             rest, digit = divmod(rest, n)
             carry += digit
-            maps[:, :, j] = (carry % n)[:, None]
+            maps[:, :, cols[j]] = (carry % n)[:, None]
             carry //= n
         yield maps.reshape(-1, n)
 
@@ -328,7 +334,9 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     maps are exhausted in index order when |X|**|X| fits the budget,
     otherwise drawn seeded-random up to the budget. Either way the
     first hit in evaluation order wins, so results are reproducible. A
-    negative budget or seed is refused.
+    negative budget or seed is refused. When every atom reads only the
+    members' images (MEMBER_ATOMS), exhausting varies those alone, every
+    other image 0, the first map in index order with them: same result.
 
     Candidates are judged through conditions.condition_flags in chunks
     of at most conditions.batch_rows maps, so the largest pair block
@@ -344,14 +352,15 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
     for name, value in (("budget", budget), ("seed", seed)):
         if value < 0:
             raise MalformedInputError(f"{name} must be >= 0, got {value}")
-    tree = _parse_target(target)
+    tree, atoms = _parse_target(target)
     n = len(space.points())
     D = space.as_array
     center = space.index_of(circle.center)
     member = member_mask(space, circle)
     chunk = batch_rows(n)
-    if n ** n <= budget:
-        chunks = _exhaustive_chunks(n, chunk)
+    if exhaustive := n ** n <= budget:
+        chunks = _exhaustive_chunks(n, chunk, np.flatnonzero(member)
+                                    if atoms <= MEMBER_ATOMS else None)
     else:
         chunks = _sampled_chunks(n, budget, chunk, seed)
 
@@ -361,9 +370,11 @@ def search_counterexample(space: MetricSpace, circle: Circle, target: str,
         hits = np.flatnonzero(tree(look))
         if hits.size:
             images = [int(v) for v in maps[hits[0]]]
+            index = (reduce(lambda high, v: high * n + v, images) if exhaustive
+                     else evaluated + int(hits[0]))    # exhaustive: base n
             return SearchResult(status="found", target=target,
                                 found=SelfMap.from_indices(space, images),
-                                evaluated=evaluated + int(hits[0]) + 1)
+                                evaluated=index + 1)
         evaluated += maps.shape[0]
     return SearchResult(status="exhausted", target=target, found=None,
-                        evaluated=evaluated)
+                        evaluated=min(budget, n ** n))

@@ -635,7 +635,10 @@ def _apply_image(space, image, x):
         return x
     if op == "constant":
         return image[1]
-    return 0 if x == 0 else 1 / x
+    y = 0 if x == 0 else 1 / x      # inf past the float range, not an error
+    if not space.contains(y):
+        raise MalformedInputError(f"image rule {image!r} maps {x!r} off the carrier: {y!r}")
+    return y
 
 
 def _matches(space, predicate, x, eps):

@@ -16,6 +16,7 @@ from fixedcircle import fileio
 from fixedcircle.cli import main
 from fixedcircle.errors import MalformedInputError
 from fixedcircle.gallery import load_entry
+from fixedcircle.generators import GenConfig, random_metric_space
 from fixedcircle.metric_core import (Branch, MetricSpace, SelfMap, circle_of,
                                      circle_samples)
 from fixedcircle.registry import THEOREM_IDS
@@ -800,6 +801,24 @@ def test_cli_search(files, capsys):
     assert json.loads(out)["payload"]["search"]["status"] == "exhausted"
 
 
+def test_cli_search_exhausts_9_to_the_9_maps(tmp_path):
+    # a member-atom target on 9 points: the scan reads only the members'
+    # images, yet reports every one of the 9**9 maps as evaluated
+    space = random_metric_space(GenConfig(seed=7, size=9))
+    sp = tmp_path / "space.json"
+    sp.write_text(fileio.dumps_document(fileio.space_to_doc(space)))
+    env = {**os.environ, "PYTHONPATH": str(Path(fixedcircle.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-m", "fixedcircle.cli", "search", str(sp),
+         "--target", "C1 & C2 & !FIXED_CIRCLE", "--center", "p0",
+         "--radius", repr(float(space.as_array[0, 1])),
+         "--budget", "387420489"],
+        capture_output=True, text=True, env=env, check=False, timeout=120)
+    assert (run.returncode, run.stderr) == (1, "")
+    got = json.loads(run.stdout)["payload"]["search"]
+    assert (got["status"], got["evaluated"]) == ("exhausted", 9 ** 9)
+
+
 def test_cli_gallery(files, capsys, tmp_path):
     code, out = _run(capsys, "gallery", "--filter", "EX_2_16")
     assert code == 0
@@ -873,6 +892,25 @@ def test_cli_constant_image_is_a_finite_label(tmp_path, capsys, labels,
     assert code == 0
     # the constant map fixes its image only
     assert [c["members"] for c in json.loads(out)["enumeration"]] == [[image]]
+
+
+@pytest.mark.parametrize("kind,samples", [
+    ("real_usual", [5e-324, 1.0, 2.0]),
+    ("complex_usual", [5e-324 + 5e-324j, 1])], ids=["real", "complex"])
+@pytest.mark.parametrize("conditions", ["C1", "BANACH", "RHOADES"])
+def test_cli_check_reciprocal_past_the_float_range_exits_2(
+        tmp_path, capsys, kind, samples, conditions):
+    space = MetricSpace.analytic(kind, samples)
+    tmap = SelfMap.from_rule(space, ("reciprocal",))
+    sp, mp = tmp_path / "space.json", tmp_path / "map.json"
+    sp.write_text(fileio.dumps_document(fileio.space_to_doc(space)))
+    mp.write_text(fileio.dumps_document(fileio.map_to_doc(tmap)))
+    code = main(["check", str(sp), str(mp), "--conditions", conditions,
+                 "--center", "1", "--radius", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: image rule ('reciprocal',) maps ")
+    assert "off the carrier" in err and "Traceback" not in err
 
 
 def test_cli_enumerate_skips_overflowing_displacements(tmp_path, capsys):

@@ -10,6 +10,7 @@ than shared with the engine.
 import gc
 import itertools
 import math
+import re
 import warnings
 import weakref
 from unittest import mock
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from fixedcircle.conditions import (CONDITION_IDS, ConditionReport, PhiMap,
+from fixedcircle.conditions import (CONDITION_IDS, MEMBER_ATOMS,
+                                    ConditionReport, PhiMap,
                                     _OneMap, check_banach,
                                     check_c1, check_c1_star,
                                     check_c2, check_c2_dstar, check_c2_star,
@@ -598,6 +600,44 @@ def test_members_and_off_circle_points_partition_the_points(seed, n,
             assert concl.tolist() == [circle.members == (p,) for p in pts]
 
 
+@given(kind=st.sampled_from(["random", "near_tie", "invalid", "row_col",
+                              "id_tie"]),
+       seed=st.integers(0, 10 ** 6), n=st.integers(1, 5), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_member_atoms_read_only_the_members_images(kind, seed, n, data):
+    # the exhaustive search scans only the members' images for targets
+    # of these atoms: images off the circle never move their verdicts,
+    # on asymmetric and invalid matrices too
+    D = _probe_matrix(kind, seed, n)
+    n = len(D)
+    space = MetricSpace.finite([f"p{i}" for i in range(n)], D.tolist())
+    ci = data.draw(st.integers(0, n - 1))
+    radius = data.draw(st.sampled_from(_probe_radii(D, ci)))
+    mask = member_mask(space, circle_of(space, space.points()[ci], radius,
+                                        TIE_EPS))
+    rows = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    maps = np.array(data.draw(st.lists(rows, min_size=1, max_size=6)))
+    moved = maps.copy()
+    moved[:, ~mask] = np.array(data.draw(st.lists(
+        rows, min_size=len(maps), max_size=len(maps))))[:, ~mask]
+    look, look_moved = (condition_flags(D, m, ci, radius, TIE_EPS, mask)
+                        for m in (maps, moved))
+    for atom in sorted(MEMBER_ATOMS):
+        assert look(atom).tolist() == look_moved(atom).tolist(), atom
+
+
+def test_c3_reads_images_off_the_circle():
+    # C3 pairs members with off-circle points, so it is no member atom:
+    # moving the images of the off-circle points c and y alone flips it
+    space = MetricSpace.finite(("c", "x", "y"),
+                               [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    mask = member_mask(space, circle_of(space, "c", 1.0))
+    assert "C3" not in MEMBER_ATOMS and mask.tolist() == [False, True, False]
+    look = condition_flags(space.as_array, np.array([[0, 1, 2], [1, 1, 1]]),
+                           0, 1.0, EPS, mask)
+    assert look("C3").tolist() == [False, True]
+
+
 def test_condition_flags_frees_its_arrays_without_the_collector():
     # a reference cycle through the lookup would keep every batch array
     # alive until the cyclic collector runs: memory then grows with use
@@ -671,6 +711,24 @@ def test_an_int_image_past_the_float_range_reads_as_its_float():
         rep = check_condition(cid, line, apart(2 ** 1023))
         assert rep == check_condition(cid, line, apart(2.0 ** 1023))
         assert rep.margin == -math.inf
+
+
+@pytest.mark.parametrize("kind,samples", [
+    ("real_usual", [5e-324, 1.0, 2.0]),
+    ("complex_usual", [5e-324 + 5e-324j, 1])], ids=["real", "complex"])
+def test_a_reciprocal_past_the_float_range_is_refused(kind, samples):
+    # 1/x of the least subnormal is inf (inf - infj on the plane), off the
+    # carrier: refused as such, not read as a margin or a weight
+    space = MetricSpace.analytic(kind, samples)
+    tmap = SelfMap.from_rule(space, ("reciprocal",))
+    tiny = space.points()[0]
+    refusal = rf"\('reciprocal',\) maps {re.escape(repr(tiny))} off the carrier"
+    with pytest.raises(MalformedInputError, match=refusal):
+        tmap.apply(tiny)
+    for cid, circle in (("C1", circle_of(space, 1.0, 1.0)), ("BANACH", None),
+                        ("RHOADES", None)):
+        with pytest.raises(MalformedInputError, match=refusal):
+            check_condition(cid, space, tmap, circle=circle)
 
 
 _MAX = 1.7976931348623157e308

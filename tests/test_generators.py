@@ -412,6 +412,13 @@ def _lazy(tree, look):
     return left if left.all() else left | _lazy(tree[2], look)
 
 
+def _atom_names(tree):
+    """The atoms of a tree, upper-cased."""
+    if isinstance(tree, str):
+        return {tree.upper()}
+    return set().union(*map(_atom_names, tree[1:]))
+
+
 def _random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         name = str(rng.choice(ATOMS))
@@ -445,9 +452,11 @@ def test_target_parser_matches_a_lazy_evaluator():
             assert want[j] == _holds(tree, lambda a: values[a.upper()][j])
         for text in (_render(tree), _render_tight(tree)):
             seen = []
-            got = generators._parse_target(text)(recorder(seen))
+            tree_eval, names = generators._parse_target(text)
+            got = tree_eval(recorder(seen))
             assert got.tolist() == want.tolist(), text
             assert seen == want_seen, text
+            assert names == _atom_names(tree), text
 
 
 def _brute_search(space, circle, tree, budget, seed):
@@ -540,6 +549,91 @@ def test_chunked_search_on_asymmetric_and_invalid_spaces():
             for budget in (10 ** 6, 50):
                 want = _brute_search(space, circle, tree, budget, 1)
                 assert _chunked_search(space, circle, tree, budget, 1) == want
+
+
+# Targets of member atoms alone (conditions.MEMBER_ATOMS): the exhaustive
+# search scans only the members' images for these.
+MEMBER_TREES = [
+    ("&", "C1", ("!", "C2")), ("&", "C2", ("!", "C1")), "FIXED_CIRCLE",
+    ("!", "FIXED_CIRCLE"), ("&", ("&", "C1", "C2"), ("!", "FIXED_CIRCLE")),
+    ("|", "C2_DSTAR", ("!", "C1_STAR")), ("&", "C2_STAR", ("!", "C1_DSTAR")),
+]
+
+
+def test_member_scan_on_an_empty_and_a_full_circle():
+    # no member: one candidate stands for all n**n maps; every point a
+    # member (the column at c is all 0): the member scan is the full one
+    space = random_metric_space(GenConfig(seed=4, size=4))
+    full = MetricSpace.finite(("c", "x", "y", "z"), [
+        [0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]])
+    for space, circle, size in (
+            (space, circle_of(space, space.points()[0], 7.0), 0),
+            (full, circle_of(full, "c", 0.0), 4)):
+        assert len(circle.members) == size
+        for tree in MEMBER_TREES:
+            want = _brute_search(space, circle, tree, 10 ** 6, 0)
+            for chunk in (1, 5, 10 ** 4):
+                with mock.patch.object(conditions, "_PAIR_BLOCK",
+                                       _pair_block_for(chunk, 4)):
+                    got = _chunked_search(space, circle, tree, 10 ** 6, 0)
+                assert got == want, (circle, tree, chunk)
+
+
+def test_member_scan_hit_in_a_later_chunk():
+    # four members at distance 1 from c, 2 apart, c not first so a hit's
+    # place in the member scan is not its place in product order: the
+    # first hit's members' images, read in base 5, place it past the 7th
+    # chunk of 5
+    n, chunk = 5, 7
+    space = MetricSpace.finite(("a", "b", "c", "d", "e"), [
+        [0, 2, 1, 2, 2], [2, 0, 1, 2, 2], [1, 1, 0, 1, 1], [2, 2, 1, 0, 2],
+        [2, 2, 1, 2, 0]])
+    circle = circle_of(space, "c", 1.0)
+    assert len(circle.members) == 4
+    for tree in ("FIXED_CIRCLE", ("&", "C1", ("!", "FIXED_CIRCLE"))):
+        want = _brute_search(space, circle, tree, 10 ** 6, 0)
+        rank = 0
+        for p in circle.members:
+            rank = rank * n + space.index_of(want[2][space.index_of(p)])
+        assert want[0] == "found" and rank >= 7 * 5, (tree, rank)
+        with mock.patch.object(conditions, "_PAIR_BLOCK",
+                               _pair_block_for(chunk, n)):
+            assert _chunked_search(space, circle, tree, 10 ** 6, 0) == want
+
+
+def test_member_scan_at_ten_points():
+    # 10**10 maps: an impossible target exhausts them all, and the first
+    # map fixing the circle is the members fixed, every other image p0,
+    # whose place in product order is its images read in base 10
+    space = random_metric_space(GenConfig(seed=3, size=10))
+    pts = space.points()
+    circle = circle_of(space, pts[9], float(space.as_array[9, 3]))
+    images = [i if p in circle.members else 0 for i, p in enumerate(pts)]
+    assert images[3] == 3
+    res = search_counterexample(space, circle, "C1 & !C1", budget=10 ** 10)
+    assert (res.status, res.evaluated, res.found) == ("exhausted", 10 ** 10,
+                                                      None)
+    res = search_counterexample(space, circle, "FIXED_CIRCLE",
+                                budget=10 ** 10)
+    assert res.status == "found"
+    assert res.evaluated == int("".join(map(str, images))) + 1
+    assert res.found.table == tuple(pts[i] for i in images)
+
+
+@pytest.mark.parametrize("n,digits", [(1, []), (1, [0]), (3, []), (3, [1]),
+                                      (4, [0, 2]), (4, [1, 2, 3]),
+                                      (5, [0, 1, 2, 3, 4])])
+@pytest.mark.parametrize("chunk", [1, 5, 7, 10 ** 4])
+def test_exhaustive_chunks_vary_only_the_digits_given(n, digits, chunk):
+    got = list(generators._exhaustive_chunks(n, chunk, np.array(digits)))
+    _assert_chunks_are_bounded_and_own_buffers(got, chunk)
+    want = []
+    for t in itertools.product(range(n), repeat=len(digits)):
+        row = [0] * n
+        for j, v in zip(digits, t):
+            row[j] = v
+        want.append(row)
+    assert np.vstack(got).tolist() == want
 
 
 _TREES = st.recursive(
